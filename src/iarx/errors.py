@@ -6,6 +6,9 @@ clustering, identifying or simulating (``ClusteringError``,
 while reading data or resolving configuration (``DataError``,
 ``ConfigError``). The command line maps the first family to exit code 1
 and the second to exit code 2.
+
+``ConvergenceWarning`` is a warning, not an error: an iterative solver that
+stops at its iteration cap still returns its last iterate.
 """
 
 __all__ = [
@@ -15,6 +18,7 @@ __all__ = [
     "ClusteringError",
     "IdentificationError",
     "SimulationError",
+    "ConvergenceWarning",
 ]
 
 
@@ -40,3 +44,7 @@ class IdentificationError(IarxError):
 
 class SimulationError(IarxError):
     """Synthetic data generation diverged or could not proceed."""
+
+
+class ConvergenceWarning(UserWarning):
+    """An iterative solver stopped at its iteration cap before converging."""

@@ -15,11 +15,12 @@ to one of the class intervals.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError
+from .errors import ClusteringError, ConvergenceWarning
 from .intervals import Interval
 
 __all__ = [
@@ -72,36 +73,49 @@ def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -
     return centers
 
 
-def _memberships(values: np.ndarray, centers: np.ndarray, fuzziness: float) -> np.ndarray:
-    """Membership matrix U (k x N) for the current centers.
+def _memberships(d2: np.ndarray, fuzziness: float) -> np.ndarray:
+    """Membership matrix U (k x N) from the squared distances ``d2`` (k x N).
 
-    U[i, j] = 1 / sum_t (d_ij / d_tj) ** (2 / (fuzziness - 1)); a point that
-    coincides with a center gets full membership in the first such cluster.
+    U[i, j] is proportional to (min_t d2_tj / d2_ij) ** (1 / (fuzziness - 1)),
+    which is Bezdek's 1 / sum_t (d_ij / d_tj) ** (2 / (fuzziness - 1)); a
+    point that coincides with a center gets full membership in the first
+    such cluster.
     """
-    dist = np.abs(centers[:, None] - values[None, :])  # (k, N)
-    nearest = dist.min(axis=0)
-    u = np.zeros_like(dist)
+    nearest = d2.min(axis=0)
     on_center = nearest == 0.0
-    if np.any(on_center):
+    some_on_center = bool(on_center.any())
+    if some_on_center:
         cols = np.flatnonzero(on_center)
-        rows = np.argmax(dist[:, cols] == 0.0, axis=0)
-        u[rows, cols] = 1.0
-    regular = ~on_center
-    if np.any(regular):
-        # Ratios to the nearest center stay >= 1, so the powers cannot overflow.
-        rel = dist[:, regular] / nearest[regular]
-        weights = rel ** (-2.0 / (fuzziness - 1.0))
-        u[:, regular] = weights / weights.sum(axis=0)
-    return u
+        rows = np.argmax(d2[:, cols] == 0.0, axis=0)
+        regular = ~on_center
+        d2 = d2[:, regular]
+        nearest = nearest[regular]
+    # Ratios to the nearest center lie in (0, 1], so the powers cannot overflow.
+    u = nearest / d2
+    if fuzziness != 2.0:
+        u **= 1.0 / (fuzziness - 1.0)
+    u /= u.sum(axis=0)
+    if not some_on_center:
+        return u
+    full = np.zeros((u.shape[0], on_center.size))
+    full[rows, cols] = 1.0
+    full[:, regular] = u
+    return full
 
 
 def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
     """Cluster a scalar series by fuzzy c-means with hardened assignments.
 
-    Returns ``(centers, assignments)`` where ``centers`` has shape ``(k,)``
-    and ``assignments`` maps each point to the 0-based cluster of maximal
-    membership (ties to the lowest index). Raises ``ClusteringError`` when a
-    cluster ends up with no hard members; callers may retry with a new seed.
+    Runs the alternating update of Bezdek, Ehrlich & Full (1984) until no
+    center moves by ``config.tolerance`` or more. Returns ``(centers,
+    assignments)`` where ``centers`` has shape ``(k,)`` and ``assignments``
+    maps each point to the 0-based cluster of the nearest center (ties to
+    the lowest index); in exact arithmetic that is the cluster of maximal
+    membership for every fuzziness. Raises ``ClusteringError`` when a
+    cluster ends up with no hard members, so callers may retry with a new
+    seed, or when the objective fails to decrease. Warns with
+    ``ConvergenceWarning`` when ``config.max_iterations`` pass without
+    convergence; the last centers are still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
     if values.size == 0:
@@ -115,29 +129,48 @@ def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
 
     rng = np.random.default_rng(config.seed)
     centers = _farthest_point_init(values, config.k, rng)
+    diff = centers[:, None] - values[None, :]  # (k, N)
+    d2 = diff * diff
 
     prev_objective = np.inf
-    for _ in range(config.max_iterations):
-        u = _memberships(values, centers, config.fuzziness)
-        weights = u ** config.fuzziness
+    for iteration in range(1, config.max_iterations + 1):
+        u = _memberships(d2, config.fuzziness)
+        # u ** fuzziness, in place: the memberships are not needed afterwards.
+        if config.fuzziness == 2.0:
+            weights = np.multiply(u, u, out=u)
+        else:
+            weights = np.power(u, config.fuzziness, out=u)
         mass = weights.sum(axis=1)
         if np.any(mass == 0.0):
             raise ClusteringError("a cluster lost all membership mass; reseed and retry")
         new_centers = (weights @ values) / mass
-        dist = np.abs(new_centers[:, None] - values[None, :])
-        objective = float(np.sum(weights * dist**2))
-        # Alternating optimization must not increase the objective.
-        assert objective <= prev_objective * (1.0 + 1e-12) + 1e-12, (
-            f"fcm objective increased: {prev_objective!r} -> {objective!r}"
-        )
+        np.subtract(new_centers[:, None], values[None, :], out=diff)
+        # d2 serves this iteration's objective and the next iteration's memberships.
+        np.multiply(diff, diff, out=d2)
+        objective = float(np.vdot(weights, d2))
+        # Alternating optimization must not increase the objective. A NaN,
+        # e.g. from squared distances that overflow, fails the test as well.
+        if not objective <= prev_objective * (1.0 + 1e-12) + 1e-12:
+            raise ClusteringError(
+                f"fcm objective failed to decrease at iteration {iteration}: "
+                f"{prev_objective!r} -> {objective!r}"
+            )
         prev_objective = objective
-        shift = np.max(np.abs(new_centers - centers))
+        shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift < config.tolerance:
             break
+    else:
+        warnings.warn(
+            ConvergenceWarning(
+                f"fuzzy c-means with k={config.k} did not converge in "
+                f"{config.max_iterations} iterations: final center shift "
+                f"{shift:.3g} is not below the tolerance {config.tolerance:g}"
+            ),
+            stacklevel=2,
+        )
 
-    final_u = _memberships(values, centers, config.fuzziness)
-    assignments = np.argmax(final_u, axis=0)
+    assignments = np.argmin(np.abs(diff, out=diff), axis=0)
     counts = np.bincount(assignments, minlength=config.k)
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])

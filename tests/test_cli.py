@@ -1,10 +1,17 @@
 """CLI tests: run ``main`` in-process and check files, exit codes, and output."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iarx
 from iarx.cli import main
+from iarx.errors import ConvergenceWarning
 from iarx.model import IarxParams
 from iarx.pattern_space import PatternSpace
 
@@ -174,6 +181,41 @@ def test_sweep_deterministic(workspace, tmp_path):
     assert len(lines) == 4
     assert [row.split(",")[0] for row in lines[1:]] == ["16", "17", "18"]
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+
+def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
+    # on the normalized default series, fuzzy c-means at 22 classes runs all
+    # 300 iterations; the cell is still scored and the files are unchanged
+    data_dir, _ = workspace
+    args = ["sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--cpms-range", "22..22"]
+    with pytest.warns(ConvergenceWarning, match="k=22"):
+        assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
+
+    src = Path(iarx.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "iarx.cli", *args, "--out", str(tmp_path / "process")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ConvergenceWarning" in proc.stderr and "k=22" in proc.stderr
+    written = (tmp_path / "process" / "sweep.csv").read_bytes()
+    assert written == (tmp_path / "in-process" / "sweep.csv").read_bytes()
+    (row,) = written.decode("utf-8").splitlines()[1:]
+    assert row.startswith("22,") and "" not in row.split(",")
+
+
+def test_library_has_no_assert_statements():
+    # assert vanishes under python -O, and an AssertionError escapes the
+    # exit-code mapping; invariants must raise package errors instead
+    package = Path(iarx.__file__).resolve().parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
 
 
 def test_bad_cpms_range(workspace, tmp_path):

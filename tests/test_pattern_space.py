@@ -1,17 +1,52 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from iarx.errors import ClusteringError
+from iarx.errors import ClusteringError, ConvergenceWarning
 from iarx.intervals import Interval, hausdorff_distance
 from iarx.pattern_space import (
     FcmConfig,
     PatternClass,
     PatternSpace,
+    _farthest_point_init,
     build_space,
     fcm_cluster,
 )
+
+
+def textbook_fcm(values, config):
+    """Bezdek's fuzzy c-means written out plainly, as the reference.
+
+    Absolute distances, memberships 1 / sum_t (d_ij / d_tj) ** (2 / (m - 1))
+    computed as rel ** (-2 / (m - 1)) on the ratios to the nearest center,
+    weights u ** m, and hard assignment by maximal membership.
+    """
+    values = np.asarray(values, dtype=float)
+    m = config.fuzziness
+
+    def memberships(centers):
+        dist = np.abs(centers[:, None] - values[None, :])
+        nearest = dist.min(axis=0)
+        on_center = nearest == 0.0
+        u = np.zeros_like(dist)
+        cols = np.flatnonzero(on_center)
+        u[np.argmax(dist[:, cols] == 0.0, axis=0), cols] = 1.0
+        rel = dist[:, ~on_center] / nearest[~on_center]
+        w = rel ** (-2.0 / (m - 1.0))
+        u[:, ~on_center] = w / w.sum(axis=0)
+        return u
+
+    centers = _farthest_point_init(values, config.k, np.random.default_rng(config.seed))
+    for _ in range(config.max_iterations):
+        weights = memberships(centers) ** m
+        new_centers = (weights @ values) / weights.sum(axis=1)
+        shift = np.max(np.abs(new_centers - centers))
+        centers = new_centers
+        if shift < config.tolerance:
+            break
+    return centers, np.argmax(memberships(centers), axis=0)
 
 
 def test_config_validation():
@@ -61,6 +96,42 @@ def test_assignments_match_membership_argmax():
     w = (1.0 / d) ** 2  # fuzziness 2.0 -> exponent 2 / (fuzziness - 1)
     u = w / w.sum(axis=1, keepdims=True)
     assert np.array_equal(assign, np.argmax(u, axis=1))
+
+
+@pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [16, 26, 36])
+def test_fcm_matches_textbook_bezdek(default_result, fuzziness, k):
+    # the initial centers are data points, so the on-center branch runs too
+    config = FcmConfig(k=k, fuzziness=fuzziness)
+    want_centers, want_assign = textbook_fcm(default_result.data, config)
+    centers, assign = fcm_cluster(default_result.data, config)
+    assert np.array_equal(assign, want_assign)
+    np.testing.assert_allclose(centers, want_centers, rtol=0.0, atol=1e-9)
+
+
+def test_iteration_cap_warns_with_the_details():
+    data = np.arange(1.0, 101.0)
+    with pytest.warns(ConvergenceWarning) as record:
+        centers, assign = fcm_cluster(data, FcmConfig(k=4, max_iterations=2))
+    (warning,) = record
+    message = str(warning.message)
+    for detail in ("k=4", "2 iterations", "center shift", "tolerance 1e-06"):
+        assert detail in message
+    assert centers.shape == (4,) and assign.shape == (100,)
+
+
+def test_default_data_converges_at_the_default_class_count(default_result):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        fcm_cluster(default_result.data, FcmConfig(k=26))
+
+
+def test_overflowing_objective_is_a_clustering_error():
+    # squared distances overflow, so the objective is NaN: a checked error,
+    # not an assert that python -O would strip
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ClusteringError, match="objective"):
+            fcm_cluster([0.0, 1e200, 2e200, 3e200], FcmConfig(k=2))
 
 
 def test_single_class_space():
