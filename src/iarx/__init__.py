@@ -44,7 +44,7 @@ from .model import (
 from .pipeline import (
     EncodedSeries,
     ForecastRecord,
-    ForecastStep,
+    ForecastTrace,
     MovingPatternModel,
     RmseReport,
     RobustnessResult,
@@ -52,7 +52,6 @@ from .pipeline import (
     evaluate,
     fit_model,
     forecast_series,
-    forecast_step,
     perturb_center_params,
     perturb_radius_params,
     rmse_from_records,
@@ -101,13 +100,12 @@ __all__ = [
     "solve_qp_nonneg",
     "EncodedSeries",
     "MovingPatternModel",
-    "ForecastStep",
     "ForecastRecord",
+    "ForecastTrace",
     "RmseReport",
     "SweepCell",
     "RobustnessResult",
     "fit_model",
-    "forecast_step",
     "forecast_series",
     "evaluate",
     "rmse_from_records",

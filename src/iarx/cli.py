@@ -233,10 +233,10 @@ def cmd_eval(args) -> int:
         )
     out = _out_dir(_resolve(args, config, "out", "."))
 
-    records = forecast_series(model, series, u)
-    report = rmse_from_records(records)
+    trace = forecast_series(model, series, u)
+    report = rmse_from_records(trace)
     write_rmse_csv(out / RMSE_FILE, model.space.cpms, report)
-    write_trace_csv(out / TRACE_FILE, records)
+    write_trace_csv(out / TRACE_FILE, trace)
     print(f"wrote {RMSE_FILE}, {TRACE_FILE} to {out}")
     return 0
 

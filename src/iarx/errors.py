@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Two broad families matter to callers: numerical failures raised while
-clustering, identifying or simulating (``ClusteringError``,
+clustering, identifying, simulating or forecasting (``ClusteringError``,
 ``IdentificationError``, ``SimulationError``), and input problems raised
 while reading data or resolving configuration (``DataError``,
 ``ConfigError``). The command line maps the first family to exit code 1
@@ -43,7 +43,11 @@ class IdentificationError(IarxError):
 
 
 class SimulationError(IarxError):
-    """Synthetic data generation diverged or could not proceed."""
+    """Running the model diverged or could not proceed.
+
+    Raised when synthetic data generation diverges and when a forecast
+    produces a non-finite interval bound.
+    """
 
 
 class ConvergenceWarning(UserWarning):

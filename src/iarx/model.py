@@ -4,7 +4,10 @@ The model maps ``n`` lagged interval outputs and ``m`` lagged crisp inputs
 to one interval output. Its center channel is linear in the lagged centers
 and inputs; its radius channel is linear in the lagged radii and absolute
 inputs with nonnegative coefficients, which keeps every prediction a valid
-interval by construction.
+interval by construction. Every prediction, one step or a whole series,
+goes through one elementwise kernel, ``predict_bounds``;
+``predict_compositional`` expands the same model in interval operations
+and is kept as an independent cross-check.
 
 Identification splits along the same seam: ordinary least squares for the
 center coefficients ``A`` and nonnegative least squares for the radius
@@ -31,6 +34,8 @@ __all__ = [
     "RegressorPair",
     "QpProblem",
     "build_regressors",
+    "lag_columns",
+    "predict_bounds",
     "predict",
     "predict_compositional",
     "fit_center",
@@ -168,37 +173,75 @@ def build_regressors(history, inputs, k: int, n: int, m: int) -> RegressorPair:
         raise ValueError(f"autoregressive order n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"input order m must be >= 0, got {m}")
-    if k < max(n, m):
-        raise ValueError(f"step {k} has an incomplete lag window (need k >= {max(n, m)})")
+    kmin = max(n, m)
+    if k < kmin:
+        raise ValueError(f"step {k} has an incomplete lag window (need k >= {kmin})")
     if k > len(history):
         raise ValueError(f"step {k} is beyond the {len(history)} known output(s)")
     if m > 0 and k > len(inputs):
         raise ValueError(f"step {k} is beyond the {len(inputs)} known input(s)")
 
+    # Only the lag window, re-indexed so that step k becomes row kmin.
+    window = history[k - kmin : k]
+    centers = np.array([iv.center for iv in window])
+    radii = np.array([iv.radius for iv in window])
+    u = np.asarray(inputs[k - kmin : k], dtype=float) if m > 0 else np.empty(0)
+    x, x_abs = lag_columns(centers, radii, u, n, m, kmin, kmin + 1)
+    return RegressorPair(x=x[0], x_abs=x_abs[0])
+
+
+def lag_columns(centers, radii, inputs, n: int, m: int, start: int, stop: int):
+    """Stacked regressors of the steps ``start .. stop - 1`` of a series.
+
+    ``centers`` and ``radii`` are the center and radius arrays of the
+    interval series and ``inputs`` the crisp input array, all indexed by
+    step; step ``k`` reads only the lags ``k - 1 .. k - max(n, m)``.
+    Returns ``(x, x_abs)`` with one row per step in the
+    :class:`RegressorPair` layout.
+    """
+    rows = stop - start
     width = 1 + n + m
-    x = np.empty(width)
-    x_abs = np.empty(width)
-    x[0] = x_abs[0] = 1.0
+    x = np.ones((rows, width))
+    x_abs = np.ones((rows, width))
     for j in range(1, n + 1):
-        y = history[k - j]
-        x[j] = y.center
-        x_abs[j] = y.radius
+        x[:, j] = centers[start - j : stop - j]
+        x_abs[:, j] = radii[start - j : stop - j]
     for ell in range(1, m + 1):
-        u = float(inputs[k - ell])
-        x[n + ell] = u
-        x_abs[n + ell] = abs(u)
-    return RegressorPair(x=x, x_abs=x_abs)
+        x[:, n + ell] = inputs[start - ell : stop - ell]
+        np.abs(x[:, n + ell], out=x_abs[:, n + ell])
+    return x, x_abs
+
+
+def predict_bounds(params: IarxParams, x, x_abs) -> tuple[np.ndarray, np.ndarray]:
+    """Preliminary bounds of every row of the stacked regressors ``x`` / ``x_abs``.
+
+    The center ``A . x`` and the radius ``C . x_abs`` are summed term by
+    term in column order, elementwise over the rows, so each row gets the
+    same floating-point operations whatever the row count or the BLAS
+    library. Returns ``(center - radius, center + radius)``. Overflow is
+    not reported here; callers check the bounds for finiteness.
+    """
+    x = np.asarray(x, dtype=float)
+    x_abs = np.asarray(x_abs, dtype=float)
+    if x.ndim != 2 or x.shape != x_abs.shape:
+        raise ValueError(f"regressor shapes {x.shape} and {x_abs.shape} must be equal and 2-D")
+    if x.shape[1] != params.A.size:
+        raise ValueError(
+            f"regressor length {x.shape[1]} does not match parameter length {params.A.size}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = params.A[0] * x[:, 0]
+        radius = params.C[0] * x_abs[:, 0]
+        for j in range(1, params.A.size):
+            center += params.A[j] * x[:, j]
+            radius += params.C[j] * x_abs[:, j]
+        return center - radius, center + radius
 
 
 def predict(params: IarxParams, regr: RegressorPair) -> Interval:
-    """One-step prediction in closed form: ``(A @ x, C @ x_abs)`` as (center, radius)."""
-    if regr.x.size != params.A.size:
-        raise ValueError(
-            f"regressor length {regr.x.size} does not match parameter length {params.A.size}"
-        )
-    center = float(params.A @ regr.x)
-    radius = float(params.C @ regr.x_abs)
-    return Interval.from_center_radius(center, radius)
+    """One-step prediction: the one-row case of :func:`predict_bounds`."""
+    lower, upper = predict_bounds(params, regr.x[None, :], regr.x_abs[None, :])
+    return Interval(lower[0], upper[0])
 
 
 def predict_compositional(params: IarxParams, history, inputs, k: int) -> Interval:
@@ -248,15 +291,7 @@ def _design_matrices(history, inputs, n: int, m: int):
     centers = np.array([iv.center for iv in history])
     radii = np.array([iv.radius for iv in history])
     u = np.asarray(inputs, dtype=float) if m > 0 else np.empty(0)
-
-    x = np.ones((rows, width))
-    x_abs = np.ones((rows, width))
-    for j in range(1, n + 1):
-        x[:, j] = centers[kmin - j : total - j]
-        x_abs[:, j] = radii[kmin - j : total - j]
-    for ell in range(1, m + 1):
-        x[:, n + ell] = u[kmin - ell : total - ell]
-        x_abs[:, n + ell] = np.abs(u[kmin - ell : total - ell])
+    x, x_abs = lag_columns(centers, radii, u, n, m, kmin, total)
     return x, centers[kmin:], x_abs, radii[kmin:]
 
 
@@ -268,6 +303,10 @@ def fit_center(history, inputs, n: int, m: int) -> np.ndarray:
     is attempted, because any returned ``A`` would be one of infinitely many.
     """
     x, y, _, _ = _design_matrices(history, inputs, n, m)
+    return _ols_center(x, y)
+
+
+def _ols_center(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     coeffs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < x.shape[1]:
         raise IdentificationError(
@@ -277,6 +316,14 @@ def fit_center(history, inputs, n: int, m: int) -> np.ndarray:
     return coeffs
 
 
+def _qp_terms(x_abs: np.ndarray, y_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``H = sum x_abs x_abs'`` and ``B = 2 sum y_r x_abs`` of the radius problem."""
+    # einsum sums the rank-one terms in a fixed order, keeping H bitwise symmetric.
+    h = np.einsum("ki,kj->ij", x_abs, x_abs)
+    b = 2.0 * (x_abs.T @ y_r)
+    return h, b
+
+
 def assemble_qp(history, inputs, n: int, m: int) -> QpProblem:
     """Quadratic-program data of the radius problem: ``H = sum x_abs x_abs'``, ``B = 2 sum y_r x_abs``.
 
@@ -284,9 +331,7 @@ def assemble_qp(history, inputs, n: int, m: int) -> QpProblem:
     semidefinite by construction.
     """
     _, _, x_abs, y_r = _design_matrices(history, inputs, n, m)
-    # einsum sums the rank-one terms in a fixed order, keeping H bitwise symmetric.
-    h = np.einsum("ki,kj->ij", x_abs, x_abs)
-    b = 2.0 * (x_abs.T @ y_r)
+    h, b = _qp_terms(x_abs, y_r)
     return QpProblem(H=h, B=b)
 
 
@@ -418,10 +463,12 @@ def fit_radius(history, inputs, n: int, m: int) -> np.ndarray:
     program; a violation is reported, never silently accepted.
     """
     _, _, x_abs, y_r = _design_matrices(history, inputs, n, m)
-    coeffs = nnls(x_abs, y_r)
+    return _nnls_radius(x_abs, y_r)
 
-    h = np.einsum("ki,kj->ij", x_abs, x_abs)
-    b = 2.0 * (x_abs.T @ y_r)
+
+def _nnls_radius(x_abs: np.ndarray, y_r: np.ndarray) -> np.ndarray:
+    coeffs = nnls(x_abs, y_r)
+    h, b = _qp_terms(x_abs, y_r)
     grad = 2.0 * (h @ coeffs) - b
     eps = KKT_RTOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     if float(grad.min(initial=0.0)) < -eps or float(np.max(np.abs(coeffs * grad), initial=0.0)) > eps:
@@ -433,10 +480,6 @@ def fit_radius(history, inputs, n: int, m: int) -> np.ndarray:
 
 
 def fit(history, inputs, n: int, m: int) -> IarxParams:
-    """Identify both channels and package the parameters."""
-    return IarxParams(
-        n=n,
-        m=m,
-        A=fit_center(history, inputs, n, m),
-        C=fit_radius(history, inputs, n, m),
-    )
+    """Identify both channels from one build of the design matrices."""
+    x, y_c, x_abs, y_r = _design_matrices(history, inputs, n, m)
+    return IarxParams(n=n, m=m, A=_ols_center(x, y_c), C=_nnls_radius(x_abs, y_r))

@@ -224,6 +224,8 @@ class PatternSpace:
         self._classes = classes
         self._lowers = np.array(lowers)
         self._uppers = np.array([cls.interval.upper for cls in classes])
+        self._lowers.setflags(write=False)
+        self._uppers.setflags(write=False)
 
     @property
     def classes(self) -> tuple[PatternClass, ...]:
@@ -234,13 +236,38 @@ class PatternSpace:
         """Cardinality of the pattern moving space (the class count)."""
         return len(self._classes)
 
+    @property
+    def lowers(self) -> np.ndarray:
+        """Lower bounds of the class intervals in id order (read-only)."""
+        return self._lowers
+
+    @property
+    def uppers(self) -> np.ndarray:
+        """Upper bounds of the class intervals in id order (read-only)."""
+        return self._uppers
+
+    def classify_bounds(self, lower, upper) -> np.ndarray:
+        """Ids of the classes Hausdorff-nearest to the intervals ``[lower[i], upper[i]]``.
+
+        The distance to a class is ``max(|lower - class lower|, |upper -
+        class upper|)``; ties resolve to the lowest id. Returns a 1-based
+        integer array with the shape of ``lower``.
+        """
+        lower = np.asarray(lower, dtype=float).ravel()
+        upper = np.asarray(upper, dtype=float).ravel()
+        dist = np.subtract.outer(lower, self._lowers)
+        np.abs(dist, out=dist)
+        other = np.subtract.outer(upper, self._uppers)
+        np.abs(other, out=other)
+        np.maximum(dist, other, out=dist)
+        return np.argmin(dist, axis=1) + 1
+
     def classify(self, x: Interval) -> int:
         """Id of the class whose interval is Hausdorff-nearest to ``x``.
 
         Ties resolve to the lowest id.
         """
-        dist = np.maximum(np.abs(x.lower - self._lowers), np.abs(x.upper - self._uppers))
-        return int(np.argmin(dist)) + 1
+        return int(self.classify_bounds(x.lower, x.upper)[0])
 
     def measure(self, class_id: int) -> Interval:
         """The stored interval of class ``class_id`` (1-based)."""
@@ -257,12 +284,7 @@ class PatternSpace:
         measured; the result list therefore contains only class intervals.
         """
         values = np.asarray(data, dtype=float).ravel()
-        dist = np.maximum(
-            np.abs(values[:, None] - self._lowers[None, :]),
-            np.abs(values[:, None] - self._uppers[None, :]),
-        )
-        ids = np.argmin(dist, axis=1)
-        return [self._classes[i].interval for i in ids]
+        return [self._classes[i - 1].interval for i in self.classify_bounds(values, values)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternSpace):

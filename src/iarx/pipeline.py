@@ -6,6 +6,8 @@ series, and scores one-step-ahead forecasts. A forecast step produces two
 intervals: the preliminary model output, and the final output obtained by
 classifying the preliminary interval back into the space and measuring the
 winning class - so every final output is bit-identical to a class interval.
+A forecast pass computes all of its steps at once and returns them as
+columns, a :class:`ForecastTrace`.
 
 Experiment drivers cover accuracy-vs-class-count sweeps and the radius
 perturbation study, plus the fixed CSV writers used by the command line.
@@ -13,25 +15,25 @@ perturbation study, plus the fixed CSV writers used by the command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ClusteringError, DataError, IdentificationError
+from .errors import ClusteringError, DataError, IdentificationError, SimulationError
 from .intervals import Interval
-from .model import IarxParams, build_regressors, fit, predict
+from .model import IarxParams, fit, lag_columns, predict_bounds
 from .pattern_space import FcmConfig, PatternSpace, build_space
 
 __all__ = [
     "EncodedSeries",
     "MovingPatternModel",
-    "ForecastStep",
     "ForecastRecord",
+    "ForecastTrace",
     "RmseReport",
     "SweepCell",
     "RobustnessResult",
     "fit_model",
-    "forecast_step",
     "forecast_series",
     "evaluate",
     "rmse_from_records",
@@ -98,15 +100,6 @@ class MovingPatternModel:
 
 
 @dataclass(frozen=True)
-class ForecastStep:
-    """One forecast: preliminary interval, snapped final interval, class id."""
-
-    prelim: Interval
-    final: Interval
-    class_id: int
-
-
-@dataclass(frozen=True)
 class ForecastRecord:
     """A scored forecast step: the encoded actual plus the forecast triple."""
 
@@ -115,6 +108,101 @@ class ForecastRecord:
     prelim: Interval
     final: Interval
     class_id: int
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastTrace:
+    """Scored forecast steps as columns, one entry per step ``k``.
+
+    ``actual_*`` are the bounds of the encoded actual, ``prelim_*`` those of
+    the preliminary model output and ``final_*`` those of class
+    ``class_id``, the class nearest the preliminary. The columns are
+    read-only one-dimensional arrays of equal length.
+
+    The trace also keeps the interface of a list of
+    :class:`ForecastRecord`: iterating or indexing it yields one record per
+    step, and assigning a record to ``trace[i]`` replaces that step. An
+    assignment swaps every column for an updated copy, so arrays read from
+    the trace before keep their values.
+    """
+
+    k: np.ndarray
+    actual_lower: np.ndarray
+    actual_upper: np.ndarray
+    prelim_lower: np.ndarray
+    prelim_upper: np.ndarray
+    final_lower: np.ndarray
+    final_upper: np.ndarray
+    class_id: np.ndarray
+
+    def __post_init__(self):
+        sizes = set()
+        for field in fields(self):
+            dtype = np.int64 if field.name in ("k", "class_id") else np.float64
+            # A read-only view: the caller's array keeps its own flags.
+            col = np.asarray(getattr(self, field.name), dtype=dtype).view()
+            if col.ndim != 1:
+                raise ValueError(f"trace column {field.name} must be one-dimensional")
+            col.setflags(write=False)
+            object.__setattr__(self, field.name, col)
+            sizes.add(col.size)
+        if len(sizes) != 1:
+            raise ValueError(f"trace columns differ in length: {sorted(sizes)}")
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, field.name) for field in fields(self)]
+
+    def _position(self, index) -> int:
+        """The row of ``index``, counting from the end when negative."""
+        row = operator.index(index)
+        size = len(self)
+        if not -size <= row < size:
+            raise IndexError(f"step index {row} is out of range for {size} step(s)")
+        return row % size
+
+    def _rows(self):
+        """The steps as tuples of Python numbers, in column order."""
+        return zip(*(col.tolist() for col in self._columns()))
+
+    def __iter__(self):
+        for row in self._rows():
+            yield _record(*row)
+
+    def __getitem__(self, index) -> ForecastRecord:
+        row = self._position(index)
+        return _record(*(col[row].item() for col in self._columns()))
+
+    def __setitem__(self, index, record: ForecastRecord) -> None:
+        row = self._position(index)
+        values = (
+            record.k,
+            record.actual.lower,
+            record.actual.upper,
+            record.prelim.lower,
+            record.prelim.upper,
+            record.final.lower,
+            record.final.upper,
+            record.class_id,
+        )
+        for field, value in zip(fields(self), values):
+            col = getattr(self, field.name).copy()
+            col[row] = value
+            col.setflags(write=False)
+            object.__setattr__(self, field.name, col)
+
+
+def _record(k, al, au, pl, pu, fl, fu, cid) -> ForecastRecord:
+    """One trace row, given in column order, as a record."""
+    return ForecastRecord(
+        k=k,
+        actual=Interval(al, au),
+        prelim=Interval(pl, pu),
+        final=Interval(fl, fu),
+        class_id=cid,
+    )
 
 
 @dataclass(frozen=True)
@@ -176,26 +264,19 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) 
     return MovingPatternModel(space=space, params=params)
 
 
-def forecast_step(model: MovingPatternModel, history, u, k: int) -> ForecastStep:
-    """Forecast step ``k`` from an encoded history and the input series.
-
-    The preliminary interval comes straight from the model; the final
-    interval is the measured class nearest the preliminary one.
-    """
-    regr = build_regressors(history, u, k, model.n, model.m)
-    prelim = predict(model.params, regr)
-    class_id = model.space.classify(prelim)
-    return ForecastStep(prelim=prelim, final=model.space.measure(class_id), class_id=class_id)
-
-
 def forecast_series(
     model: MovingPatternModel, data, u, start: int | None = None, end: int | None = None
-) -> list[ForecastRecord]:
+) -> ForecastTrace:
     """One-step-ahead forecasts over ``[start, end)`` with true encoded history.
 
     Each step is predicted from the encoded actuals, never from earlier
     forecasts. The default range scores every step with a full lag window,
-    i.e. ``max(n, m) .. len(data) - 1``.
+    i.e. ``max(n, m) .. len(data) - 1``. All steps are computed at once:
+    the series is encoded as class ids, the lag columns are gathered from
+    the class centers and radii, the preliminaries come from
+    :func:`~iarx.model.predict_bounds` and are classified together, and
+    the finals are the bounds of the winning classes. A non-finite
+    preliminary raises ``SimulationError`` naming the first such step.
     """
     data = np.asarray(data, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
@@ -211,33 +292,51 @@ def forecast_series(
     if start >= end:
         raise DataError(f"empty scored range [{start}, {end})")
 
-    dx = model.space.encode_series(data)
-    records = []
-    for k in range(start, end):
-        step = forecast_step(model, dx, u, k)
-        records.append(
-            ForecastRecord(
-                k=k, actual=dx[k], prelim=step.prelim, final=step.final, class_id=step.class_id
-            )
+    space = model.space
+    lowers, uppers = space.lowers, space.uppers
+    # Only the scored steps and their lags are encoded; row 0 is step start - kmin.
+    offset = start - kmin
+    window = data[offset:end]
+    idx = space.classify_bounds(window, window) - 1
+    # The same arithmetic as Interval.center and Interval.radius.
+    centers = (0.5 * (lowers + uppers))[idx]
+    radii = (0.5 * (uppers - lowers))[idx]
+    x, x_abs = lag_columns(centers, radii, u[offset:end], model.n, model.m, kmin, end - offset)
+    prelim_lower, prelim_upper = predict_bounds(model.params, x, x_abs)
+    finite = np.isfinite(prelim_lower) & np.isfinite(prelim_upper)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise SimulationError(
+            f"forecast at step {start + row} is not finite: "
+            f"[{float(prelim_lower[row])!r}, {float(prelim_upper[row])!r}]"
         )
-    return records
+    class_id = space.classify_bounds(prelim_lower, prelim_upper)
+    actual = idx[kmin:]
+    return ForecastTrace(
+        k=np.arange(start, end),
+        actual_lower=lowers[actual],
+        actual_upper=uppers[actual],
+        prelim_lower=prelim_lower,
+        prelim_upper=prelim_upper,
+        final_lower=lowers[class_id - 1],
+        final_upper=uppers[class_id - 1],
+        class_id=class_id,
+    )
 
 
-def rmse_from_records(records) -> RmseReport:
+def rmse_from_records(trace: ForecastTrace) -> RmseReport:
     """Bound-wise RMSEs of preliminary and final forecasts against the actuals."""
-    if not records:
-        raise DataError("cannot score an empty record list")
-    actual_lower = np.array([r.actual.lower for r in records])
-    actual_upper = np.array([r.actual.upper for r in records])
+    if len(trace) == 0:
+        raise DataError("cannot score an empty forecast trace")
 
     def rmse(errors: np.ndarray) -> float:
         return float(np.sqrt(np.mean(errors**2)))
 
     return RmseReport(
-        prelim_upper=rmse(actual_upper - np.array([r.prelim.upper for r in records])),
-        prelim_lower=rmse(actual_lower - np.array([r.prelim.lower for r in records])),
-        final_upper=rmse(actual_upper - np.array([r.final.upper for r in records])),
-        final_lower=rmse(actual_lower - np.array([r.final.lower for r in records])),
+        prelim_upper=rmse(trace.actual_upper - trace.prelim_upper),
+        prelim_lower=rmse(trace.actual_lower - trace.prelim_lower),
+        final_upper=rmse(trace.actual_upper - trace.final_upper),
+        final_lower=rmse(trace.actual_lower - trace.final_lower),
     )
 
 
@@ -259,7 +358,9 @@ def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig | None = Non
         try:
             model = fit_model(data, u, int(cpms), n, m, fcm=fcm)
             report = evaluate(model, data, u)
-        except (ClusteringError, IdentificationError, DataError, ValueError) as exc:
+        except (
+            ClusteringError, IdentificationError, SimulationError, DataError, ValueError
+        ) as exc:
             cells.append(SweepCell(cpms=int(cpms), report=None, error=str(exc)))
         else:
             cells.append(SweepCell(cpms=int(cpms), report=report, error=None))
@@ -315,7 +416,7 @@ def robustness_experiment(
         perturbed_params = replace(perturbed_params, A=perturbed_a)
     perturbed_model = MovingPatternModel(space=model.space, params=perturbed_params)
     shifted = forecast_series(perturbed_model, data, u)
-    match = all(a.class_id == b.class_id for a, b in zip(baseline, shifted))
+    match = bool(np.array_equal(baseline.class_id, shifted.class_id))
     return RobustnessResult(
         original=rmse_from_records(baseline),
         perturbed=rmse_from_records(shifted),
@@ -335,21 +436,14 @@ def write_rmse_csv(path, cpms: int, report: RmseReport) -> None:
         fh.write(",".join([str(cpms)] + [_fmt(v) for v in report.as_row()]) + "\n")
 
 
-def write_trace_csv(path, records) -> None:
+def write_trace_csv(path, trace: ForecastTrace) -> None:
+    """One row per step; floats are written as their shortest round-trip reprs."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for r in records:
-            cells = (
-                str(r.k),
-                _fmt(r.actual.lower),
-                _fmt(r.actual.upper),
-                _fmt(r.prelim.lower),
-                _fmt(r.prelim.upper),
-                _fmt(r.final.lower),
-                _fmt(r.final.upper),
-                str(r.class_id),
-            )
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(
+            f"{k},{al!r},{au!r},{pl!r},{pu!r},{fl!r},{fu!r},{cid}\n"
+            for k, al, au, pl, pu, fl, fu, cid in trace._rows()
+        )
 
 
 def write_sweep_csv(path, cells) -> None:

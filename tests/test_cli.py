@@ -40,6 +40,15 @@ def workspace(tmp_path_factory):
     return data_dir, fit_dir
 
 
+def _run_cli(args):
+    """Run ``python -m iarx.cli`` as its own process; returns the completed process."""
+    src = Path(iarx.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "iarx.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_synth_files_and_determinism(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -191,18 +200,31 @@ def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
     with pytest.warns(ConvergenceWarning, match="k=22"):
         assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
 
-    src = Path(iarx.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "iarx.cli", *args, "--out", str(tmp_path / "process")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_cli([*args, "--out", str(tmp_path / "process")])
     assert proc.returncode == 0, proc.stderr
     assert "ConvergenceWarning" in proc.stderr and "k=22" in proc.stderr
     written = (tmp_path / "process" / "sweep.csv").read_bytes()
     assert written == (tmp_path / "in-process" / "sweep.csv").read_bytes()
     (row,) = written.decode("utf-8").splitlines()[1:]
     assert row.startswith("22,") and "" not in row.split(",")
+
+
+def test_non_finite_forecast_exits_1(workspace, tmp_path):
+    # a loaded model whose forecasts overflow is a numerical failure: exit 1
+    # with one error line, no numpy warning and no traceback
+    data_dir, fit_dir = workspace
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    (model_dir / "space.json").write_bytes((fit_dir / "space.json").read_bytes())
+    doc = json.loads((fit_dir / "model.json").read_text(encoding="utf-8"))
+    doc["A"] = [1e308] + [0.0] * (len(doc["A"]) - 1)
+    doc["C"] = [1e308] + [0.0] * (len(doc["C"]) - 1)
+    (model_dir / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+    common = ["--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--model-dir", str(model_dir)]
+    for command in ("eval", "robust"):
+        proc = _run_cli([command, *common, "--out", str(tmp_path / command)])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: forecast at step 3 is not finite: [0.0, inf]\n"
 
 
 def test_library_has_no_assert_statements():

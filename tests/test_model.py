@@ -2,14 +2,15 @@
 
 The center channel is plain least squares on interval centers; the radius
 channel is nonnegative least squares on interval radii and absolute inputs.
-Both prediction routes (center/radius arithmetic vs. explicit interval
-operations) must agree, and the radius solver is cross-checked against an
+The prediction kernel (center/radius arithmetic) and its oracle (explicit
+interval operations) must agree, and the radius solver is cross-checked against an
 independently written coordinate-descent QP solver.
 """
 
 import numpy as np
 import pytest
 
+from iarx import model
 from iarx.errors import IdentificationError
 from iarx.intervals import Interval
 from iarx.model import (
@@ -23,6 +24,7 @@ from iarx.model import (
     fit_radius,
     nnls,
     predict,
+    predict_bounds,
     predict_compositional,
     solve_qp_nonneg,
 )
@@ -127,6 +129,27 @@ def test_prediction_routes_agree():
         b = predict_compositional(params, dx, u, k)
         assert abs(a.lower - b.lower) <= 1e-12 * max(1.0, abs(a.lower))
         assert abs(a.upper - b.upper) <= 1e-12 * max(1.0, abs(a.upper))
+
+
+def test_predict_bounds_rows_match_single_step_predictions():
+    # the batched kernel gives each row exactly what predict gives that row alone
+    rng = np.random.default_rng(3)
+    params = IarxParams(n=3, m=2, A=rng.normal(size=6), C=np.abs(rng.normal(size=6)))
+    dx = _interval_series(rng, 60)
+    u = rng.normal(size=60)
+    pairs = [build_regressors(dx, u, k, 3, 2) for k in range(3, 61)]
+    lower, upper = predict_bounds(
+        params, np.array([p.x for p in pairs]), np.array([p.x_abs for p in pairs])
+    )
+    singles = [predict(params, p) for p in pairs]
+    np.testing.assert_array_equal(lower, [s.lower for s in singles])
+    np.testing.assert_array_equal(upper, [s.upper for s in singles])
+    with pytest.raises(ValueError):
+        predict_bounds(params, np.ones((4, 5)), np.ones((4, 5)))  # width is 1 + n + m = 6
+    with pytest.raises(ValueError):
+        predict_bounds(params, np.ones((4, 6)), np.ones((3, 6)))
+    with pytest.raises(ValueError):
+        predict_bounds(params, np.ones(6), np.ones(6))
 
 
 # --------------------------------------------------------------- center channel
@@ -283,3 +306,19 @@ def test_fit_combines_both_channels():
     params = fit(hist, u, 2, 1)
     np.testing.assert_array_equal(params.A, fit_center(hist, u, 2, 1))
     np.testing.assert_array_equal(params.C, fit_radius(hist, u, 2, 1))
+
+
+def test_fit_builds_the_design_matrices_once(monkeypatch):
+    rng = np.random.default_rng(18)
+    hist = _interval_series(rng, 150)
+    u = rng.normal(size=150)
+    calls = []
+    build = model._design_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(model, "_design_matrices", counted)
+    fit(hist, u, 2, 1)
+    assert len(calls) == 1

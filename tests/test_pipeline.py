@@ -1,13 +1,21 @@
 """End-to-end pipeline tests: fitting, forecasting, scoring, perturbation, CSV output."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from iarx import intervals, pipeline
 from iarx.data_io import default_synthetic_spec, synthesize
-from iarx.errors import DataError
+from iarx.errors import DataError, SimulationError
 from iarx.intervals import Interval
+from iarx.model import IarxParams, build_regressors, predict, predict_compositional
 from iarx.pipeline import (
     ForecastRecord,
+    ForecastTrace,
     RmseReport,
     evaluate,
     fit_model,
@@ -21,6 +29,20 @@ from iarx.pipeline import (
     write_sweep_csv,
     write_trace_csv,
 )
+
+
+def _trace(records):
+    """A ForecastTrace holding the given ForecastRecords as its rows."""
+    return ForecastTrace(
+        k=[r.k for r in records],
+        actual_lower=[r.actual.lower for r in records],
+        actual_upper=[r.actual.upper for r in records],
+        prelim_lower=[r.prelim.lower for r in records],
+        prelim_upper=[r.prelim.upper for r in records],
+        final_lower=[r.final.lower for r in records],
+        final_upper=[r.final.upper for r in records],
+        class_id=[r.class_id for r in records],
+    )
 
 
 def test_fit_model_validation():
@@ -37,10 +59,10 @@ def test_fit_model_validation():
 def test_forecast_range_and_record_layout(default_model, default_result, default_records):
     n, m = default_model.n, default_model.m
     length = len(default_result.data)
-    assert default_records[0].k == max(n, m)
-    assert default_records[-1].k == length - 1
-    assert len(default_records) == length - max(n, m)
     ks = [r.k for r in default_records]
+    assert ks[0] == max(n, m)
+    assert ks[-1] == length - 1
+    assert len(default_records) == length - max(n, m)
     assert ks == list(range(max(n, m), length))
 
 
@@ -55,15 +77,126 @@ def test_final_forecasts_closed_over_class_set(default_model, default_records):
 
 
 def test_final_class_is_nearest(default_model, default_records):
-    for r in default_records[::37]:
+    for r in itertools.islice(default_records, 0, None, 37):
         assert r.class_id == default_model.space.classify(r.prelim)
 
 
-def test_rmse_perfect_forecast_scores_zero():
+def _same_bits(a, b) -> bool:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool(np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@pytest.mark.parametrize("cpms", [16, 26, 36])
+def test_batched_forecast_matches_per_step_oracle(default_result, cpms):
+    # The per-step route the batched pass replaced, built from the independent
+    # compositional predictor: encode, predict each step, classify, measure.
+    data, u = default_result.data, default_result.u
+    model = fit_model(data, u, cpms=cpms, n=3, m=1)
+    trace = forecast_series(model, data, u)
+    dx = model.space.encode_series(data)
+    steps = range(max(model.n, model.m), len(data))
+    oracle_prelims = [predict_compositional(model.params, dx, u, k) for k in steps]
+    oracle_ids = [model.space.classify(p) for p in oracle_prelims]
+    oracle_finals = [model.space.measure(c) for c in oracle_ids]
+
+    np.testing.assert_array_equal(trace.k, list(steps))
+    np.testing.assert_array_equal(trace.class_id, oracle_ids)
+    assert _same_bits(trace.final_lower, [f.lower for f in oracle_finals])
+    assert _same_bits(trace.final_upper, [f.upper for f in oracle_finals])
+    assert _same_bits(trace.actual_lower, [dx[k].lower for k in steps])
+    assert _same_bits(trace.actual_upper, [dx[k].upper for k in steps])
+    np.testing.assert_allclose(trace.prelim_lower, [p.lower for p in oracle_prelims], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.prelim_upper, [p.upper for p in oracle_prelims], rtol=0, atol=1e-12)
+
+
+def test_predict_is_one_row_of_the_trace(default_model, default_result, default_records):
+    # One kernel: the single-step prediction is bit-identical to its row.
+    data, u = default_result.data, default_result.u
+    n, m = default_model.n, default_model.m
+    dx = default_model.space.encode_series(data)
+    prelims = [predict(default_model.params, build_regressors(dx, u, k, n, m)) for k in default_records.k]
+    assert _same_bits(default_records.prelim_lower, [p.lower for p in prelims])
+    assert _same_bits(default_records.prelim_upper, [p.upper for p in prelims])
+
+
+def test_evaluate_constructs_no_intervals(default_model, monkeypatch):
+    # Forecasting a long series allocates columns, never one Interval per step.
+    res = synthesize(replace(default_synthetic_spec(), length=17_280))
+    calls = []
+    init = intervals.Interval.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(intervals.Interval, "__init__", counted)
+    report = evaluate(default_model, res.data, res.u)
+    monkeypatch.undo()
+    assert len(calls) == 0
+    assert np.all(np.isfinite(report.as_row()))
+
+
+def test_non_finite_forecast_is_simulation_error(default_model, default_result, monkeypatch):
+    data, u = default_result.data, default_result.u
+    # Center and radius are each 1e308 on every step, so every upper bound overflows.
+    width = default_model.params.A.size
+    huge = IarxParams(n=3, m=1, A=[1e308] + [0.0] * (width - 1), C=[1e308] + [0.0] * (width - 1))
+    model = replace(default_model, params=huge)
+    with pytest.raises(SimulationError, match=r"step 3 is not finite: \[0.0, inf\]"):
+        forecast_series(model, data, u)
+    with pytest.raises(SimulationError, match="step 10 is not finite"):
+        evaluate(model, data, u, start=10)
+    # A sweep records the failure in its table and moves on.
+    monkeypatch.setattr(pipeline, "fit", lambda dx, inputs, n, m: huge)
+    (cell,) = sweep_cpms(data, u, [16], n=3, m=1)
+    assert cell.report is None and "not finite" in cell.error
+
+
+def test_trace_columns_are_validated_and_read_only():
+    trace = ForecastTrace(
+        k=[3, 4], actual_lower=[0.0, 1.0], actual_upper=[1.0, 2.0], prelim_lower=[0.0, 1.0],
+        prelim_upper=[1.0, 2.0], final_lower=[0.0, 1.0], final_upper=[1.0, 2.0], class_id=[1, 2],
+    )
+    assert len(trace) == 2
+    assert trace.k.dtype == np.int64 and trace.prelim_lower.dtype == np.float64
+    with pytest.raises(ValueError):
+        trace.prelim_lower[0] = 5.0
+    with pytest.raises(ValueError, match="differ in length"):
+        ForecastTrace(
+            k=[3], actual_lower=[0.0], actual_upper=[1.0], prelim_lower=[0.0],
+            prelim_upper=[1.0], final_lower=[0.0], final_upper=[1.0], class_id=[1, 2],
+        )
+
+
+def test_trace_indexes_and_replaces_steps_like_a_record_list():
     records = [
+        ForecastRecord(k=3, actual=Interval(0.5, 1.5), prelim=Interval(0.25, 1.75), final=Interval(0.5, 1.5), class_id=2),
+        ForecastRecord(k=4, actual=Interval(-1.0, 0.0), prelim=Interval(-1.1, 0.2), final=Interval(-1.0, 0.0), class_id=1),
+    ]
+    trace = _trace(records)
+    assert trace[0] == records[0] and trace[-1] == records[1]
+    assert list(trace) == records
+    with pytest.raises(IndexError):
+        trace[2]
+    with pytest.raises(IndexError):
+        trace[-3] = records[0]
+    before = trace.final_lower
+    lower = math.nextafter(records[1].final.lower, -math.inf)
+    trace[-1] = replace(records[1], final=Interval(lower, 0.0))
+    assert trace.final_lower.tolist() == [0.5, lower]
+    assert trace[1].final == Interval(lower, 0.0) and trace[0] == records[0]
+    # Arrays read before the assignment keep their values and stay read-only.
+    assert before.tolist() == [0.5, -1.0]
+    with pytest.raises(ValueError):
+        trace.final_lower[0] = 5.0
+
+
+def test_rmse_perfect_forecast_scores_zero():
+    records = _trace([
         ForecastRecord(k=k, actual=Interval(k, k + 1.0), prelim=Interval(k, k + 1.0), final=Interval(k, k + 1.0), class_id=1)
         for k in range(3, 9)
-    ]
+    ])
     report = rmse_from_records(records)
     assert report.as_row() == (0.0, 0.0, 0.0, 0.0)
 
@@ -71,7 +204,7 @@ def test_rmse_perfect_forecast_scores_zero():
 def test_rmse_constant_offset():
     # A uniform shift of delta on every bound makes every RMSE exactly |delta|.
     delta = 0.375
-    records = [
+    records = _trace([
         ForecastRecord(
             k=k,
             actual=Interval(k, k + 2.0),
@@ -80,7 +213,7 @@ def test_rmse_constant_offset():
             class_id=1,
         )
         for k in range(5)
-    ]
+    ])
     report = rmse_from_records(records)
     assert report.prelim_upper == delta
     assert report.prelim_lower == delta
@@ -111,14 +244,14 @@ def test_rmse_scales_linearly():
                 class_id=1,
             )
         )
-    base = np.array(rmse_from_records(records).as_row())
-    twice = np.array(rmse_from_records(doubled).as_row())
+    base = np.array(rmse_from_records(_trace(records)).as_row())
+    twice = np.array(rmse_from_records(_trace(doubled)).as_row())
     np.testing.assert_allclose(twice, 2.0 * base, rtol=1e-12)
 
 
 def test_rmse_empty_records_rejected():
     with pytest.raises(DataError):
-        rmse_from_records([])
+        rmse_from_records(_trace([]))
 
 
 def test_evaluate_matches_manual_scoring(default_model, default_result, default_records, default_report):
@@ -206,10 +339,10 @@ def test_sweep_keeps_failed_cells():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    records = [
+    records = _trace([
         ForecastRecord(k=3, actual=Interval(0.5, 1.5), prelim=Interval(0.25, 1.75), final=Interval(0.5, 1.5), class_id=2),
         ForecastRecord(k=4, actual=Interval(-1.0, 0.0), prelim=Interval(-1.1, 0.2), final=Interval(-1.0, 0.0), class_id=1),
-    ]
+    ])
     path = tmp_path / "trace.csv"
     write_trace_csv(path, records)
     lines = path.read_text(encoding="utf-8").splitlines()
