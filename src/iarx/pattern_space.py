@@ -31,6 +31,10 @@ __all__ = [
     "build_space",
 ]
 
+# classify_bounds measures this many (interval, class) distances at a time,
+# so its work arrays stay cache-sized however long the series is.
+_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class FcmConfig:
@@ -255,12 +259,24 @@ class PatternSpace:
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
-        dist = np.subtract.outer(lower, self._lowers)
-        np.abs(dist, out=dist)
-        other = np.subtract.outer(upper, self._uppers)
-        np.abs(other, out=other)
-        np.maximum(dist, other, out=dist)
-        return np.argmin(dist, axis=1) + 1
+        if lower.size != upper.size:
+            raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
+        cpms = self._lowers.size
+        rows = max(1, min(lower.size, _BLOCK_PAIRS // cpms))
+        dist = np.empty((rows, cpms))
+        other = np.empty((rows, cpms))
+        ids = np.empty(lower.size, dtype=np.intp)
+        for start in range(0, lower.size, rows):
+            stop = min(start + rows, lower.size)
+            d, o = dist[: stop - start], other[: stop - start]
+            np.subtract.outer(lower[start:stop], self._lowers, out=d)
+            np.abs(d, out=d)
+            np.subtract.outer(upper[start:stop], self._uppers, out=o)
+            np.abs(o, out=o)
+            np.maximum(d, o, out=d)
+            np.argmin(d, axis=1, out=ids[start:stop])
+        ids += 1
+        return ids
 
     def classify(self, x: Interval) -> int:
         """Id of the class whose interval is Hausdorff-nearest to ``x``.

@@ -186,6 +186,34 @@ def test_classify_tie_goes_to_lowest_id():
     assert space.classify(probe) == 1
 
 
+def test_classify_bounds_matches_the_full_distance_argmin(default_model, default_result):
+    space = default_model.space
+    rng = np.random.default_rng(22)
+    data = default_result.data
+    lowers, uppers = space.lowers, space.uppers
+    gaps = 0.5 * (uppers[:-1] + lowers[1:])
+    centers = rng.uniform(data.min() - 1.0, data.max() + 1.0, size=5000)
+    radii = rng.uniform(0.0, 2.0, size=5000)
+    probes = [
+        (data, data),
+        (centers - radii, centers + radii),
+        (lowers, uppers),
+        # points and intervals between neighbouring classes
+        (gaps, gaps),
+        (gaps - 0.5, gaps + 0.5),
+        (np.array([np.nan, np.inf, -np.inf, 0.0]), np.array([0.0, np.inf, 0.0, np.nan])),
+    ]
+    for lower, upper in probes:
+        got = space.classify_bounds(lower, upper)
+        with np.errstate(invalid="ignore"):
+            dist = np.maximum(
+                np.abs(lower[:, None] - lowers[None, :]), np.abs(upper[:, None] - uppers[None, :])
+            )
+        np.testing.assert_array_equal(got, np.argmin(dist, axis=1) + 1)
+    with pytest.raises(ValueError, match="upper bounds"):
+        space.classify_bounds([0.0, 1.0], [1.0])
+
+
 def test_measure_returns_the_stored_interval():
     space = build_space([0.0, 0.0, 10.0, 10.0], FcmConfig(k=2))
     assert space.measure(1) is space.classes[0].interval
