@@ -32,10 +32,10 @@ from .errors import (
 from .model import IarxParams
 from .pattern_space import FcmConfig, PatternSpace
 from .pipeline import (
+    MovingPatternModel,
     evaluate,
     fit_model,
     forecast_series,
-    MovingPatternModel,
     rmse_from_records,
     robustness_experiment,
     sweep_cpms,
@@ -72,14 +72,24 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args, config: dict, key: str, default):
-    """flags > config file > default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _convert(value, name: str, kind):
+    """``value`` as ``kind``: ``int`` or ``float`` converts, ``str`` only accepts a string."""
+    try:
+        if kind is not str or isinstance(value, str):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def _setting(args, config: dict, key: str, default=None, kind=str, minimum=None):
+    """The flag, else the config value converted to ``kind``, else ``default``; at least ``minimum``."""
+    value = getattr(args, key, None)  # argparse has typed every flag
+    if value is None:
+        value = _convert(config[key], key, kind) if key in config else default
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -95,22 +105,14 @@ def _out_dir(path: str) -> Path:
     return p
 
 
-def _positive_int(value, name: str, minimum: int) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if out < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {out}")
-    return out
-
-
 def _parse_cpms_range(text: str) -> range:
-    parts = str(text).split("..")
+    parts = text.split("..")
     if len(parts) != 2:
         raise ConfigError(f"--cpms-range must look like A..B, got {text!r}")
-    lo = _positive_int(parts[0], "cpms range start", 2)
-    hi = _positive_int(parts[1], "cpms range end", 2)
+    lo = _convert(parts[0], "cpms range start", int)
+    hi = _convert(parts[1], "cpms range end", int)
+    if lo < 2:
+        raise ConfigError(f"cpms range start must be >= 2, got {lo}")
     if hi < lo:
         raise ConfigError(f"cpms range end {hi} is below start {lo}")
     return range(lo, hi + 1)
@@ -125,10 +127,10 @@ def _prepare_series(args, config) -> tuple[np.ndarray, np.ndarray]:
     a single condition column is just normalized. The input column is
     normalized as well.
     """
-    data_path = _resolve(args, config, "data", None)
+    data_path = _setting(args, config, "data")
     if data_path is None:
         raise ConfigError("--data is required")
-    input_col = _resolve(args, config, "input_col", None)
+    input_col = _setting(args, config, "input_col")
     if input_col is None:
         raise ConfigError("--input-col is required")
     dataset = load_csv(_require_file(data_path, "data file"))
@@ -149,34 +151,35 @@ def _prepare_series(args, config) -> tuple[np.ndarray, np.ndarray]:
     return series, u
 
 
-def _fcm_config(args, config, cpms: int, seed: int) -> FcmConfig:
-    return FcmConfig(
+def _model_settings(args, config, cpms: int) -> tuple[int, int, FcmConfig]:
+    """``(n, m, fcm)``: the settings that ``fit`` and ``sweep`` share."""
+    fcm = FcmConfig(
         k=cpms,
-        fuzziness=float(_resolve(args, config, "fuzziness", 2.0)),
-        tolerance=float(_resolve(args, config, "fcm_tolerance", 1e-6)),
-        max_iterations=_positive_int(_resolve(args, config, "fcm_iterations", 300), "fcm iterations", 1),
-        seed=seed,
+        fuzziness=_setting(args, config, "fuzziness", FcmConfig.fuzziness, float),
+        tolerance=_setting(args, config, "fcm_tolerance", FcmConfig.tolerance, float),
+        max_iterations=_setting(args, config, "fcm_iterations", FcmConfig.max_iterations, int, 1),
+        seed=_setting(args, config, "seed", 0, int),
     )
+    return _setting(args, config, "n", 3, int, 1), _setting(args, config, "m", 1, int, 0), fcm
 
 
-def _load_model_dir(model_dir: str) -> tuple[MovingPatternModel, dict]:
+def _load_model_dir(model_dir: str) -> MovingPatternModel:
     base = Path(model_dir)
     model_path = _require_file(base / MODEL_FILE, "model file")
     space_path = _require_file(base / SPACE_FILE, "pattern space file")
     with open(model_path, "r", encoding="utf-8") as fh:
         params = IarxParams.from_json(json.load(fh))
     space = PatternSpace.load(space_path)
-    report = {}
     report_path = base / REPORT_FILE
     if report_path.is_file():
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-        if "cpms" in report and int(report["cpms"]) != space.cpms:
+        if isinstance(report, dict) and report.get("cpms", space.cpms) != space.cpms:
             raise ConfigError(
                 f"model dir {base} is inconsistent: fit report says cpms={report['cpms']} "
                 f"but the pattern space has {space.cpms} classes"
             )
-    return MovingPatternModel(space=space, params=params), report
+    return MovingPatternModel(space=space, params=params)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -188,13 +191,11 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     series, u = _prepare_series(args, config)
-    cpms = _positive_int(_resolve(args, config, "cpms", 26), "cpms", 2)
-    n = _positive_int(_resolve(args, config, "n", 3), "n", 1)
-    m = _positive_int(_resolve(args, config, "m", 1), "m", 0)
-    seed = int(_resolve(args, config, "seed", 0))
-    out = _out_dir(_resolve(args, config, "out", "."))
+    cpms = _setting(args, config, "cpms", 26, int, 2)
+    n, m, fcm = _model_settings(args, config, cpms)
+    out = _out_dir(_setting(args, config, "out", "."))
 
-    model = fit_model(series, u, cpms, n, m, fcm=_fcm_config(args, config, cpms, seed))
+    model = fit_model(series, u, cpms, n, m, fcm=fcm)
     report = evaluate(model, series, u)
 
     _write_json(out / MODEL_FILE, model.params.to_json())
@@ -205,7 +206,7 @@ def cmd_fit(args) -> int:
             "cpms": cpms,
             "n": n,
             "m": m,
-            "seed": seed,
+            "seed": fcm.seed,
             "samples": int(len(series)),
             "rmse": {
                 "prelim_upper": report.prelim_upper,
@@ -224,14 +225,14 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     series, u = _prepare_series(args, config)
-    model_dir = _resolve(args, config, "model_dir", None) or _resolve(args, config, "out", ".")
-    model, _ = _load_model_dir(model_dir)
+    model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
+    model = _load_model_dir(model_dir)
     cpms = getattr(args, "cpms", None)
-    if cpms is not None and int(cpms) != model.space.cpms:
+    if cpms is not None and cpms != model.space.cpms:
         raise ConfigError(
             f"--cpms {cpms} does not match the loaded pattern space ({model.space.cpms} classes)"
         )
-    out = _out_dir(_resolve(args, config, "out", "."))
+    out = _out_dir(_setting(args, config, "out", "."))
 
     trace = forecast_series(model, series, u)
     report = rmse_from_records(trace)
@@ -244,14 +245,12 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     series, u = _prepare_series(args, config)
-    range_text = _resolve(args, config, "cpms_range", "16..36")
-    cpms_values = _parse_cpms_range(range_text)
-    n = _positive_int(_resolve(args, config, "n", 3), "n", 1)
-    m = _positive_int(_resolve(args, config, "m", 1), "m", 0)
-    seed = int(_resolve(args, config, "seed", 0))
-    out = _out_dir(_resolve(args, config, "out", "."))
+    cpms_values = _parse_cpms_range(_setting(args, config, "cpms_range", "16..36"))
+    # Each cell sets its own class count on a copy of this configuration.
+    n, m, fcm = _model_settings(args, config, 2)
+    out = _out_dir(_setting(args, config, "out", "."))
 
-    cells = sweep_cpms(series, u, cpms_values, n, m, fcm=_fcm_config(args, config, 2, seed))
+    cells = sweep_cpms(series, u, cpms_values, n, m, fcm=fcm)
     for cell in cells:
         if cell.error is not None:
             print(f"cpms={cell.cpms} failed: {cell.error}", file=sys.stderr)
@@ -263,20 +262,15 @@ def cmd_sweep(args) -> int:
 def cmd_robust(args) -> int:
     config = _load_config(args.config)
     series, u = _prepare_series(args, config)
-    model_dir = _resolve(args, config, "model_dir", None) or _resolve(args, config, "out", ".")
-    model, _ = _load_model_dir(model_dir)
-    magnitude = float(_resolve(args, config, "magnitude", 0.002))
+    model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
+    model = _load_model_dir(model_dir)
+    magnitude = _setting(args, config, "magnitude", 0.002, float)
     if magnitude < 0:
         raise ConfigError(f"--magnitude must be >= 0, got {magnitude}")
-    center_magnitude = float(_resolve(args, config, "center_magnitude", 0.0))
-    if center_magnitude < 0:
-        raise ConfigError(f"--center-magnitude must be >= 0, got {center_magnitude}")
-    seed = int(_resolve(args, config, "seed", 0))
-    out = _out_dir(_resolve(args, config, "out", "."))
+    seed = _setting(args, config, "seed", 0, int)
+    out = _out_dir(_setting(args, config, "out", "."))
 
-    result = robustness_experiment(
-        model, series, u, magnitude, seed, center_magnitude=center_magnitude
-    )
+    result = robustness_experiment(model, series, u, magnitude, seed)
     write_robust_csv(out / ROBUST_FILE, result)
     print(f"final class match: {'yes' if result.final_class_match else 'no'}")
     print(f"wrote {ROBUST_FILE} to {out}")
@@ -290,7 +284,7 @@ def cmd_synth(args) -> int:
     else:
         spec = default_synthetic_spec()
     if args.seed is not None:
-        spec = spec.with_seed(int(args.seed))
+        spec = spec.with_seed(args.seed)
     out = _out_dir(args.out if args.out is not None else ".")
 
     result = synthesize(spec)
@@ -323,14 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
                 help="directory holding model.json/space.json (default: --out)",
             )
 
+    def add_model(p):
+        p.add_argument("--n", type=int, help="autoregressive order (default 3)")
+        p.add_argument("--m", type=int, help="input order (default 1)")
+        p.add_argument("--fuzziness", type=float, help=f"fcm fuzziness (default {FcmConfig.fuzziness})")
+        p.add_argument("--fcm-tolerance", dest="fcm_tolerance", type=float, help="fcm center-shift tolerance")
+        p.add_argument("--fcm-iterations", dest="fcm_iterations", type=int, help="fcm iteration cap")
+
     p_fit = sub.add_parser("fit", help="fit a pattern space and model, write model files")
     add_common(p_fit)
+    add_model(p_fit)
     p_fit.add_argument("--cpms", type=int, help="class count (default 26)")
-    p_fit.add_argument("--n", type=int, help="autoregressive order (default 3)")
-    p_fit.add_argument("--m", type=int, help="input order (default 1)")
-    p_fit.add_argument("--fuzziness", type=float, help="fcm fuzziness (default 2.0)")
-    p_fit.add_argument("--fcm-tolerance", dest="fcm_tolerance", type=float)
-    p_fit.add_argument("--fcm-iterations", dest="fcm_iterations", type=int)
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", help="score a fitted model, write rmse.csv and trace.csv")
@@ -340,23 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="fit and score across a class-count range")
     add_common(p_sweep)
+    add_model(p_sweep)
     p_sweep.add_argument("--cpms-range", dest="cpms_range", help="inclusive range A..B (default 16..36)")
-    p_sweep.add_argument("--n", type=int)
-    p_sweep.add_argument("--m", type=int)
-    p_sweep.add_argument("--fuzziness", type=float)
-    p_sweep.add_argument("--fcm-tolerance", dest="fcm_tolerance", type=float)
-    p_sweep.add_argument("--fcm-iterations", dest="fcm_iterations", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_robust = sub.add_parser("robust", help="perturb radius coefficients and compare scores")
     add_common(p_robust, with_model_dir=True)
     p_robust.add_argument("--magnitude", type=float, help="uniform offset bound (default 0.002)")
-    p_robust.add_argument(
-        "--center-magnitude",
-        dest="center_magnitude",
-        type=float,
-        help="also perturb center coefficients by Uniform[-mag, +mag] (extension; default off)",
-    )
     p_robust.set_defaults(func=cmd_robust)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset and its ground truth")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, SimulationError
+from .errors import DataError, SimulationError, json_field
 from .intervals import Interval
 from .model import IarxParams
 
@@ -33,7 +33,6 @@ class RawDataset:
     """Named numeric columns of equal length, as read from a CSV file."""
 
     columns: dict[str, np.ndarray]
-    sample_period: float | None = None
 
     def __post_init__(self):
         if not self.columns:
@@ -44,17 +43,6 @@ class RawDataset:
         length = next(iter(lengths.values()))
         if length < 2:
             raise DataError(f"dataset needs at least 2 rows, got {length}")
-
-    @property
-    def n_rows(self) -> int:
-        return len(next(iter(self.columns.values())))
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise DataError(
-                f"no column named {name!r}; available: {', '.join(self.columns)}"
-            )
-        return self.columns[name]
 
 
 def load_csv(path) -> RawDataset:
@@ -110,18 +98,15 @@ def zero_mean_normalize(column) -> tuple[np.ndarray, float, float]:
     return (values - mean) / std, mean, std
 
 
-def pca_project(columns, components: int = 1) -> np.ndarray:
+def pca_project(columns) -> np.ndarray:
     """Project multi-column data onto its leading principal component.
 
     ``columns`` is an (n_rows, n_cols) array, normally already normalized
-    per column. Only one component is supported. The direction is the
-    leading eigenvector of the sample covariance; its sign is fixed by
-    making the first nonzero loading positive. A (near-)tie between the two
-    largest eigenvalues leaves the direction undefined and raises
-    ``DataError``.
+    per column. The direction is the leading eigenvector of the sample
+    covariance; its sign is fixed by making the first nonzero loading
+    positive. A (near-)tie between the two largest eigenvalues leaves the
+    direction undefined and raises ``DataError``.
     """
-    if components != 1:
-        raise ValueError(f"only one principal component is supported, got {components}")
     data = np.asarray(columns, dtype=float)
     if data.ndim != 2:
         raise DataError(f"expected a 2-D column stack, got ndim={data.ndim}")
@@ -190,12 +175,16 @@ class StepScheduleInput:
         return {"kind": "steps", "levels": list(self.levels), "period": self.period}
 
 
-def _input_from_json(doc: dict):
-    kind = doc.get("kind")
+def _input_from_json(doc):
+    what = "input process"
+    kind = json_field(doc, "kind", str, what)
     if kind == "white":
-        return WhiteNoiseInput(amplitude=float(doc["amplitude"]))
+        return WhiteNoiseInput(amplitude=json_field(doc, "amplitude", float, what))
     if kind == "steps":
-        return StepScheduleInput(levels=tuple(doc["levels"]), period=int(doc["period"]))
+        return StepScheduleInput(
+            levels=json_field(doc, "levels", tuple, what),
+            period=json_field(doc, "period", int, what),
+        )
     raise DataError(f"unknown input process kind {kind!r}")
 
 
@@ -234,15 +223,17 @@ class SyntheticSpec:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SyntheticSpec":
+    def from_json(cls, doc) -> "SyntheticSpec":
+        """The spec of :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
+        what = "synthetic spec"
         return cls(
-            length=int(doc["length"]),
-            true_params=IarxParams.from_json(doc["true_params"]),
-            class_count=int(doc["class_count"]),
-            noise_center=float(doc["noise_center"]),
-            noise_radius=float(doc["noise_radius"]),
-            input_process=_input_from_json(doc["input_process"]),
-            seed=int(doc["seed"]),
+            length=json_field(doc, "length", int, what),
+            true_params=json_field(doc, "true_params", IarxParams.from_json, what),
+            class_count=json_field(doc, "class_count", int, what),
+            noise_center=json_field(doc, "noise_center", float, what),
+            noise_radius=json_field(doc, "noise_radius", float, what),
+            input_process=json_field(doc, "input_process", _input_from_json, what),
+            seed=json_field(doc, "seed", int, what),
         )
 
     def with_seed(self, seed: int) -> "SyntheticSpec":

@@ -19,6 +19,7 @@ __all__ = [
     "IdentificationError",
     "SimulationError",
     "ConvergenceWarning",
+    "json_field",
 ]
 
 
@@ -52,3 +53,19 @@ class SimulationError(IarxError):
 
 class ConvergenceWarning(UserWarning):
     """An iterative solver stopped at its iteration cap before converging."""
+
+
+def json_field(doc, key: str, convert, what: str):
+    """``convert(doc[key])`` for the JSON object ``doc``, described by ``what``.
+
+    A ``doc`` that is not an object, a missing ``key`` or a value that
+    ``convert`` rejects raises ``DataError`` naming ``what`` and the field.
+    """
+    if not isinstance(doc, dict):
+        raise DataError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise DataError(f"{what}: missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what}: field {key!r} is invalid: {exc}") from None

@@ -78,9 +78,6 @@ class Interval:
     def width(self) -> float:
         return self._upper - self._lower
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self._lower, self._upper)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented

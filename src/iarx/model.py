@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError
+from .errors import IdentificationError, json_field
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = [
@@ -49,6 +49,9 @@ __all__ = [
 # KKT slack for the radius fit: 1e-8 scaled by the linear term of the QP.
 KKT_RTOL = 1e-8
 
+# Sweep cap of the coordinate-descent QP solver.
+QP_MAX_SWEEPS = 200_000
+
 
 def _frozen_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True).ravel()
@@ -56,6 +59,10 @@ def _frozen_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _float_array(values) -> np.ndarray:
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,13 @@ class IarxParams:
         return {"n": self.n, "m": self.m, "A": self.A.tolist(), "C": self.C.tolist()}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "IarxParams":
-        return cls(n=int(doc["n"]), m=int(doc["m"]), A=doc["A"], C=doc["C"])
+    def from_json(cls, doc) -> "IarxParams":
+        """Parameters from :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
+        n, m, a, c = (
+            json_field(doc, key, kind, "model parameters")
+            for key, kind in (("n", int), ("m", int), ("A", _float_array), ("C", _float_array))
+        )
+        return cls(n=n, m=m, A=a, C=c)
 
 
 @dataclass(frozen=True)
@@ -335,7 +347,7 @@ def assemble_qp(history, inputs, n: int, m: int) -> QpProblem:
     return QpProblem(H=h, B=b)
 
 
-def nnls(design, target, max_iter: int | None = None) -> np.ndarray:
+def nnls(design, target) -> np.ndarray:
     """Nonnegative least squares ``min ||design @ c - target||**2, c >= 0``.
 
     Active-set method: starting from ``c = 0`` with every variable clamped,
@@ -348,10 +360,6 @@ def nnls(design, target, max_iter: int | None = None) -> np.ndarray:
     ----------
     design : (rows, nvar) array_like
     target : (rows,) array_like
-    max_iter : int, optional
-        Cap on active-set changes; defaults to ``30 * nvar + 30``. The
-        method terminates finitely in exact arithmetic, so hitting the cap
-        signals numerical breakdown and raises ``IdentificationError``.
 
     Returns
     -------
@@ -367,8 +375,9 @@ def nnls(design, target, max_iter: int | None = None) -> np.ndarray:
     rows, nvar = x_mat.shape
     if y.size != rows:
         raise ValueError(f"target length {y.size} does not match {rows} design rows")
-    if max_iter is None:
-        max_iter = 30 * nvar + 30
+    # The method terminates finitely in exact arithmetic, so hitting this cap
+    # on active-set changes signals numerical breakdown.
+    max_changes = 30 * nvar + 30
 
     # Anti-stall tolerance on the dual vector w = X'(y - Xc).
     tol = 1e-11 * max(1.0, float(np.max(np.abs(x_mat.T @ y), initial=0.0)))
@@ -383,9 +392,9 @@ def nnls(design, target, max_iter: int | None = None) -> np.ndarray:
         if w[best] <= tol:
             break
         changes += 1
-        if changes > max_iter:
+        if changes > max_changes:
             raise IdentificationError(
-                f"nonnegative least squares did not converge within {max_iter} active-set changes"
+                f"nonnegative least squares did not converge within {max_changes} active-set changes"
             )
         free[best] = True
         while True:
@@ -412,7 +421,7 @@ def nnls(design, target, max_iter: int | None = None) -> np.ndarray:
     return coef
 
 
-def solve_qp_nonneg(qp: QpProblem, max_sweeps: int = 200_000) -> np.ndarray:
+def solve_qp_nonneg(qp: QpProblem) -> np.ndarray:
     """Minimize ``c'Hc - c'B`` over ``c >= 0`` by cyclic coordinate descent.
 
     Each coordinate update is the exact one-dimensional minimizer projected
@@ -433,7 +442,7 @@ def solve_qp_nonneg(qp: QpProblem, max_sweeps: int = 200_000) -> np.ndarray:
 
     c = np.zeros(nvar)
     grad = -b.copy()  # gradient of the objective, 2Hc - B, at c = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, QP_MAX_SWEEPS + 1):
         for j in range(nvar):
             if dead[j]:
                 continue
@@ -451,7 +460,7 @@ def solve_qp_nonneg(qp: QpProblem, max_sweeps: int = 200_000) -> np.ndarray:
         if float(residual.max(initial=0.0)) <= tol:
             return c
     raise IdentificationError(
-        f"qp coordinate descent did not converge within {max_sweeps} sweeps"
+        f"qp coordinate descent did not converge within {QP_MAX_SWEEPS} sweeps"
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, ConvergenceWarning
+from .errors import ClusteringError, ConvergenceWarning, json_field
 from .intervals import Interval
 
 __all__ = [
@@ -325,19 +325,20 @@ class PatternSpace:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "PatternSpace":
-        classes = [
-            PatternClass(
-                id=int(entry["id"]),
-                interval=Interval(entry["lower"], entry["upper"]),
-                center=float(entry["center"]),
+    def from_json(cls, doc) -> "PatternSpace":
+        """The space of :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
+        classes = []
+        for position, entry in enumerate(json_field(doc, "classes", list, "pattern space"), start=1):
+            class_id, lower, upper, center = (
+                json_field(entry, key, kind, f"pattern space class {position}")
+                for key, kind in (("id", int), ("lower", float), ("upper", float), ("center", float))
             )
-            for entry in doc["classes"]
-        ]
+            classes.append(PatternClass(id=class_id, interval=Interval(lower, upper), center=center))
         space = cls(classes)
-        if int(doc["cpms"]) != space.cpms:
+        declared = json_field(doc, "cpms", int, "pattern space")
+        if declared != space.cpms:
             raise ClusteringError(
-                f"declared cpms {doc['cpms']} does not match the {space.cpms} classes"
+                f"declared cpms {declared} does not match the {space.cpms} classes"
             )
         return space
 

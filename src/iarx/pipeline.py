@@ -20,13 +20,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ClusteringError, DataError, IdentificationError, SimulationError
+from .errors import DataError, IarxError, SimulationError
 from .intervals import Interval
 from .model import IarxParams, fit, lag_columns, predict_bounds
 from .pattern_space import FcmConfig, PatternSpace, build_space
 
 __all__ = [
-    "EncodedSeries",
     "MovingPatternModel",
     "ForecastRecord",
     "ForecastTrace",
@@ -39,14 +38,11 @@ __all__ = [
     "rmse_from_records",
     "sweep_cpms",
     "perturb_radius_params",
-    "perturb_center_params",
     "robustness_experiment",
     "write_rmse_csv",
     "write_trace_csv",
     "write_sweep_csv",
     "write_robust_csv",
-    "RESULT_HEADER",
-    "TRACE_HEADER",
 ]
 
 # Shared RMSE column block: preliminary then final, upper before lower.
@@ -55,28 +51,6 @@ TRACE_HEADER = "k,dx_lower,dx_upper,prelim_lower,prelim_upper,final_lower,final_
 ROBUST_HEADER = (
     "params,prelim_upper_rmse,prelim_lower_rmse,final_upper_rmse,final_lower_rmse,final_class_match"
 )
-
-
-@dataclass(frozen=True)
-class EncodedSeries:
-    """A series of class intervals paired with its crisp input series."""
-
-    dx: tuple[Interval, ...]
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.u, dtype=float, copy=True).ravel()
-        if len(self.dx) != u.size:
-            raise DataError(
-                f"encoded series length {len(self.dx)} does not match input length {u.size}"
-            )
-        u.setflags(write=False)
-        object.__setattr__(self, "dx", tuple(self.dx))
-        object.__setattr__(self, "u", u)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.dx)
 
 
 @dataclass(frozen=True)
@@ -237,6 +211,13 @@ class RobustnessResult:
     perturbed_params: IarxParams
 
 
+def _check_shape(cpms: int, n: int, m: int) -> None:
+    if cpms < 2:
+        raise ValueError(f"cpms must be >= 2, got {cpms}")
+    if n < 1 or m < 0:
+        raise ValueError(f"orders must be n >= 1 and m >= 0, got n={n}, m={m}")
+
+
 def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) -> MovingPatternModel:
     """Fit the full pipeline on a scalar series and its input series.
 
@@ -247,8 +228,7 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) 
     """
     data = np.asarray(data, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
-    if cpms < 2:
-        raise ValueError(f"cpms must be >= 2, got {cpms}")
+    _check_shape(cpms, n, m)
     if data.size != u.size:
         raise DataError(f"data length {data.size} does not match input length {u.size}")
     if data.size < cpms:
@@ -350,20 +330,23 @@ def evaluate(
 def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig | None = None) -> list[SweepCell]:
     """Fit and score one model per class count; failures stay in the table.
 
-    A failing cell (for example, more classes than distinct data values)
-    records its error message and the sweep moves on.
+    The orders and every class count are checked before the first cell, so
+    a bad argument raises ``ValueError``. A cell that fails with a package
+    error (for example, more classes than distinct data values) records its
+    error message and the sweep moves on.
     """
+    cpms_values = [int(cpms) for cpms in cpms_values]
+    for cpms in cpms_values:
+        _check_shape(cpms, n, m)
     cells = []
     for cpms in cpms_values:
         try:
-            model = fit_model(data, u, int(cpms), n, m, fcm=fcm)
+            model = fit_model(data, u, cpms, n, m, fcm=fcm)
             report = evaluate(model, data, u)
-        except (
-            ClusteringError, IdentificationError, SimulationError, DataError, ValueError
-        ) as exc:
-            cells.append(SweepCell(cpms=int(cpms), report=None, error=str(exc)))
+        except IarxError as exc:
+            cells.append(SweepCell(cpms=cpms, report=None, error=str(exc)))
         else:
-            cells.append(SweepCell(cpms=int(cpms), report=report, error=None))
+            cells.append(SweepCell(cpms=cpms, report=report, error=None))
     return cells
 
 
@@ -380,40 +363,18 @@ def perturb_radius_params(radius_coeffs, magnitude: float, seed: int) -> np.ndar
     return coeffs + rng.uniform(0.0, magnitude, size=coeffs.size)
 
 
-def perturb_center_params(center_coeffs, magnitude: float, seed: int) -> np.ndarray:
-    """Add independent Uniform[-magnitude, +magnitude] offsets to the center coefficients.
-
-    An optional extension of the robustness experiment beyond its standard
-    radius-only form; disabled unless explicitly requested.
-    """
-    if magnitude < 0.0:
-        raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
-    coeffs = np.asarray(center_coeffs, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    return coeffs + rng.uniform(-magnitude, magnitude, size=coeffs.size)
-
-
 def robustness_experiment(
-    model: MovingPatternModel,
-    data,
-    u,
-    magnitude: float,
-    seed: int,
-    center_magnitude: float = 0.0,
+    model: MovingPatternModel, data, u, magnitude: float, seed: int
 ) -> RobustnessResult:
     """Score the model before and after perturbing its radius coefficients.
 
     Also reports whether every scored step kept its final class - when it
     did, the perturbation was fully absorbed by the classification stage
-    and the final RMSEs match bit for bit. ``center_magnitude`` optionally
-    perturbs the center coefficients too (seeded independently).
+    and the final RMSEs match bit for bit.
     """
     baseline = forecast_series(model, data, u)
     perturbed_c = perturb_radius_params(model.params.C, magnitude, seed)
     perturbed_params = replace(model.params, C=perturbed_c)
-    if center_magnitude > 0.0:
-        perturbed_a = perturb_center_params(model.params.A, center_magnitude, seed + 1)
-        perturbed_params = replace(perturbed_params, A=perturbed_a)
     perturbed_model = MovingPatternModel(space=model.space, params=perturbed_params)
     shifted = forecast_series(perturbed_model, data, u)
     match = bool(np.array_equal(baseline.class_id, shifted.class_id))

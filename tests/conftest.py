@@ -2,13 +2,8 @@
 
 import pytest
 
-from iarx import (
-    default_synthetic_spec,
-    evaluate,
-    fit_model,
-    forecast_series,
-    synthesize,
-)
+from iarx.data_io import default_synthetic_spec, synthesize
+from iarx.pipeline import evaluate, fit_model, forecast_series
 
 
 @pytest.fixture(scope="session")

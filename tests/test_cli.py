@@ -227,6 +227,48 @@ def test_non_finite_forecast_exits_1(workspace, tmp_path):
         assert proc.stderr == "error: forecast at step 3 is not finite: [0.0, inf]\n"
 
 
+@pytest.mark.parametrize(
+    "bad_file, content, message",
+    [
+        ("model.json", "{}", "error: model parameters: missing field 'n'"),
+        ("space.json", "[1, 2]", "error: pattern space: expected a JSON object, got list"),
+        ("spec.json", '{"length": 864}', "error: synthetic spec: missing field 'true_params'"),
+    ],
+)
+def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, message):
+    # a model, pattern-space or spec file with a missing or mistyped field is
+    # an input problem: exit 2 with one error line naming it, no traceback
+    data_dir, fit_dir = workspace
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for name in ("model.json", "space.json"):
+        (model_dir / name).write_bytes((fit_dir / name).read_bytes())
+    (model_dir / bad_file).write_text(content, encoding="utf-8")
+    if bad_file == "spec.json":
+        args = ["synth", "--config", str(model_dir / bad_file)]
+    else:
+        data = str(data_dir / "synthetic.csv")
+        args = ["eval", "--data", data, "--input-col", "u", "--model-dir", str(model_dir)]
+    proc = _run_cli([*args, "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("fit", {"seed": None}), ("sweep", {"fuzziness": [2]}), ("fit", {"data": 5})],
+)
+def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
+    data_dir, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_dir / "synthetic.csv"), **config}), encoding="utf-8")
+    rc = main([command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    (key,) = config
+    assert line.startswith(f"error: {key} must be of type ")
+
+
 def test_library_has_no_assert_statements():
     # assert vanishes under python -O, and an AssertionError escapes the
     # exit-code mapping; invariants must raise package errors instead

@@ -20,7 +20,6 @@ from iarx.pipeline import (
     evaluate,
     fit_model,
     forecast_series,
-    perturb_center_params,
     perturb_radius_params,
     rmse_from_records,
     robustness_experiment,
@@ -273,16 +272,6 @@ def test_perturb_radius_params_properties():
         perturb_radius_params(coeffs, -0.1, seed=0)
 
 
-def test_perturb_center_params_two_sided():
-    coeffs = np.zeros(200)
-    shifted = perturb_center_params(coeffs, 0.5, seed=3)
-    assert np.all(np.abs(shifted) <= 0.5)
-    assert np.any(shifted < 0.0) and np.any(shifted > 0.0)
-    np.testing.assert_array_equal(coeffs, perturb_center_params(coeffs, 0.0, seed=3))
-    with pytest.raises(ValueError):
-        perturb_center_params(coeffs, -1.0, seed=0)
-
-
 def test_robustness_zero_magnitude_is_identity(default_model, default_result):
     res = robustness_experiment(default_model, default_result.data, default_result.u, magnitude=0.0, seed=0)
     assert res.final_class_match
@@ -324,6 +313,17 @@ def test_sweep_deterministic_and_ordered(default_result):
     for c, c2 in zip(cells, again):
         assert c.error is None
         assert c.report == c2.report
+
+
+def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
+    # a bad order or class count is the caller's error, not a failed cell
+    data = np.sin(np.linspace(0.0, 20.0, 200)) * 3.0
+    u = np.cos(np.linspace(0.0, 20.0, 200))
+    monkeypatch.setattr(pipeline, "fit_model", lambda *args, **kwargs: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match="n=0"):
+        sweep_cpms(data, u, [16, 18], n=0, m=1)
+    with pytest.raises(ValueError, match="cpms must be >= 2, got 1"):
+        sweep_cpms(data, u, [16, 1], n=3, m=1)
 
 
 def test_sweep_keeps_failed_cells():
