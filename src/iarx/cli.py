@@ -2,7 +2,8 @@
 
 All outputs land under ``--out`` with fixed filenames. Exit codes: 0 on
 success, 1 on numerical/identification failures, 2 on configuration or
-I/O problems. Flag precedence is flags > ``--config`` JSON > defaults.
+I/O problems. Flag precedence is flags > ``--config`` JSON > defaults; a
+``--config`` key that the command does not read is a configuration problem.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +60,14 @@ SYNTH_TRUTH_FILE = "truth.json"
 _NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError)
 _CONFIG_ERRORS = (ConfigError, DataError, OSError, json.JSONDecodeError)
 
+# The --config keys the commands read; a key a command does not read is an error.
+_SERIES_KEYS = ("data", "input_col", "out")
+_MODEL_KEYS = (*_SERIES_KEYS, "seed", "n", "m", "fuzziness", "fcm_tolerance", "fcm_iterations")
+_SPEC_KEYS = tuple(field.name for field in fields(SyntheticSpec))
 
-def _load_config(path: str | None) -> dict:
+
+def _load_config(path: str | None, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path`` (``{}`` without one); it may set only ``keys``."""
     if path is None:
         return {}
     p = Path(path)
@@ -69,6 +77,12 @@ def _load_config(path: str | None) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ConfigError(
+            f"config file {p}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"this command reads {', '.join(keys)}"
+        )
     return doc
 
 
@@ -189,7 +203,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, (*_MODEL_KEYS, "cpms"))
     series, u = _prepare_series(args, config)
     cpms = _setting(args, config, "cpms", 26, int, 2)
     n, m, fcm = _model_settings(args, config, cpms)
@@ -223,7 +237,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, (*_SERIES_KEYS, "model_dir"))
     series, u = _prepare_series(args, config)
     model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
     model = _load_model_dir(model_dir)
@@ -243,7 +257,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, (*_MODEL_KEYS, "cpms_range"))
     series, u = _prepare_series(args, config)
     cpms_values = _parse_cpms_range(_setting(args, config, "cpms_range", "16..36"))
     # Each cell sets its own class count on a copy of this configuration.
@@ -260,7 +274,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_robust(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, (*_SERIES_KEYS, "model_dir", "magnitude", "seed"))
     series, u = _prepare_series(args, config)
     model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
     model = _load_model_dir(model_dir)
@@ -278,11 +292,10 @@ def cmd_robust(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config_doc = _load_config(args.config)
-    if config_doc:
-        spec = SyntheticSpec.from_json(config_doc)
-    else:
+    if args.config is None:
         spec = default_synthetic_spec()
+    else:
+        spec = SyntheticSpec.from_json(_load_config(args.config, _SPEC_KEYS))
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     out = _out_dir(args.out if args.out is not None else ".")

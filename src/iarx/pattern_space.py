@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, ConvergenceWarning, json_field
+from .errors import ClusteringError, ConvergenceWarning, DataError, json_field
 from .intervals import Interval
 
 __all__ = [
@@ -65,9 +65,7 @@ def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -
     """Pick k distinct data values: a seeded start, then greedy farthest points."""
     distinct = np.unique(values)
     if distinct.size < k:
-        raise ClusteringError(
-            f"cannot seed {k} clusters from {distinct.size} distinct value(s)"
-        )
+        raise ClusteringError(f"cannot seed {k} clusters from {distinct.size} distinct value(s)")
     centers = np.empty(k)
     centers[0] = distinct[rng.integers(distinct.size)]
     min_dist = np.abs(distinct - centers[0])
@@ -77,49 +75,46 @@ def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -
     return centers
 
 
-def _memberships(d2: np.ndarray, fuzziness: float) -> np.ndarray:
-    """Membership matrix U (k x N) from the squared distances ``d2`` (k x N).
+def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
+    """Hathaway & Bezdek's reformulated objective R(V) from the squared distances ``d2`` (k x N).
 
-    U[i, j] is proportional to (min_t d2_tj / d2_ij) ** (1 / (fuzziness - 1)),
-    which is Bezdek's 1 / sum_t (d_ij / d_tj) ** (2 / (fuzziness - 1)); a
-    point that coincides with a center gets full membership in the first
-    such cluster.
+    Overwrites ``d2`` with r = (nearest / d2) ** (1 / (fuzziness - 1)), where
+    ``nearest`` is the column minimum; a point on a center gets r = 1 at the
+    first such center and 0 elsewhere. The optimal memberships for these
+    centers are U = r / s with s = sum_i r >= 1. Returns ``(s ** -fuzziness,
+    R)`` with R = sum_j nearest_j * s_j ** (1 - fuzziness), which equals the
+    objective J(U, V) at that U.
     """
     nearest = d2.min(axis=0)
-    on_center = nearest == 0.0
-    some_on_center = bool(on_center.any())
-    if some_on_center:
-        cols = np.flatnonzero(on_center)
-        rows = np.argmax(d2[:, cols] == 0.0, axis=0)
-        regular = ~on_center
-        d2 = d2[:, regular]
-        nearest = nearest[regular]
-    # Ratios to the nearest center lie in (0, 1], so the powers cannot overflow.
-    u = nearest / d2
+    on_center = np.flatnonzero(nearest == 0.0)
+    if on_center.size:
+        rows = np.argmax(d2[:, on_center] == 0.0, axis=0)
+        d2[:, on_center] = 1.0
+    # Ratios to the nearest center lie in [0, 1], so the powers cannot overflow.
+    r = np.divide(nearest, d2, out=d2)
+    if on_center.size:
+        r[rows, on_center] = 1.0
     if fuzziness != 2.0:
-        u **= 1.0 / (fuzziness - 1.0)
-    u /= u.sum(axis=0)
-    if not some_on_center:
-        return u
-    full = np.zeros((u.shape[0], on_center.size))
-    full[rows, cols] = 1.0
-    full[:, regular] = u
-    return full
+        r **= 1.0 / (fuzziness - 1.0)
+    s = r.sum(axis=0)
+    scale = s ** -fuzziness
+    return scale, float(np.dot(nearest * s, scale))
 
 
 def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
     """Cluster a scalar series by fuzzy c-means with hardened assignments.
 
-    Runs the alternating update of Bezdek, Ehrlich & Full (1984) until no
-    center moves by ``config.tolerance`` or more. Returns ``(centers,
-    assignments)`` where ``centers`` has shape ``(k,)`` and ``assignments``
-    maps each point to the 0-based cluster of the nearest center (ties to
-    the lowest index); in exact arithmetic that is the cluster of maximal
-    membership for every fuzziness. Raises ``ClusteringError`` when a
-    cluster ends up with no hard members, so callers may retry with a new
-    seed, or when the objective fails to decrease. Warns with
-    ``ConvergenceWarning`` when ``config.max_iterations`` pass without
-    convergence; the last centers are still returned.
+    Runs the alternating update of Bezdek, Ehrlich & Full (1984), reformulated
+    in the centers alone (see ``_reformulate``), until no center moves by
+    ``config.tolerance`` or more. Returns ``(centers, assignments)`` where
+    ``centers`` has shape ``(k,)`` and ``assignments`` maps each point to the
+    0-based cluster of the nearest center (ties to the lowest index); in exact
+    arithmetic that is the cluster of maximal membership for every fuzziness.
+    Raises ``ClusteringError`` when a cluster ends up with no hard members, so
+    callers may retry with a new seed, or when the objective R rises on any
+    center set, the last included. Warns with ``ConvergenceWarning`` when
+    ``config.max_iterations`` pass without convergence; the last centers are
+    still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
     if values.size == 0:
@@ -133,26 +128,19 @@ def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
 
     rng = np.random.default_rng(config.seed)
     centers = _farthest_point_init(values, config.k, rng)
-    diff = centers[:, None] - values[None, :]  # (k, N)
-    d2 = diff * diff
+    work = np.empty((config.k, values.size))  # squared distances, then r, every pass
+    ones_x = np.stack([np.ones_like(values), values])
+    scaled = np.empty_like(ones_x)  # [1, x] * s ** -fuzziness
 
-    prev_objective = np.inf
-    for iteration in range(1, config.max_iterations + 1):
-        u = _memberships(d2, config.fuzziness)
-        # u ** fuzziness, in place: the memberships are not needed afterwards.
-        if config.fuzziness == 2.0:
-            weights = np.multiply(u, u, out=u)
-        else:
-            weights = np.power(u, config.fuzziness, out=u)
-        mass = weights.sum(axis=1)
-        if np.any(mass == 0.0):
-            raise ClusteringError("a cluster lost all membership mass; reseed and retry")
-        new_centers = (weights @ values) / mass
-        np.subtract(new_centers[:, None], values[None, :], out=diff)
-        # d2 serves this iteration's objective and the next iteration's memberships.
-        np.multiply(diff, diff, out=d2)
-        objective = float(np.vdot(weights, d2))
-        # Alternating optimization must not increase the objective. A NaN,
+    prev_objective = shift = np.inf
+    iteration = 0
+    while True:
+        np.subtract(centers[:, None], values[None, :], out=work)
+        final = shift < config.tolerance or iteration == config.max_iterations
+        if final:
+            assignments = np.argmin(np.abs(work, out=work), axis=0)
+        scale, objective = _reformulate(np.multiply(work, work, out=work), config.fuzziness)
+        # R(V_t+1) <= J(U_t, V_t+1) <= R(V_t), so R must not rise. A NaN,
         # e.g. from squared distances that overflow, fails the test as well.
         if not objective <= prev_objective * (1.0 + 1e-12) + 1e-12:
             raise ClusteringError(
@@ -160,11 +148,22 @@ def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
                 f"{prev_objective!r} -> {objective!r}"
             )
         prev_objective = objective
+        if final:
+            break
+        iteration += 1
+        # U ** fuzziness = r ** fuzziness * scale, so one product gives mass and numerator.
+        if config.fuzziness == 2.0:
+            weights = np.multiply(work, work, out=work)
+        else:
+            weights = np.power(work, config.fuzziness, out=work)
+        np.multiply(ones_x, scale, out=scaled)
+        mass, numer = (weights @ scaled.T).T
+        if np.any(mass == 0.0):
+            raise ClusteringError("a cluster lost all membership mass; reseed and retry")
+        new_centers = numer / mass
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift < config.tolerance:
-            break
-    else:
+    if shift >= config.tolerance:
         warnings.warn(
             ConvergenceWarning(
                 f"fuzzy c-means with k={config.k} did not converge in "
@@ -174,7 +173,6 @@ def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
             stacklevel=2,
         )
 
-    assignments = np.argmin(np.abs(diff, out=diff), axis=0)
     counts = np.bincount(assignments, minlength=config.k)
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
@@ -212,11 +210,9 @@ class PatternSpace:
         classes = tuple(classes)
         if not classes:
             raise ClusteringError("a pattern space needs at least one class")
-        for rank, cls in enumerate(classes, start=1):
-            if cls.id != rank:
-                raise ClusteringError(
-                    f"class ids must run 1..{len(classes)} in order, got {cls.id} at position {rank}"
-                )
+        ids = [cls.id for cls in classes]
+        if ids != list(range(1, len(classes) + 1)):
+            raise ClusteringError(f"class ids must run 1..{len(classes)} in order, got {ids}")
         centers = [cls.center for cls in classes]
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise ClusteringError(f"class centers must strictly ascend, got {centers}")
@@ -326,7 +322,8 @@ class PatternSpace:
 
     @classmethod
     def from_json(cls, doc) -> "PatternSpace":
-        """The space of :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
+        """The space of :meth:`to_json` output; a missing or mistyped field, or
+        classes that do not form a valid space, is a ``DataError``."""
         classes = []
         for position, entry in enumerate(json_field(doc, "classes", list, "pattern space"), start=1):
             class_id, lower, upper, center = (
@@ -334,13 +331,15 @@ class PatternSpace:
                 for key, kind in (("id", int), ("lower", float), ("upper", float), ("center", float))
             )
             classes.append(PatternClass(id=class_id, interval=Interval(lower, upper), center=center))
-        space = cls(classes)
         declared = json_field(doc, "cpms", int, "pattern space")
-        if declared != space.cpms:
-            raise ClusteringError(
-                f"declared cpms {declared} does not match the {space.cpms} classes"
+        if declared != len(classes):
+            raise DataError(
+                f"pattern space: declared cpms {declared} does not match the {len(classes)} classes"
             )
-        return space
+        try:
+            return cls(classes)
+        except ClusteringError as exc:
+            raise DataError(f"pattern space: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -233,6 +233,7 @@ def test_non_finite_forecast_exits_1(workspace, tmp_path):
         ("model.json", "{}", "error: model parameters: missing field 'n'"),
         ("space.json", "[1, 2]", "error: pattern space: expected a JSON object, got list"),
         ("spec.json", '{"length": 864}', "error: synthetic spec: missing field 'true_params'"),
+        ("spec.json", "{}", "error: synthetic spec: missing field 'length'"),
     ],
 )
 def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, message):
@@ -252,6 +253,60 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, me
     proc = _run_cli([*args, "--out", str(tmp_path / "out")])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(cpms=25), "declared cpms 25 does not match the 26 classes"),
+        (lambda doc: doc["classes"][0].update(id=2), "class ids must run 1..26 in order, got [2, 2, 3, "),
+        (
+            lambda doc: doc["classes"][0].update(center=doc["classes"][1]["center"]),
+            "class centers must strictly ascend, got ",
+        ),
+    ],
+    ids=["declared-cpms", "class-ids", "unordered-centers"],
+)
+def test_inconsistent_space_file_exits_2(workspace, tmp_path, edit, message):
+    # a space.json whose fields parse but do not form a space is an input
+    # problem, not a clustering failure: exit 2 with one error line
+    data_dir, fit_dir = workspace
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    (model_dir / "model.json").write_bytes((fit_dir / "model.json").read_bytes())
+    doc = json.loads((fit_dir / "space.json").read_text(encoding="utf-8"))
+    edit(doc)
+    (model_dir / "space.json").write_text(json.dumps(doc), encoding="utf-8")
+    common = ["--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--model-dir", str(model_dir)]
+    for command in ("eval", "robust"):
+        proc = _run_cli([command, *common, "--out", str(tmp_path / command)])
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: pattern space: " + message)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("robust", {"center_magnitude": 0.5}),
+        ("fit", {"fuzzines": 1.5}),
+        ("eval", {"cpms": 26, "magnitud": 0.1}),
+    ],
+)
+def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config):
+    # a key the command does not read, removed or misspelled, is named in the
+    # error instead of being ignored
+    data_dir, fit_dir = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_dir / "synthetic.csv"), **config}), encoding="utf-8")
+    args = [command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command != "fit":
+        args += ["--model-dir", str(fit_dir)]
+    assert main(args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config file {cfg}: unknown key(s) ")
+    assert all(repr(key) in line for key in config)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

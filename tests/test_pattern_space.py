@@ -4,49 +4,56 @@ import warnings
 import numpy as np
 import pytest
 
-from iarx.errors import ClusteringError, ConvergenceWarning
+from iarx.errors import ClusteringError, ConvergenceWarning, DataError
 from iarx.intervals import Interval, hausdorff_distance
+from iarx import pattern_space
+from iarx.data_io import zero_mean_normalize
 from iarx.pattern_space import (
     FcmConfig,
     PatternClass,
     PatternSpace,
     _farthest_point_init,
+    _reformulate,
     build_space,
     fcm_cluster,
 )
 
 
-def textbook_fcm(values, config):
-    """Bezdek's fuzzy c-means written out plainly, as the reference.
+def textbook_memberships(values, centers, m):
+    """Bezdek's memberships U (k x N) written out plainly, as the reference.
 
     Absolute distances, memberships 1 / sum_t (d_ij / d_tj) ** (2 / (m - 1))
     computed as rel ** (-2 / (m - 1)) on the ratios to the nearest center,
-    weights u ** m, and hard assignment by maximal membership.
+    and full membership in the first center a point sits on.
+    """
+    dist = np.abs(centers[:, None] - values[None, :])
+    nearest = dist.min(axis=0)
+    on_center = nearest == 0.0
+    u = np.zeros_like(dist)
+    cols = np.flatnonzero(on_center)
+    u[np.argmax(dist[:, cols] == 0.0, axis=0), cols] = 1.0
+    rel = dist[:, ~on_center] / nearest[~on_center]
+    w = rel ** (-2.0 / (m - 1.0))
+    u[:, ~on_center] = w / w.sum(axis=0)
+    return u
+
+
+def textbook_fcm(values, config):
+    """Bezdek's fuzzy c-means written out plainly, as the reference.
+
+    Weights u ** m, and hard assignment by maximal membership.
     """
     values = np.asarray(values, dtype=float)
     m = config.fuzziness
-
-    def memberships(centers):
-        dist = np.abs(centers[:, None] - values[None, :])
-        nearest = dist.min(axis=0)
-        on_center = nearest == 0.0
-        u = np.zeros_like(dist)
-        cols = np.flatnonzero(on_center)
-        u[np.argmax(dist[:, cols] == 0.0, axis=0), cols] = 1.0
-        rel = dist[:, ~on_center] / nearest[~on_center]
-        w = rel ** (-2.0 / (m - 1.0))
-        u[:, ~on_center] = w / w.sum(axis=0)
-        return u
-
     centers = _farthest_point_init(values, config.k, np.random.default_rng(config.seed))
     for _ in range(config.max_iterations):
-        weights = memberships(centers) ** m
+        weights = textbook_memberships(values, centers, m) ** m
         new_centers = (weights @ values) / weights.sum(axis=1)
         shift = np.max(np.abs(new_centers - centers))
         centers = new_centers
         if shift < config.tolerance:
             break
-    return centers, np.argmax(memberships(centers), axis=0)
+    return centers, np.argmax(textbook_memberships(values, centers, m), axis=0)
 
 
 def test_config_validation():
@@ -101,12 +108,45 @@ def test_assignments_match_membership_argmax():
 @pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("k", [16, 26, 36])
 def test_fcm_matches_textbook_bezdek(default_result, fuzziness, k):
-    # the initial centers are data points, so the on-center branch runs too
+    # the initial centers are data points, so the on-center branch runs too;
+    # the CLI clusters the z-scored series, so it is checked as well
     config = FcmConfig(k=k, fuzziness=fuzziness)
-    want_centers, want_assign = textbook_fcm(default_result.data, config)
-    centers, assign = fcm_cluster(default_result.data, config)
-    assert np.array_equal(assign, want_assign)
-    np.testing.assert_allclose(centers, want_centers, rtol=0.0, atol=1e-9)
+    for series in (default_result.data, zero_mean_normalize(default_result.data)[0]):
+        want_centers, want_assign = textbook_fcm(series, config)
+        centers, assign = fcm_cluster(series, config)
+        assert np.array_equal(assign, want_assign)
+        np.testing.assert_allclose(centers, want_centers, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
+def test_reformulated_objective_is_the_textbook_objective(default_result, fuzziness):
+    # R(V) = J(U*(V), V) with U*(V) the optimal memberships for the centers V,
+    # on random centers and on centers that sit on data points
+    data = default_result.data
+    rng = np.random.default_rng(31)
+    on_points = rng.choice(np.unique(data), size=26, replace=False)
+    for centers in (rng.uniform(data.min(), data.max(), size=26), on_points, on_points[:1]):
+        d2 = (centers[:, None] - data[None, :]) ** 2
+        want = float(np.sum(textbook_memberships(data, centers, fuzziness) ** fuzziness * d2))
+        _, got = _reformulate(d2.copy(), fuzziness)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_reformulated_objective_never_rises(default_result, monkeypatch):
+    # record R for every center set of a default run: the first is the seed
+    # centers, the last the returned ones, and no step goes up
+    seen = []
+
+    def recording(d2, fuzziness):
+        scale, objective = _reformulate(d2, fuzziness)
+        seen.append(objective)
+        return scale, objective
+
+    monkeypatch.setattr(pattern_space, "_reformulate", recording)
+    fcm_cluster(default_result.data, FcmConfig(k=26))
+    assert len(seen) > 10
+    assert np.all(np.diff(seen) <= 0.0)
+    assert seen[-1] < seen[0]
 
 
 def test_iteration_cap_warns_with_the_details():
@@ -266,7 +306,7 @@ def test_json_round_trip_is_bit_exact(default_model, tmp_path):
 def test_from_json_checks_declared_cpms(default_model):
     doc = default_model.space.to_json()
     doc["cpms"] = doc["cpms"] + 1
-    with pytest.raises(ClusteringError):
+    with pytest.raises(DataError, match="declared cpms"):
         PatternSpace.from_json(doc)
 
 
