@@ -279,12 +279,10 @@ def cmd_robust(args) -> int:
     model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
     model = _load_model_dir(model_dir)
     magnitude = _setting(args, config, "magnitude", 0.002, float)
-    if magnitude < 0:
-        raise ConfigError(f"--magnitude must be >= 0, got {magnitude}")
     seed = _setting(args, config, "seed", 0, int)
-    out = _out_dir(_setting(args, config, "out", "."))
 
     result = robustness_experiment(model, series, u, magnitude, seed)
+    out = _out_dir(_setting(args, config, "out", "."))
     write_robust_csv(out / ROBUST_FILE, result)
     print(f"final class match: {'yes' if result.final_class_match else 'no'}")
     print(f"wrote {ROBUST_FILE} to {out}")

@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, SimulationError, json_field
-from .intervals import Interval
 from .model import IarxParams
 
 __all__ = [
@@ -194,7 +193,6 @@ class SyntheticSpec:
 
     length: int
     true_params: IarxParams
-    class_count: int
     noise_center: float
     noise_radius: float
     input_process: WhiteNoiseInput | StepScheduleInput
@@ -206,8 +204,6 @@ class SyntheticSpec:
             raise ValueError(
                 f"length {self.length} is too short; need at least 10 * (1 + n + m) = {10 * width}"
             )
-        if self.class_count < 1:
-            raise ValueError(f"class_count must be >= 1, got {self.class_count}")
         if self.noise_center < 0.0 or self.noise_radius < 0.0:
             raise ValueError("noise levels must be >= 0")
 
@@ -215,7 +211,6 @@ class SyntheticSpec:
         return {
             "length": self.length,
             "true_params": self.true_params.to_json(),
-            "class_count": self.class_count,
             "noise_center": self.noise_center,
             "noise_radius": self.noise_radius,
             "input_process": self.input_process.to_json(),
@@ -229,7 +224,6 @@ class SyntheticSpec:
         return cls(
             length=json_field(doc, "length", int, what),
             true_params=json_field(doc, "true_params", IarxParams.from_json, what),
-            class_count=json_field(doc, "class_count", int, what),
             noise_center=json_field(doc, "noise_center", float, what),
             noise_radius=json_field(doc, "noise_radius", float, what),
             input_process=json_field(doc, "input_process", _input_from_json, what),
@@ -245,15 +239,14 @@ class SynthesisResult:
     """Synthetic series plus everything needed to check an identifier against it.
 
     ``data`` is the scalar stream handed to the pattern-space pipeline (the
-    interval centers); ``intervals`` is the underlying interval series for
-    direct identification experiments; ``truth`` echoes the generating
-    parameters.
+    interval centers); ``radii`` are the matching interval radii, for direct
+    identification experiments; ``truth`` echoes the generating parameters.
     """
 
     data: np.ndarray
     u: np.ndarray
     truth: IarxParams
-    intervals: tuple[Interval, ...]
+    radii: np.ndarray
 
 
 def synthesize(spec: SyntheticSpec) -> SynthesisResult:
@@ -297,8 +290,7 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
                 f"simulated center diverged to {centers[k]!r} at step {k}; "
                 "the generating parameters are unstable"
             )
-    intervals = tuple(Interval(c - r, c + r) for c, r in zip(centers, radii))
-    return SynthesisResult(data=centers, u=u, truth=params, intervals=intervals)
+    return SynthesisResult(data=centers, u=u, truth=params, radii=radii)
 
 
 # Setpoint program for the default dataset: a shuffled staircase over 18
@@ -334,7 +326,6 @@ def default_synthetic_spec(seed: int = 3) -> SyntheticSpec:
             A=[233.2, 0.50, 0.10, -0.04, 26.4],
             C=[0.3, 0.30, 0.05, 0.02, 0.4],
         ),
-        class_count=26,
         noise_center=0.6,
         noise_radius=0.25,
         input_process=StepScheduleInput(levels=_DEFAULT_SETPOINTS, period=24),

@@ -31,15 +31,10 @@ from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = [
     "IarxParams",
-    "RegressorPair",
     "QpProblem",
-    "build_regressors",
     "lag_columns",
     "predict_bounds",
-    "predict",
     "predict_compositional",
-    "fit_center",
-    "fit_radius",
     "fit",
     "assemble_qp",
     "nnls",
@@ -121,31 +116,6 @@ class IarxParams:
 
 
 @dataclass(frozen=True)
-class RegressorPair:
-    """One time step's regressors: ``x`` for centers, ``x_abs`` for radii.
-
-    Both share the layout [1, lagged outputs (newest first), lagged inputs
-    (newest first)]; ``x`` carries centers and signed inputs, ``x_abs``
-    carries radii and absolute inputs, hence ``x_abs >= 0``.
-    """
-
-    x: np.ndarray
-    x_abs: np.ndarray
-
-    def __post_init__(self):
-        x = _frozen_array(self.x, "x")
-        x_abs = _frozen_array(self.x_abs, "x_abs")
-        if x.size != x_abs.size:
-            raise ValueError(f"regressor lengths differ: {x.size} vs {x_abs.size}")
-        if x.size < 2:
-            raise ValueError("regressors need at least the constant and one lag")
-        if np.any(x_abs < 0.0):
-            raise ValueError("x_abs must be entrywise nonnegative")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_abs", x_abs)
-
-
-@dataclass(frozen=True)
 class QpProblem:
     """Quadratic program data ``min C'HC - C'B`` with ``C >= 0``."""
 
@@ -172,44 +142,15 @@ class QpProblem:
         return float(c @ self.H @ c - c @ self.B)
 
 
-def build_regressors(history, inputs, k: int, n: int, m: int) -> RegressorPair:
-    """Regressors for predicting step ``k`` of an interval series.
-
-    ``history`` is the interval series (0-based), ``inputs`` the crisp input
-    series; step ``k`` is predicted from ``history[k-1] .. history[k-n]``
-    and ``inputs[k-1] .. inputs[k-m]``, so ``k`` must be at least
-    ``max(n, m)``. ``k == len(history)`` is allowed: that is a genuine
-    forecast of the next, unseen step.
-    """
-    if n < 1:
-        raise ValueError(f"autoregressive order n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"input order m must be >= 0, got {m}")
-    kmin = max(n, m)
-    if k < kmin:
-        raise ValueError(f"step {k} has an incomplete lag window (need k >= {kmin})")
-    if k > len(history):
-        raise ValueError(f"step {k} is beyond the {len(history)} known output(s)")
-    if m > 0 and k > len(inputs):
-        raise ValueError(f"step {k} is beyond the {len(inputs)} known input(s)")
-
-    # Only the lag window, re-indexed so that step k becomes row kmin.
-    window = history[k - kmin : k]
-    centers = np.array([iv.center for iv in window])
-    radii = np.array([iv.radius for iv in window])
-    u = np.asarray(inputs[k - kmin : k], dtype=float) if m > 0 else np.empty(0)
-    x, x_abs = lag_columns(centers, radii, u, n, m, kmin, kmin + 1)
-    return RegressorPair(x=x[0], x_abs=x_abs[0])
-
-
 def lag_columns(centers, radii, inputs, n: int, m: int, start: int, stop: int):
     """Stacked regressors of the steps ``start .. stop - 1`` of a series.
 
     ``centers`` and ``radii`` are the center and radius arrays of the
     interval series and ``inputs`` the crisp input array, all indexed by
     step; step ``k`` reads only the lags ``k - 1 .. k - max(n, m)``.
-    Returns ``(x, x_abs)`` with one row per step in the
-    :class:`RegressorPair` layout.
+    Returns ``(x, x_abs)`` with one row per step, laid out as [1, lagged
+    outputs (newest first), lagged inputs (newest first)]: ``x`` carries
+    centers and signed inputs, ``x_abs`` radii and absolute inputs.
     """
     rows = stop - start
     width = 1 + n + m
@@ -250,18 +191,12 @@ def predict_bounds(params: IarxParams, x, x_abs) -> tuple[np.ndarray, np.ndarray
         return center - radius, center + radius
 
 
-def predict(params: IarxParams, regr: RegressorPair) -> Interval:
-    """One-step prediction: the one-row case of :func:`predict_bounds`."""
-    lower, upper = predict_bounds(params, regr.x[None, :], regr.x_abs[None, :])
-    return Interval(lower[0], upper[0])
-
-
 def predict_compositional(params: IarxParams, history, inputs, k: int) -> Interval:
     """One-step prediction built term by term from interval operations.
 
     Evaluates the model as written: an intercept interval, plus each lagged
     output passed through its coefficient pair, plus each lagged input
-    scaling its coefficient interval. Agrees with ``predict`` up to
+    scaling its coefficient interval. Agrees with ``predict_bounds`` up to
     floating-point roundoff; kept as an independent expansion of the same
     model for cross-checking.
     """
@@ -278,17 +213,22 @@ def predict_compositional(params: IarxParams, history, inputs, k: int) -> Interv
     return out
 
 
-def _design_matrices(history, inputs, n: int, m: int):
+def _design_matrices(centers, radii, inputs, n: int, m: int):
     """Stacked regressors and targets over every step with a full lag window.
 
-    Returns ``(X, y_center, X_abs, y_radius)`` with one row per scored step
-    ``k = max(n, m) .. len(history) - 1``.
+    ``centers`` and ``radii`` are the center and radius arrays of the
+    interval series. Returns ``(X, y_center, X_abs, y_radius)`` with one row
+    per scored step ``k = max(n, m) .. len(centers) - 1``.
     """
     if n < 1:
         raise ValueError(f"autoregressive order n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"input order m must be >= 0, got {m}")
-    total = len(history)
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    total = centers.size
+    if radii.size != total:
+        raise ValueError(f"{total} centers but {radii.size} radii")
     if m > 0 and len(inputs) != total:
         raise ValueError(
             f"input series length {len(inputs)} does not match output length {total}"
@@ -300,22 +240,9 @@ def _design_matrices(history, inputs, n: int, m: int):
         raise IdentificationError(
             f"need at least {width} usable steps to identify {width} coefficients, have {rows}"
         )
-    centers = np.array([iv.center for iv in history])
-    radii = np.array([iv.radius for iv in history])
     u = np.asarray(inputs, dtype=float) if m > 0 else np.empty(0)
     x, x_abs = lag_columns(centers, radii, u, n, m, kmin, total)
     return x, centers[kmin:], x_abs, radii[kmin:]
-
-
-def fit_center(history, inputs, n: int, m: int) -> np.ndarray:
-    """Identify the center coefficients ``A`` by ordinary least squares.
-
-    Reads only the centers of the series, never the radii. A rank-deficient
-    design matrix raises ``IdentificationError``; no pseudo-inverse fallback
-    is attempted, because any returned ``A`` would be one of infinitely many.
-    """
-    x, y, _, _ = _design_matrices(history, inputs, n, m)
-    return _ols_center(x, y)
 
 
 def _ols_center(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -336,13 +263,13 @@ def _qp_terms(x_abs: np.ndarray, y_r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return h, b
 
 
-def assemble_qp(history, inputs, n: int, m: int) -> QpProblem:
+def assemble_qp(centers, radii, inputs, n: int, m: int) -> QpProblem:
     """Quadratic-program data of the radius problem: ``H = sum x_abs x_abs'``, ``B = 2 sum y_r x_abs``.
 
     ``H`` is assembled so that it is exactly symmetric, and it is positive
     semidefinite by construction.
     """
-    _, _, x_abs, y_r = _design_matrices(history, inputs, n, m)
+    _, _, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
     h, b = _qp_terms(x_abs, y_r)
     return QpProblem(H=h, B=b)
 
@@ -464,17 +391,6 @@ def solve_qp_nonneg(qp: QpProblem) -> np.ndarray:
     )
 
 
-def fit_radius(history, inputs, n: int, m: int) -> np.ndarray:
-    """Identify the radius coefficients ``C`` by nonnegative least squares.
-
-    Reads only the radii of the series and the absolute inputs. The result
-    is checked against the KKT conditions of the equivalent quadratic
-    program; a violation is reported, never silently accepted.
-    """
-    _, _, x_abs, y_r = _design_matrices(history, inputs, n, m)
-    return _nnls_radius(x_abs, y_r)
-
-
 def _nnls_radius(x_abs: np.ndarray, y_r: np.ndarray) -> np.ndarray:
     coeffs = nnls(x_abs, y_r)
     h, b = _qp_terms(x_abs, y_r)
@@ -488,7 +404,17 @@ def _nnls_radius(x_abs: np.ndarray, y_r: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def fit(history, inputs, n: int, m: int) -> IarxParams:
-    """Identify both channels from one build of the design matrices."""
-    x, y_c, x_abs, y_r = _design_matrices(history, inputs, n, m)
+def fit(centers, radii, inputs, n: int, m: int) -> IarxParams:
+    """Identify both channels from one build of the design matrices.
+
+    ``centers`` and ``radii`` are the center and radius arrays of the
+    interval series, ``inputs`` the crisp input series. ``A`` is the least
+    squares fit of the centers and reads no radius; a rank-deficient design
+    raises ``IdentificationError``, because any returned ``A`` would be one
+    of infinitely many. ``C`` is the nonnegative least squares fit of the
+    radii on the absolute inputs and reads no center; it is checked against
+    the KKT conditions of the equivalent quadratic program, and a violation
+    is an ``IdentificationError`` too.
+    """
+    x, y_c, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
     return IarxParams(n=n, m=m, A=_ols_center(x, y_c), C=_nnls_radius(x_abs, y_r))

@@ -6,10 +6,10 @@ the closed interval spanning its members. Classes are kept sorted by
 ascending cluster center and numbered ``1..k``; the class count is the
 cardinality of the space.
 
-Classification of an arbitrary interval is nearest-neighbor under the
-Hausdorff distance, and measuring a class returns its stored interval
-object, so anything routed through classify-then-measure is bit-identical
-to one of the class intervals.
+Classification of an interval is nearest-neighbor under the Hausdorff
+distance, and the space keeps its class bounds as read-only arrays, so an
+interval taken from them by class id is bit-identical to that class's
+interval.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class FcmConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"cluster count must be >= 1, got {self.k}")
-        if not self.fuzziness > 1.0:
-            raise ValueError(f"fuzziness must exceed 1, got {self.fuzziness!r}")
+        if not 1.0 < self.fuzziness < np.inf:
+            raise ValueError(f"fuzziness must exceed 1 and be finite, got {self.fuzziness!r}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if self.max_iterations < 1:
@@ -273,30 +273,6 @@ class PatternSpace:
             np.argmin(d, axis=1, out=ids[start:stop])
         ids += 1
         return ids
-
-    def classify(self, x: Interval) -> int:
-        """Id of the class whose interval is Hausdorff-nearest to ``x``.
-
-        Ties resolve to the lowest id.
-        """
-        return int(self.classify_bounds(x.lower, x.upper)[0])
-
-    def measure(self, class_id: int) -> Interval:
-        """The stored interval of class ``class_id`` (1-based)."""
-        if not 1 <= class_id <= len(self._classes):
-            raise ValueError(
-                f"class id {class_id} out of range 1..{len(self._classes)}"
-            )
-        return self._classes[class_id - 1].interval
-
-    def encode_series(self, data) -> list[Interval]:
-        """Map each scalar to the class interval nearest its degenerate embedding.
-
-        A scalar ``x`` is treated as the interval ``[x, x]``, classified, and
-        measured; the result list therefore contains only class intervals.
-        """
-        values = np.asarray(data, dtype=float).ravel()
-        return [self._classes[i - 1].interval for i in self.classify_bounds(values, values)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternSpace):

@@ -218,11 +218,22 @@ def _check_shape(cpms: int, n: int, m: int) -> None:
         raise ValueError(f"orders must be n >= 1 and m >= 0, got n={n}, m={m}")
 
 
+def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode each sample as the class nearest its degenerate interval ``[x, x]``.
+
+    Returns the 0-based class index of every sample with that class's
+    center ``(L + U) / 2`` and radius ``(U - L) / 2``.
+    """
+    idx = space.classify_bounds(data, data) - 1
+    lowers, uppers = space.lowers, space.uppers
+    return idx, (0.5 * (lowers + uppers))[idx], (0.5 * (uppers - lowers))[idx]
+
+
 def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) -> MovingPatternModel:
     """Fit the full pipeline on a scalar series and its input series.
 
     Builds a ``cpms``-class pattern space, encodes the series, and
-    identifies both parameter channels on the encoded intervals. ``fcm``
+    identifies both parameter channels on the encoded centers and radii. ``fcm``
     supplies clustering settings; its ``k`` is overridden by ``cpms``.
     Clustering and identification errors propagate; no retries are made.
     """
@@ -239,9 +250,8 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) 
         )
     config = FcmConfig(k=cpms) if fcm is None else replace(fcm, k=cpms)
     space = build_space(data, config)
-    dx = space.encode_series(data)
-    params = fit(dx, u, n, m)
-    return MovingPatternModel(space=space, params=params)
+    _, centers, radii = _encode(space, data)
+    return MovingPatternModel(space=space, params=fit(centers, radii, u, n, m))
 
 
 def forecast_series(
@@ -276,11 +286,7 @@ def forecast_series(
     lowers, uppers = space.lowers, space.uppers
     # Only the scored steps and their lags are encoded; row 0 is step start - kmin.
     offset = start - kmin
-    window = data[offset:end]
-    idx = space.classify_bounds(window, window) - 1
-    # The same arithmetic as Interval.center and Interval.radius.
-    centers = (0.5 * (lowers + uppers))[idx]
-    radii = (0.5 * (uppers - lowers))[idx]
+    idx, centers, radii = _encode(space, data[offset:end])
     x, x_abs = lag_columns(centers, radii, u[offset:end], model.n, model.m, kmin, end - offset)
     prelim_lower, prelim_upper = predict_bounds(model.params, x, x_abs)
     finite = np.isfinite(prelim_lower) & np.isfinite(prelim_upper)
@@ -355,9 +361,10 @@ def perturb_radius_params(radius_coeffs, magnitude: float, seed: int) -> np.ndar
 
     Offsets are one-sided so the perturbed coefficients stay nonnegative.
     Deterministic for a fixed seed; magnitude zero returns the input unchanged.
+    A magnitude that is negative or not finite raises ``ValueError``.
     """
-    if magnitude < 0.0:
-        raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
+    if not 0.0 <= magnitude < np.inf:
+        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
     coeffs = np.asarray(radius_coeffs, dtype=float).ravel()
     rng = np.random.default_rng(seed)
     return coeffs + rng.uniform(0.0, magnitude, size=coeffs.size)
@@ -372,8 +379,8 @@ def robustness_experiment(
     did, the perturbation was fully absorbed by the classification stage
     and the final RMSEs match bit for bit.
     """
-    baseline = forecast_series(model, data, u)
     perturbed_c = perturb_radius_params(model.params.C, magnitude, seed)
+    baseline = forecast_series(model, data, u)
     perturbed_params = replace(model.params, C=perturbed_c)
     perturbed_model = MovingPatternModel(space=model.space, params=perturbed_params)
     shifted = forecast_series(perturbed_model, data, u)

@@ -17,11 +17,10 @@ from iarx.model import (
     IarxParams,
     _design_matrices,
     assemble_qp,
-    build_regressors,
     fit,
-    fit_radius,
+    lag_columns,
     nnls,
-    predict,
+    predict_bounds,
     predict_compositional,
     solve_qp_nonneg,
 )
@@ -41,7 +40,6 @@ RECOVERY_SPEC = SyntheticSpec(
     true_params=IarxParams(
         n=3, m=1, A=[0.02, 0.82, 0.12, -0.05, 0.35], C=[0.03, 0.40, 0.15, 0.08, 0.06]
     ),
-    class_count=26,
     noise_center=0.0,
     noise_radius=0.0,
     input_process=WhiteNoiseInput(amplitude=1.0),
@@ -53,6 +51,10 @@ def _random_history(rng, length):
     lowers = rng.normal(0.0, 1.0, size=length)
     widths = rng.uniform(0.0, 2.0, size=length)
     return [Interval(lo, lo + w) for lo, w in zip(lowers, widths)]
+
+
+def _centers_radii(history):
+    return np.array([iv.center for iv in history]), np.array([iv.radius for iv in history])
 
 
 def test_prediction_route_equivalence():
@@ -71,11 +73,12 @@ def test_prediction_route_equivalence():
         history = _random_history(rng, length)
         u = rng.normal(0.0, 2.0, size=length)
         k = int(rng.integers(max(n, m), length))
-        direct = predict(params, build_regressors(history, u, k, n, m))
+        x, x_abs = lag_columns(*_centers_radii(history), u, n, m, k, k + 1)
+        (lower,), (upper,) = predict_bounds(params, x, x_abs)
         composed = predict_compositional(params, history, u, k)
-        worst = max(worst, abs(direct.lower - composed.lower), abs(direct.upper - composed.upper))
-        assert abs(direct.lower - composed.lower) < 1e-12
-        assert abs(direct.upper - composed.upper) < 1e-12
+        worst = max(worst, abs(lower - composed.lower), abs(upper - composed.upper))
+        assert abs(lower - composed.lower) < 1e-12
+        assert abs(upper - composed.upper) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"[PASS] route equivalence: max bound gap {worst:.2e} over 1000 instances ({elapsed:.2f}s)")
@@ -91,10 +94,10 @@ def test_radius_objective_offset_and_minimizers():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(0, 3))
         length = int(rng.integers(40, 81))
-        history = _random_history(rng, length)
+        centers, radii = _centers_radii(_random_history(rng, length))
         u = rng.normal(0.0, 1.5, size=length)
-        _, _, x_abs, y_r = _design_matrices(history, u, n, m)
-        qp = assemble_qp(history, u, n, m)
+        _, _, x_abs, y_r = _design_matrices(centers, radii, u, n, m)
+        qp = assemble_qp(centers, radii, u, n, m)
 
         def j1(c):
             resid = y_r - x_abs @ c
@@ -137,14 +140,13 @@ def test_radius_fit_matches_grid_search():
         amp = rng.uniform(0.25, 0.35)
         radii = base + amp * (-1.0) ** np.arange(length) + rng.uniform(0.0, 0.05, size=length)
         centers = rng.normal(0.0, 1.0, size=length)
-        history = [Interval.from_center_radius(c, r) for c, r in zip(centers, radii)]
         u = np.zeros(length)
 
-        _, _, x_abs, y_r = _design_matrices(history, u, 1, 0)
+        _, _, x_abs, y_r = _design_matrices(centers, radii, u, 1, 0)
         unconstrained = np.linalg.lstsq(x_abs, y_r, rcond=None)[0]
         assert unconstrained.min() < 0.0
 
-        fitted = fit_radius(history, u, 1, 0)
+        fitted = fit(centers, radii, u, 1, 0).C
         objective = (
             np.einsum("pi,ij,pj->p", points, x_abs.T @ x_abs, points)
             - 2.0 * points @ (x_abs.T @ y_r)
@@ -169,7 +171,7 @@ def test_parameter_recovery_from_synthetic_data():
     """Refitting on generated intervals recovers the generator, noise-free and noisy."""
     start = time.perf_counter()
     clean = synthesize(RECOVERY_SPEC)
-    fitted = fit(clean.intervals, clean.u, 3, 1)
+    fitted = fit(clean.data, clean.radii, clean.u, 3, 1)
     err_a = float(np.max(np.abs(fitted.A - RECOVERY_SPEC.true_params.A)))
     err_c = float(np.max(np.abs(fitted.C - RECOVERY_SPEC.true_params.C)))
     assert err_a < 1e-6
@@ -179,7 +181,7 @@ def test_parameter_recovery_from_synthetic_data():
 
     noisy_spec = replace(RECOVERY_SPEC, noise_center=0.01, noise_radius=0.01)
     noisy = synthesize(noisy_spec)
-    fitted_n = fit(noisy.intervals, noisy.u, 3, 1)
+    fitted_n = fit(noisy.data, noisy.radii, noisy.u, 3, 1)
     err_a_n = float(np.max(np.abs(fitted_n.A - RECOVERY_SPEC.true_params.A)))
     err_c_n = float(np.max(np.abs(fitted_n.C - RECOVERY_SPEC.true_params.C)))
     assert err_a_n < 0.05
@@ -193,16 +195,13 @@ def test_parameter_recovery_from_synthetic_data():
 
 
 def test_final_predictions_closed_over_class_intervals(default_model, default_result, default_records):
-    """Every final forecast is bit-identical to a measured class interval."""
+    """Every final forecast is bit-identical to a class interval."""
     runs = [(default_model, default_records)]
     extra = fit_model(default_result.data, default_result.u, cpms=19, n=3, m=1)
     runs.append((extra, forecast_series(extra, default_result.data, default_result.u)))
     total = 0
     for model, records in runs:
-        class_set = {
-            (model.space.measure(c.id).lower, model.space.measure(c.id).upper)
-            for c in model.space.classes
-        }
+        class_set = {(c.interval.lower, c.interval.upper) for c in model.space.classes}
         for r in records:
             assert (r.final.lower, r.final.upper) in class_set
         total += len(records)

@@ -324,6 +324,46 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
     assert line.startswith(f"error: {key} must be of type ")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("robust", "--magnitude", "nan", "magnitude must be finite and >= 0, got nan"),
+        ("robust", "--magnitude", "inf", "magnitude must be finite and >= 0, got inf"),
+        ("robust", "--magnitude", "-1", "magnitude must be finite and >= 0, got -1.0"),
+        ("fit", "--fuzziness", "inf", "fuzziness must exceed 1 and be finite, got inf"),
+    ],
+)
+def test_out_of_range_flag_values_exit_2(workspace, tmp_path, command, flag, value, message):
+    # a value outside its domain is an input problem: exit 2 with one error
+    # line, before anything is written
+    data_dir, fit_dir = workspace
+    args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", flag, value]
+    if command == "robust":
+        args += ["--model-dir", str(fit_dir)]
+    proc = _run_cli([*args, "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_truth_file_without_class_count_round_trips(tmp_path):
+    # synth --config reads back the truth.json it writes; one that still
+    # carries the removed class_count field is rejected and names it
+    assert main(["synth", "--out", str(tmp_path / "a")]) == 0
+    truth = tmp_path / "a" / "truth.json"
+    assert "class_count" not in json.loads(truth.read_text(encoding="utf-8"))
+    assert main(["synth", "--config", str(truth), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "synthetic.csv").read_bytes() == (tmp_path / "b" / "synthetic.csv").read_bytes()
+
+    old = tmp_path / "old-truth.json"
+    old.write_text(json.dumps({**json.loads(truth.read_text(encoding="utf-8")), "class_count": 26}), encoding="utf-8")
+    proc = _run_cli(["synth", "--config", str(old), "--out", str(tmp_path / "c")])
+    assert proc.returncode == 2, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: config file {old}: unknown key(s) 'class_count'; ")
+    assert not (tmp_path / "c").exists()
+
+
 def test_library_has_no_assert_statements():
     # assert vanishes under python -O, and an AssertionError escapes the
     # exit-code mapping; invariants must raise package errors instead

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from iarx.data_io import (
     zero_mean_normalize,
 )
 from iarx.errors import DataError, SimulationError
-from iarx.model import IarxParams
+from iarx.model import IarxParams, lag_columns
 
 
 def test_load_csv_round_trip(tmp_path):
@@ -110,7 +112,6 @@ def test_step_schedule_tiles_levels():
 def test_spec_validation_and_round_trip():
     spec = default_synthetic_spec()
     assert spec.length == 864
-    assert spec.class_count == 26
     assert (spec.true_params.n, spec.true_params.m) == (3, 1)
 
     again = SyntheticSpec.from_json(spec.to_json())
@@ -121,7 +122,6 @@ def test_spec_validation_and_round_trip():
         SyntheticSpec(
             length=20,  # too short for the lag structure
             true_params=spec.true_params,
-            class_count=4,
             noise_center=0.0,
             noise_radius=0.0,
             input_process=WhiteNoiseInput(),
@@ -134,25 +134,31 @@ def test_synthesize_is_deterministic():
     b = synthesize(default_synthetic_spec())
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(a.u, b.u)
-    assert a.intervals == b.intervals
+    np.testing.assert_array_equal(a.radii, b.radii)
 
     c = synthesize(default_synthetic_spec(seed=99))
     assert not np.array_equal(a.data, c.data)
 
 
 def test_synthesized_stream_is_the_center_series():
-    # interval centers are reconstructed from stored bounds, hence rtol
     res = synthesize(default_synthetic_spec())
-    np.testing.assert_allclose(res.data, [iv.center for iv in res.intervals], rtol=1e-12)
     assert res.truth == default_synthetic_spec().true_params
-    assert all(iv.radius >= 0.0 for iv in res.intervals)
+    assert res.radii.shape == res.data.shape
+    assert np.all(res.radii >= 0.0)
+    # without noise, data follows the center channel and radii the radius channel
+    spec = replace(default_synthetic_spec(), noise_center=0.0, noise_radius=0.0)
+    res = synthesize(spec)
+    params = spec.true_params
+    kmin = max(params.n, params.m)
+    x, x_abs = lag_columns(res.data, res.radii, res.u, params.n, params.m, kmin, spec.length)
+    np.testing.assert_allclose(res.data[kmin:], x @ params.A, rtol=1e-12)
+    np.testing.assert_allclose(res.radii[kmin:], np.maximum(0.0, x_abs @ params.C), rtol=1e-12)
 
 
 def test_unstable_parameters_surface_as_simulation_error():
     spec = SyntheticSpec(
         length=100,
         true_params=IarxParams(n=3, m=1, A=[0, 1.6, 0, 0, 1.0], C=[0.1] * 5),
-        class_count=5,
         noise_center=0.0,
         noise_radius=0.0,
         input_process=WhiteNoiseInput(1.0),

@@ -18,22 +18,30 @@ from iarx.model import (
     QpProblem,
     _design_matrices,
     assemble_qp,
-    build_regressors,
     fit,
-    fit_center,
-    fit_radius,
+    lag_columns,
     nnls,
-    predict,
     predict_bounds,
     predict_compositional,
     solve_qp_nonneg,
 )
 
 
+def _series(rng, length):
+    """Center and radius arrays of a random interval series."""
+    return rng.normal(size=length), np.abs(rng.normal(size=length))
+
+
 def _interval_series(rng, length):
-    centers = rng.normal(size=length)
-    radii = np.abs(rng.normal(size=length))
+    centers, radii = _series(rng, length)
     return [Interval(c - r, c + r) for c, r in zip(centers, radii)]
+
+
+def _one_step(params, centers, radii, u, k):
+    """``(lower, upper)`` of step ``k`` from a one-row call of the kernel."""
+    x, x_abs = lag_columns(centers, radii, u, params.n, params.m, k, k + 1)
+    lower, upper = predict_bounds(params, x, x_abs)
+    return lower[0], upper[0]
 
 
 # ---------------------------------------------------------------- parameters
@@ -67,22 +75,14 @@ def test_params_arrays_are_frozen():
 
 
 def test_regressor_layout():
-    # layout: [1, centers of lags 1..n, inputs of lags 1..m]
-    dx = [Interval(-0.5, 1.1), Interval(0.8, 2.0), Interval(1.2, 3.4)]
-    u = [0.0, 0.0, 1.5, 0.0]
-    reg = build_regressors(dx, u, k=3, n=3, m=1)
-    np.testing.assert_allclose(reg.x, [1.0, 2.3, 1.4, 0.3, 1.5], atol=0)
-    np.testing.assert_allclose(reg.x_abs, [1.0, 1.1, 0.6, 0.8, 1.5], atol=0)
-
-
-def test_regressor_window_bounds():
-    dx = _interval_series(np.random.default_rng(0), 5)
-    u = np.zeros(5)
-    with pytest.raises(ValueError):
-        build_regressors(dx, u, k=1, n=2, m=1)  # incomplete lag window
-    build_regressors(dx, u, k=5, n=2, m=1)  # one step past the end is legal
-    with pytest.raises(ValueError):
-        build_regressors(dx, u, k=6, n=2, m=1)  # two steps past is not
+    # layout: [1, centers of lags 1..n, inputs of lags 1..m]; the series is
+    # [-0.5, 1.1], [0.8, 2.0], [1.2, 3.4] and step 3 is the next, unseen one
+    centers = np.array([0.3, 1.4, 2.3])
+    radii = np.array([0.8, 0.6, 1.1])
+    u = np.array([0.0, 0.0, -1.5, 0.0])
+    x, x_abs = lag_columns(centers, radii, u, 3, 1, 3, 4)
+    np.testing.assert_array_equal(x, [[1.0, 2.3, 1.4, 0.3, -1.5]])
+    np.testing.assert_array_equal(x_abs, [[1.0, 1.1, 0.6, 0.8, 1.5]])
 
 
 # ----------------------------------------------------------------- prediction
@@ -97,7 +97,9 @@ def test_predict_hand_example():
     )
     dx = [Interval(-0.5, 1.1), Interval(0.8, 2.0), Interval(1.2, 3.4)]
     u = [0.0, 0.0, 1.5, 0.0]
-    out = predict(params, build_regressors(dx, u, k=3, n=3, m=1))
+    centers = np.array([iv.center for iv in dx])
+    radii = np.array([iv.radius for iv in dx])
+    out = Interval(*_one_step(params, centers, radii, u, 3))
     assert abs(out.center - 2.80106) < 1e-12
     assert abs(out.radius - 0.99388) < 1e-12
 
@@ -105,11 +107,10 @@ def test_predict_hand_example():
 def test_predicted_radius_never_negative():
     rng = np.random.default_rng(14)
     params = IarxParams(n=2, m=1, A=rng.normal(size=4), C=np.abs(rng.normal(size=4)))
-    for _ in range(200):
-        dx = _interval_series(rng, 4)
-        u = rng.normal(size=4)
-        out = predict(params, build_regressors(dx, u, k=3, n=2, m=1))
-        assert out.radius >= 0.0
+    centers, radii = _series(rng, 200)
+    u = rng.normal(size=200)
+    lower, upper = predict_bounds(params, *lag_columns(centers, radii, u, 2, 1, 2, 200))
+    assert np.all(upper - lower >= 0.0)
 
 
 def test_prediction_routes_agree():
@@ -124,26 +125,24 @@ def test_prediction_routes_agree():
         )
         dx = _interval_series(rng, k + 1)
         u = rng.normal(size=k + 1)
-        reg = build_regressors(dx, u, k=k, n=n, m=m)
-        a = predict(params, reg)
+        centers = np.array([iv.center for iv in dx])
+        radii = np.array([iv.radius for iv in dx])
+        lower, upper = _one_step(params, centers, radii, u, k)
         b = predict_compositional(params, dx, u, k)
-        assert abs(a.lower - b.lower) <= 1e-12 * max(1.0, abs(a.lower))
-        assert abs(a.upper - b.upper) <= 1e-12 * max(1.0, abs(a.upper))
+        assert abs(lower - b.lower) <= 1e-12 * max(1.0, abs(lower))
+        assert abs(upper - b.upper) <= 1e-12 * max(1.0, abs(upper))
 
 
 def test_predict_bounds_rows_match_single_step_predictions():
-    # the batched kernel gives each row exactly what predict gives that row alone
+    # each row gets exactly what a one-row call gives it: no dependence on the row count
     rng = np.random.default_rng(3)
     params = IarxParams(n=3, m=2, A=rng.normal(size=6), C=np.abs(rng.normal(size=6)))
-    dx = _interval_series(rng, 60)
+    centers, radii = _series(rng, 60)
     u = rng.normal(size=60)
-    pairs = [build_regressors(dx, u, k, 3, 2) for k in range(3, 61)]
-    lower, upper = predict_bounds(
-        params, np.array([p.x for p in pairs]), np.array([p.x_abs for p in pairs])
-    )
-    singles = [predict(params, p) for p in pairs]
-    np.testing.assert_array_equal(lower, [s.lower for s in singles])
-    np.testing.assert_array_equal(upper, [s.upper for s in singles])
+    lower, upper = predict_bounds(params, *lag_columns(centers, radii, u, 3, 2, 3, 61))
+    singles = np.array([_one_step(params, centers, radii, u, k) for k in range(3, 61)])
+    np.testing.assert_array_equal(lower, singles[:, 0])
+    np.testing.assert_array_equal(upper, singles[:, 1])
     with pytest.raises(ValueError):
         predict_bounds(params, np.ones((4, 5)), np.ones((4, 5)))  # width is 1 + n + m = 6
     with pytest.raises(ValueError):
@@ -156,39 +155,45 @@ def test_predict_bounds_rows_match_single_step_predictions():
 
 
 def test_center_fit_ignores_radii():
-    # centers come back from stored bounds as (lower + upper) / 2, so two
-    # histories sharing centers but not radii agree only to rounding
+    # other radii change C but leave A bit for bit
     rng = np.random.default_rng(5)
     centers = rng.normal(size=300)
     u = rng.normal(size=300)
     radii_a = np.abs(rng.normal(size=300))
     radii_b = np.abs(rng.normal(size=300))
-    hist_a = [Interval(c - r, c + r) for c, r in zip(centers, radii_a)]
-    hist_b = [Interval(c - r, c + r) for c, r in zip(centers, radii_b)]
-    np.testing.assert_allclose(
-        fit_center(hist_a, u, 2, 1), fit_center(hist_b, u, 2, 1), atol=1e-12
-    )
+    fit_a, fit_b = fit(centers, radii_a, u, 2, 1), fit(centers, radii_b, u, 2, 1)
+    np.testing.assert_array_equal(fit_a.A, fit_b.A)
+    assert not np.array_equal(fit_a.C, fit_b.C)
 
 
 def test_radius_fit_ignores_centers():
+    # other centers change A but leave C bit for bit
     rng = np.random.default_rng(6)
     radii = np.abs(rng.normal(size=300))
     u = rng.normal(size=300)
     cen_a = rng.normal(size=300)
     cen_b = rng.normal(size=300)
-    hist_a = [Interval(c - r, c + r) for c, r in zip(cen_a, radii)]
-    hist_b = [Interval(c - r, c + r) for c, r in zip(cen_b, radii)]
-    np.testing.assert_allclose(
-        fit_radius(hist_a, u, 2, 1), fit_radius(hist_b, u, 2, 1), atol=1e-12
-    )
+    fit_a, fit_b = fit(cen_a, radii, u, 2, 1), fit(cen_b, radii, u, 2, 1)
+    np.testing.assert_array_equal(fit_a.C, fit_b.C)
+    assert not np.array_equal(fit_a.A, fit_b.A)
+
+
+def test_center_and_radius_arrays_must_match():
+    rng = np.random.default_rng(19)
+    centers, radii = _series(rng, 50)
+    u = rng.normal(size=50)
+    with pytest.raises(ValueError, match="50 centers but 49 radii"):
+        fit(centers, radii[:-1], u, 2, 1)
+    with pytest.raises(ValueError, match="49 centers but 50 radii"):
+        assemble_qp(centers[:-1], radii, u, 2, 1)
 
 
 def test_center_fit_requires_full_rank():
     rng = np.random.default_rng(7)
-    hist = _interval_series(rng, 50)
+    centers, radii = _series(rng, 50)
     u = np.zeros(50)  # the input column is identically zero
-    with pytest.raises(IdentificationError):
-        fit_center(hist, u, 1, 1)
+    with pytest.raises(IdentificationError, match="rank deficient"):
+        fit(centers, radii, u, 1, 1)
 
 
 def test_noiseless_recovery_small_system():
@@ -204,8 +209,7 @@ def test_noiseless_recovery_small_system():
         xa = np.array([1.0, radii[k - 1], radii[k - 2], abs(u[k - 1])])
         centers[k] = true.A @ x
         radii[k] = true.C @ xa
-    hist = [Interval(c - r, c + r) for c, r in zip(centers, radii)]
-    fitted = fit(hist, u, 2, 1)
+    fitted = fit(centers, radii, u, 2, 1)
     np.testing.assert_allclose(fitted.A, true.A, atol=1e-9)
     np.testing.assert_allclose(fitted.C, true.C, atol=1e-9)
 
@@ -215,9 +219,9 @@ def test_noiseless_recovery_small_system():
 
 def test_qp_matrix_is_exactly_symmetric():
     rng = np.random.default_rng(9)
-    hist = _interval_series(rng, 120)
+    centers, radii = _series(rng, 120)
     u = rng.normal(size=120)
-    qp = assemble_qp(hist, u, 3, 1)
+    qp = assemble_qp(centers, radii, u, 3, 1)
     assert np.array_equal(qp.H, qp.H.T)
     assert np.all(np.linalg.eigvalsh(qp.H) > -1e-9)
 
@@ -231,10 +235,9 @@ def test_objective_offset_is_constant():
     # the squared-residual objective and the QP objective differ by the
     # parameter-free constant sum(y_r**2)
     rng = np.random.default_rng(10)
-    hist = _interval_series(rng, 80)
+    centers, radii = _series(rng, 80)
     u = rng.normal(size=80)
-    qp = assemble_qp(hist, u, 2, 1)
-    radii = np.array([iv.radius for iv in hist])
+    qp = assemble_qp(centers, radii, u, 2, 1)
     # one row per scored step k = 2..79: [1, r(k-1), r(k-2), |u(k-1)|]
     design = np.column_stack(
         [
@@ -281,36 +284,37 @@ def test_both_qp_routes_agree():
     rng = np.random.default_rng(15)
     for _ in range(40):
         rows = int(rng.integers(20, 120))
-        hist = _interval_series(rng, rows)
+        centers, radii = _series(rng, rows)
         u = rng.normal(size=rows)
-        qp = assemble_qp(hist, u, 2, 1)
-        _, _, x_abs, y_r = _design_matrices(hist, u, 2, 1)
+        qp = assemble_qp(centers, radii, u, 2, 1)
+        _, _, x_abs, y_r = _design_matrices(centers, radii, u, 2, 1)
         a = nnls(x_abs, y_r)
         b = solve_qp_nonneg(qp)
         assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_fit_radius_is_nonnegative_and_kkt_clean(default_result):
-    # real pipeline data: encoded radii are class half-widths
     rng = np.random.default_rng(16)
-    hist = _interval_series(rng, 400)
+    centers, radii = _series(rng, 400)
     u = rng.normal(size=400)
-    c = fit_radius(hist, u, 3, 1)
+    c = fit(centers, radii, u, 3, 1).C
     assert np.all(c >= 0.0)
 
 
 def test_fit_combines_both_channels():
+    # A is the least squares solution on the centers, C the NNLS solution on the radii
     rng = np.random.default_rng(17)
-    hist = _interval_series(rng, 150)
+    centers, radii = _series(rng, 150)
     u = rng.normal(size=150)
-    params = fit(hist, u, 2, 1)
-    np.testing.assert_array_equal(params.A, fit_center(hist, u, 2, 1))
-    np.testing.assert_array_equal(params.C, fit_radius(hist, u, 2, 1))
+    params = fit(centers, radii, u, 2, 1)
+    x, y_c, x_abs, y_r = _design_matrices(centers, radii, u, 2, 1)
+    np.testing.assert_array_equal(params.A, np.linalg.lstsq(x, y_c, rcond=None)[0])
+    np.testing.assert_array_equal(params.C, nnls(x_abs, y_r))
 
 
 def test_fit_builds_the_design_matrices_once(monkeypatch):
     rng = np.random.default_rng(18)
-    hist = _interval_series(rng, 150)
+    centers, radii = _series(rng, 150)
     u = rng.normal(size=150)
     calls = []
     build = model._design_matrices
@@ -320,5 +324,5 @@ def test_fit_builds_the_design_matrices_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(model, "_design_matrices", counted)
-    fit(hist, u, 2, 1)
+    fit(centers, radii, u, 2, 1)
     assert len(calls) == 1

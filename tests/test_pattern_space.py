@@ -61,6 +61,10 @@ def test_config_validation():
         FcmConfig(k=0)
     with pytest.raises(ValueError):
         FcmConfig(k=2, fuzziness=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        FcmConfig(k=2, fuzziness=float("inf"))
+    with pytest.raises(ValueError):
+        FcmConfig(k=2, fuzziness=float("nan"))
     with pytest.raises(ValueError):
         FcmConfig(k=2, tolerance=0.0)
     with pytest.raises(ValueError):
@@ -202,13 +206,11 @@ def test_classify_is_hausdorff_argmin(default_model, default_result):
     space = default_model.space
     rng = np.random.default_rng(21)
     lo, hi = default_result.data.min(), default_result.data.max()
-    for _ in range(200):
-        c = rng.uniform(lo, hi)
-        r = rng.uniform(0.0, 5.0)
-        x = Interval(c - r, c + r)
-        got = space.classify(x)
+    probes = [Interval(c - r, c + r) for c, r in zip(rng.uniform(lo, hi, 200), rng.uniform(0.0, 5.0, 200))]
+    got = space.classify_bounds([x.lower for x in probes], [x.upper for x in probes])
+    for x, class_id in zip(probes, got):
         dists = [hausdorff_distance(x, cls.interval) for cls in space.classes]
-        assert got == int(np.argmin(dists)) + 1
+        assert class_id == int(np.argmin(dists)) + 1
 
 
 def test_classify_tie_goes_to_lowest_id():
@@ -223,7 +225,7 @@ def test_classify_tie_goes_to_lowest_id():
     d1 = hausdorff_distance(probe, space.classes[0].interval)
     d2 = hausdorff_distance(probe, space.classes[1].interval)
     assert d1 == d2
-    assert space.classify(probe) == 1
+    assert space.classify_bounds(probe.lower, probe.upper).tolist() == [1]
 
 
 def test_classify_bounds_matches_the_full_distance_argmin(default_model, default_result):
@@ -254,24 +256,12 @@ def test_classify_bounds_matches_the_full_distance_argmin(default_model, default
         space.classify_bounds([0.0, 1.0], [1.0])
 
 
-def test_measure_returns_the_stored_interval():
+def test_class_bounds_are_the_stored_intervals():
     space = build_space([0.0, 0.0, 10.0, 10.0], FcmConfig(k=2))
-    assert space.measure(1) is space.classes[0].interval
+    assert space.lowers.tolist() == [cls.interval.lower for cls in space.classes]
+    assert space.uppers.tolist() == [cls.interval.upper for cls in space.classes]
     with pytest.raises(ValueError):
-        space.measure(0)
-    with pytest.raises(ValueError):
-        space.measure(3)
-
-
-def test_encode_series_is_closed_over_class_intervals(default_model, default_result):
-    space = default_model.space
-    owned = {(cls.interval.lower, cls.interval.upper) for cls in space.classes}
-    encoded = space.encode_series(default_result.data[:200])
-    assert all((iv.lower, iv.upper) in owned for iv in encoded)
-    # a scalar on a class boundary still encodes to exactly one owned interval
-    edge = space.classes[0].interval.upper
-    (iv,) = space.encode_series([edge])
-    assert (iv.lower, iv.upper) in owned
+        space.lowers[0] = 5.0
 
 
 def test_constructor_rejects_malformed_spaces():

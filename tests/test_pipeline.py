@@ -11,8 +11,8 @@ from dataclasses import replace
 from iarx import intervals, pipeline
 from iarx.data_io import default_synthetic_spec, synthesize
 from iarx.errors import DataError, SimulationError
-from iarx.intervals import Interval
-from iarx.model import IarxParams, build_regressors, predict, predict_compositional
+from iarx.intervals import Interval, hausdorff_distance
+from iarx.model import IarxParams, lag_columns, predict_bounds, predict_compositional
 from iarx.pipeline import (
     ForecastRecord,
     ForecastTrace,
@@ -44,6 +44,27 @@ def _trace(records):
     )
 
 
+def _nearest(space, iv) -> int:
+    """Id of the class Hausdorff-nearest to ``iv``, by explicit distances; lowest id on ties."""
+    return min(space.classes, key=lambda cls: hausdorff_distance(iv, cls.interval)).id
+
+
+def _encoded(space, data) -> list[Interval]:
+    """The class interval nearest each scalar, found by :func:`_nearest`."""
+    return [space.classes[_nearest(space, Interval(x, x)) - 1].interval for x in data]
+
+
+def _ties(space) -> np.ndarray:
+    """Scalars exactly as far from two neighbouring classes; there is at least one."""
+    ties = []
+    for a, b in zip(space.classes, space.classes[1:]):
+        x = 0.5 * (a.interval.lower + b.interval.upper)
+        if hausdorff_distance(Interval(x, x), a.interval) == hausdorff_distance(Interval(x, x), b.interval):
+            ties.append(x)
+    assert ties
+    return np.array(ties)
+
+
 def test_fit_model_validation():
     data = np.sin(np.linspace(0.0, 20.0, 200)) * 3.0
     u = np.cos(np.linspace(0.0, 20.0, 200))
@@ -66,18 +87,17 @@ def test_forecast_range_and_record_layout(default_model, default_result, default
 
 
 def test_final_forecasts_closed_over_class_set(default_model, default_records):
-    # Every final interval must be one of the measured class intervals, bit for bit.
-    class_set = {
-        (iv.lower, iv.upper) for iv in (default_model.space.measure(c.id) for c in default_model.space.classes)
-    }
+    # Every final interval must be one of the class intervals, bit for bit.
+    classes = default_model.space.classes
+    class_set = {(c.interval.lower, c.interval.upper) for c in classes}
     for r in default_records:
         assert (r.final.lower, r.final.upper) in class_set
-        assert r.final == default_model.space.measure(r.class_id)
+        assert r.final == classes[r.class_id - 1].interval
 
 
 def test_final_class_is_nearest(default_model, default_records):
     for r in itertools.islice(default_records, 0, None, 37):
-        assert r.class_id == default_model.space.classify(r.prelim)
+        assert r.class_id == _nearest(default_model.space, r.prelim)
 
 
 def _same_bits(a, b) -> bool:
@@ -89,15 +109,19 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("cpms", [16, 26, 36])
 def test_batched_forecast_matches_per_step_oracle(default_result, cpms):
     # The per-step route the batched pass replaced, built from the independent
-    # compositional predictor: encode, predict each step, classify, measure.
+    # compositional predictor and explicit Hausdorff distances: encode, predict
+    # each step, take the nearest class and its interval.
     data, u = default_result.data, default_result.u
     model = fit_model(data, u, cpms=cpms, n=3, m=1)
+    # Scored after the default data: scalars whose encoding the lowest-id tie rule decides.
+    ties = _ties(model.space)
+    data, u = np.append(data, ties), np.append(u, u[: ties.size])
     trace = forecast_series(model, data, u)
-    dx = model.space.encode_series(data)
+    dx = _encoded(model.space, data)
     steps = range(max(model.n, model.m), len(data))
     oracle_prelims = [predict_compositional(model.params, dx, u, k) for k in steps]
-    oracle_ids = [model.space.classify(p) for p in oracle_prelims]
-    oracle_finals = [model.space.measure(c) for c in oracle_ids]
+    oracle_ids = [_nearest(model.space, p) for p in oracle_prelims]
+    oracle_finals = [model.space.classes[c - 1].interval for c in oracle_ids]
 
     np.testing.assert_array_equal(trace.k, list(steps))
     np.testing.assert_array_equal(trace.class_id, oracle_ids)
@@ -110,13 +134,30 @@ def test_batched_forecast_matches_per_step_oracle(default_result, cpms):
 
 
 def test_predict_is_one_row_of_the_trace(default_model, default_result, default_records):
-    # One kernel: the single-step prediction is bit-identical to its row.
+    # One kernel: a one-row prediction of a step is bit-identical to its row.
     data, u = default_result.data, default_result.u
     n, m = default_model.n, default_model.m
-    dx = default_model.space.encode_series(data)
-    prelims = [predict(default_model.params, build_regressors(dx, u, k, n, m)) for k in default_records.k]
-    assert _same_bits(default_records.prelim_lower, [p.lower for p in prelims])
-    assert _same_bits(default_records.prelim_upper, [p.upper for p in prelims])
+    dx = _encoded(default_model.space, data)
+    centers = np.array([iv.center for iv in dx])
+    radii = np.array([iv.radius for iv in dx])
+    rows = [lag_columns(centers, radii, u, n, m, k, k + 1) for k in default_records.k]
+    prelims = np.array([np.concatenate(predict_bounds(default_model.params, *row)) for row in rows])
+    assert _same_bits(default_records.prelim_lower, prelims[:, 0])
+    assert _same_bits(default_records.prelim_upper, prelims[:, 1])
+
+
+def test_encoding_is_the_nearest_class_center_and_radius(default_model, default_result):
+    # Identification and forecasting share one encoding: the nearest class of
+    # each sample with that class's own center and radius, bit for bit.
+    space = default_model.space
+    edge = space.classes[0].interval.upper  # a scalar on a class boundary
+    data = np.concatenate([default_result.data, [edge], _ties(space)])
+    idx, centers, radii = pipeline._encode(space, data)
+    dx = _encoded(space, data)
+    np.testing.assert_array_equal(space.lowers[idx], [iv.lower for iv in dx])
+    np.testing.assert_array_equal(space.uppers[idx], [iv.upper for iv in dx])
+    assert _same_bits(centers, [iv.center for iv in dx])
+    assert _same_bits(radii, [iv.radius for iv in dx])
 
 
 def test_evaluate_constructs_no_intervals(default_model, monkeypatch):
@@ -147,7 +188,7 @@ def test_non_finite_forecast_is_simulation_error(default_model, default_result, 
     with pytest.raises(SimulationError, match="step 10 is not finite"):
         evaluate(model, data, u, start=10)
     # A sweep records the failure in its table and moves on.
-    monkeypatch.setattr(pipeline, "fit", lambda dx, inputs, n, m: huge)
+    monkeypatch.setattr(pipeline, "fit", lambda *args: huge)
     (cell,) = sweep_cpms(data, u, [16], n=3, m=1)
     assert cell.report is None and "not finite" in cell.error
 
