@@ -30,6 +30,7 @@ from .errors import (
     DataError,
     IdentificationError,
     SimulationError,
+    json_value,
 )
 from .model import IarxParams
 from .pattern_space import FcmConfig, PatternSpace
@@ -87,13 +88,11 @@ def _load_config(path: str | None, keys: tuple[str, ...]) -> dict:
 
 
 def _convert(value, name: str, kind):
-    """``value`` as ``kind``: ``int`` or ``float`` converts, ``str`` only accepts a string."""
+    """``value`` as ``kind`` if it has that JSON type (see ``json_value``)."""
     try:
-        if kind is not str or isinstance(value, str):
-            return kind(value)
+        return json_value(value, kind)
     except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}") from None
 
 
 def _setting(args, config: dict, key: str, default=None, kind=str, minimum=None):
@@ -123,8 +122,10 @@ def _parse_cpms_range(text: str) -> range:
     parts = text.split("..")
     if len(parts) != 2:
         raise ConfigError(f"--cpms-range must look like A..B, got {text!r}")
-    lo = _convert(parts[0], "cpms range start", int)
-    hi = _convert(parts[1], "cpms range end", int)
+    try:
+        lo, hi = (int(part) for part in parts)
+    except ValueError:
+        raise ConfigError(f"--cpms-range bounds must be integers, got {text!r}") from None
     if lo < 2:
         raise ConfigError(f"cpms range start must be >= 2, got {lo}")
     if hi < lo:

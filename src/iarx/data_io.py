@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, SimulationError, json_field
+from .errors import DataError, SimulationError, json_field, json_floats
 from .model import IarxParams
 
 __all__ = [
@@ -181,7 +181,7 @@ def _input_from_json(doc):
         return WhiteNoiseInput(amplitude=json_field(doc, "amplitude", float, what))
     if kind == "steps":
         return StepScheduleInput(
-            levels=json_field(doc, "levels", tuple, what),
+            levels=json_field(doc, "levels", json_floats, what),
             period=json_field(doc, "period", int, what),
         )
     raise DataError(f"unknown input process kind {kind!r}")

@@ -19,6 +19,8 @@ __all__ = [
     "IdentificationError",
     "SimulationError",
     "ConvergenceWarning",
+    "json_value",
+    "json_floats",
     "json_field",
 ]
 
@@ -55,17 +57,50 @@ class ConvergenceWarning(UserWarning):
     """An iterative solver stopped at its iteration cap before converging."""
 
 
-def json_field(doc, key: str, convert, what: str):
-    """``convert(doc[key])`` for the JSON object ``doc``, described by ``what``.
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "an array"}
 
-    A ``doc`` that is not an object, a missing ``key`` or a value that
-    ``convert`` rejects raises ``DataError`` naming ``what`` and the field.
+
+def json_value(value, kind):
+    """``value`` as ``kind`` if it has that JSON type, else ``TypeError``.
+
+    ``int`` takes an integer only (not a bool, not ``2.0`` or ``1e20``),
+    ``float`` an integer or a float but not a bool, ``str`` a string and
+    ``list`` an array.
+    """
+    if kind in (str, list) and isinstance(value, kind):
+        return value
+    if not isinstance(value, bool):  # a bool is an int to Python, never a number to JSON
+        if kind is int and isinstance(value, int):
+            return value
+        if kind is float and isinstance(value, (int, float)):
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"{value!r} is out of range for a float") from None
+    raise TypeError(f"expected {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def json_floats(values) -> list[float]:
+    """A JSON array of numbers as a list of floats; see :func:`json_value`."""
+    return [json_value(v, float) for v in json_value(values, list)]
+
+
+def json_field(doc, key: str, kind, what: str):
+    """Field ``key`` of the JSON object ``doc``, described by ``what``.
+
+    ``kind`` is a JSON type checked by :func:`json_value` (``int``,
+    ``float``, ``str`` or ``list``) or a function that converts the raw
+    value. A ``doc`` that is not an object, a missing ``key`` or a value of
+    the wrong type, or that the function rejects with ``TypeError`` or
+    ``ValueError``, raises ``DataError`` naming ``what`` and the field.
     """
     if not isinstance(doc, dict):
         raise DataError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise DataError(f"{what}: missing field {key!r}")
     try:
-        return convert(doc[key])
+        if kind in _JSON_KINDS:
+            return json_value(doc[key], kind)
+        return kind(doc[key])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what}: field {key!r} is invalid: {exc}") from None

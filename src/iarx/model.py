@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, json_field
+from .errors import IdentificationError, json_field, json_floats
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = [
@@ -54,10 +54,6 @@ def _frozen_array(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def _float_array(values) -> np.ndarray:
-    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ class IarxParams:
         """Parameters from :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
         n, m, a, c = (
             json_field(doc, key, kind, "model parameters")
-            for key, kind in (("n", int), ("m", int), ("A", _float_array), ("C", _float_array))
+            for key, kind in (("n", int), ("m", int), ("A", json_floats), ("C", json_floats))
         )
         return cls(n=n, m=m, A=a, C=c)
 

@@ -31,8 +31,15 @@ __all__ = [
     "build_space",
 ]
 
-# classify_bounds measures this many (interval, class) distances at a time,
-# so its work arrays stay cache-sized however long the series is.
+# classify_bounds measures each interval against this many neighbouring
+# classes, found through a uniform grid over the class lower bounds with this
+# many cells per class.
+_WINDOW = 5
+_CELLS_PER_CLASS = 4
+
+# The full scan, which settles the intervals a window cannot certify, measures
+# this many (interval, class) distances at a time, so its work arrays stay
+# cache-sized however many intervals reach it.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -195,6 +202,72 @@ class PatternClass:
             raise ValueError(f"class id must be >= 1, got {self.id}")
 
 
+class _WindowTable:
+    """Where :meth:`PatternSpace.classify_bounds` looks for an interval's nearest class.
+
+    A uniform grid spans ``[lo, hi]``, the first and last class lower
+    bounds; cell ``c`` holds the lower bounds ``origin + [c, c + 1) / scale``.
+    Per cell the table keeps the first class of the window around the
+    insertion point of the cell's midpoint (``first``), the bounds of the
+    window's classes in offset order (one row per offset), and the class
+    lower bounds just outside the window (``left``, ``right``; infinite
+    where the window reaches the first or last class).
+    """
+
+    __slots__ = ("lo", "hi", "origin", "scale", "first", "lowers", "uppers", "left", "right")
+
+    def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
+        cpms = lowers.size
+        width = min(_WINDOW, cpms)
+        cells = _CELLS_PER_CLASS * cpms
+        self.lo, self.hi = float(lowers[0]), float(lowers[-1])
+        span = self.hi - self.lo
+        scale = cells / span if span > 0.0 else 0.0
+        if 0.0 < scale < np.inf:
+            midpoints = self.lo + (np.arange(cells + 1) + 0.5) * (span / cells)
+            start = np.searchsorted(lowers, midpoints, side="right") - width // 2
+            self.origin, self.scale, self.first = self.lo, scale, np.clip(start, 0, cpms - width)
+        else:  # a zero, vanishing or overflowing span: one cell, at the first class
+            self.origin, self.scale, self.first = 0.0, 0.0, np.zeros(1, dtype=np.intp)
+        window = self.first + np.arange(width)[:, None]
+        self.lowers, self.uppers = lowers[window], uppers[window]
+        padded = np.concatenate(([-np.inf], lowers, [np.inf]))
+        self.left, self.right = padded[self.first], padded[self.first + width + 1]
+
+    def classify(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, certified)``: the 0-based nearest class within each
+        interval's window, and whether no class outside it can win."""
+        # fmax/fmin send NaN to the first cell, so the cast below never sees it.
+        cell = np.fmax(lower, self.lo)
+        np.fmin(cell, self.hi, out=cell)
+        cell -= self.origin
+        cell *= self.scale
+        cell = cell.astype(np.intp)
+        best = np.empty_like(lower)
+        dist = np.empty_like(lower)
+        other = np.empty_like(lower)
+        offset = np.zeros(lower.size, dtype=np.int8)
+        closer = np.empty(lower.size, dtype=bool)
+        for i, (class_lowers, class_uppers) in enumerate(zip(self.lowers, self.uppers)):
+            d = best if i == 0 else dist
+            np.subtract(lower, class_lowers.take(cell), out=d)
+            np.abs(d, out=d)
+            np.subtract(upper, class_uppers.take(cell), out=other)
+            np.abs(other, out=other)
+            np.maximum(d, other, out=d)
+            if i:
+                np.less(dist, best, out=closer)
+                np.copyto(offset, i, where=closer)
+                np.minimum(best, dist, out=best)
+        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
+        with np.errstate(invalid="ignore"):
+            certified = np.subtract(lower, self.left.take(cell), out=dist) > best
+            certified &= np.subtract(self.right.take(cell), lower, out=other) >= best
+        index = self.first.take(cell)
+        index += offset
+        return index, certified
+
+
 class PatternSpace:
     """An ordered collection of pattern classes over a scalar series.
 
@@ -204,7 +277,7 @@ class PatternSpace:
     clustering or from a serialized file.
     """
 
-    __slots__ = ("_classes", "_lowers", "_uppers")
+    __slots__ = ("_classes", "_lowers", "_uppers", "_window")
 
     def __init__(self, classes):
         classes = tuple(classes)
@@ -226,6 +299,7 @@ class PatternSpace:
         self._uppers = np.array([cls.interval.upper for cls in classes])
         self._lowers.setflags(write=False)
         self._uppers.setflags(write=False)
+        self._window = _WindowTable(self._lowers, self._uppers)
 
     @property
     def classes(self) -> tuple[PatternClass, ...]:
@@ -252,16 +326,36 @@ class PatternSpace:
         The distance to a class is ``max(|lower - class lower|, |upper -
         class upper|)``; ties resolve to the lowest id. Returns a 1-based
         integer array with the shape of ``lower``.
+
+        Each interval is measured against the ``_WINDOW`` classes around the
+        insertion point of its lower bound in :attr:`lowers`, keeping the
+        first strict minimum ``best``. Because the lower bounds do not
+        decrease and rounded subtraction is monotone, every class left of
+        the window is farther than ``best`` when ``lower`` minus the last
+        lower bound before the window exceeds ``best``, and no class right
+        of it is nearer when the first lower bound after the window minus
+        ``lower`` is at least ``best``. Intervals that fail either test
+        (overlapping or nested classes, non-finite bounds) are measured
+        against every class, so the ids are always those of a full scan.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
         if lower.size != upper.size:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
+        ids, certified = self._window.classify(lower, upper)
+        stray = np.flatnonzero(~certified)
+        if stray.size:
+            ids[stray] = self._scan(lower[stray], upper[stray])
+        ids += 1
+        return ids
+
+    def _scan(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """0-based index of the nearest class of every interval, measured against all classes."""
         cpms = self._lowers.size
         rows = max(1, min(lower.size, _BLOCK_PAIRS // cpms))
         dist = np.empty((rows, cpms))
         other = np.empty((rows, cpms))
-        ids = np.empty(lower.size, dtype=np.intp)
+        index = np.empty(lower.size, dtype=np.intp)
         for start in range(0, lower.size, rows):
             stop = min(start + rows, lower.size)
             d, o = dist[: stop - start], other[: stop - start]
@@ -270,9 +364,8 @@ class PatternSpace:
             np.subtract.outer(upper[start:stop], self._uppers, out=o)
             np.abs(o, out=o)
             np.maximum(d, o, out=d)
-            np.argmin(d, axis=1, out=ids[start:stop])
-        ids += 1
-        return ids
+            np.argmin(d, axis=1, out=index[start:stop])
+        return index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternSpace):

@@ -11,6 +11,7 @@ import pytest
 
 import iarx
 from iarx.cli import main
+from iarx.data_io import default_synthetic_spec
 from iarx.errors import ConvergenceWarning
 from iarx.model import IarxParams
 from iarx.pattern_space import PatternSpace
@@ -234,6 +235,62 @@ def test_non_finite_forecast_exits_1(workspace, tmp_path):
         ("space.json", "[1, 2]", "error: pattern space: expected a JSON object, got list"),
         ("spec.json", '{"length": 864}', "error: synthetic spec: missing field 'true_params'"),
         ("spec.json", "{}", "error: synthetic spec: missing field 'length'"),
+        # an int field takes a JSON integer only; a float field any number but a bool
+        (
+            "model.json",
+            '{"n": 3.0, "m": 1, "A": [], "C": []}',
+            "error: model parameters: field 'n' is invalid: expected an integer, got 3.0",
+        ),
+        (
+            "model.json",
+            '{"n": 1, "m": true, "A": [], "C": []}',
+            "error: model parameters: field 'm' is invalid: expected an integer, got True",
+        ),
+        (
+            "model.json",
+            '{"n": 1, "m": 0, "A": [0.5, "0.5"], "C": [0, 1]}',
+            "error: model parameters: field 'A' is invalid: expected a number, got '0.5'",
+        ),
+        (
+            "space.json",
+            '{"cpms": 1, "classes": [{"id": 1, "lower": "0", "upper": 1, "center": 0.5}]}',
+            "error: pattern space class 1: field 'lower' is invalid: expected a number, got '0'",
+        ),
+        (
+            "space.json",
+            '{"cpms": 1, "classes": [{"id": 1, "lower": 0, "upper": 1, "center": false}]}',
+            "error: pattern space class 1: field 'center' is invalid: expected a number, got False",
+        ),
+        (
+            "space.json",
+            '{"cpms": 1.0, "classes": [{"id": 1, "lower": 0, "upper": 1, "center": 0.5}]}',
+            "error: pattern space: field 'cpms' is invalid: expected an integer, got 1.0",
+        ),
+        (
+            "spec.json",
+            '{"length": 2.7}',
+            "error: synthetic spec: field 'length' is invalid: expected an integer, got 2.7",
+        ),
+        (
+            "spec.json",
+            json.dumps({**default_synthetic_spec().to_json(), "seed": 1e20}),
+            "error: synthetic spec: field 'seed' is invalid: expected an integer, got 1e+20",
+        ),
+        (
+            "spec.json",
+            json.dumps({**default_synthetic_spec().to_json(), "noise_center": "0.01"}),
+            "error: synthetic spec: field 'noise_center' is invalid: expected a number, got '0.01'",
+        ),
+        (
+            "spec.json",
+            json.dumps(
+                {
+                    **default_synthetic_spec().to_json(),
+                    "input_process": {"kind": "steps", "levels": [1, "2"], "period": 24},
+                }
+            ),
+            "error: input process: field 'levels' is invalid: expected a number, got '2'",
+        ),
     ],
 )
 def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, message):
@@ -311,14 +368,29 @@ def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config
 
 @pytest.mark.parametrize(
     "command, config",
-    [("fit", {"seed": None}), ("sweep", {"fuzziness": [2]}), ("fit", {"data": 5})],
+    [
+        ("fit", {"seed": None}),
+        ("sweep", {"fuzziness": [2]}),
+        ("fit", {"data": 5}),
+        # an int key takes a JSON integer only; a float key any number but a bool
+        ("fit", {"n": 2.7}),
+        ("fit", {"n": True}),
+        ("fit", {"cpms": 26.9}),
+        ("sweep", {"seed": 1e20}),
+        ("fit", {"fcm_iterations": 300.0}),
+        ("sweep", {"fuzziness": True}),
+        ("robust", {"magnitude": "0.5"}),
+        ("sweep", {"cpms_range": 26}),
+    ],
 )
 def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
-    data_dir, _ = workspace
+    data_dir, fit_dir = workspace
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"data": str(data_dir / "synthetic.csv"), **config}), encoding="utf-8")
-    rc = main([command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc == 2
+    args = [command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "robust":
+        args += ["--model-dir", str(fit_dir)]
+    assert main(args) == 2
     (line,) = capsys.readouterr().err.splitlines()
     (key,) = config
     assert line.startswith(f"error: {key} must be of type ")

@@ -8,6 +8,7 @@ from iarx.errors import ClusteringError, ConvergenceWarning, DataError
 from iarx.intervals import Interval, hausdorff_distance
 from iarx import pattern_space
 from iarx.data_io import zero_mean_normalize
+from iarx.pipeline import forecast_series
 from iarx.pattern_space import (
     FcmConfig,
     PatternClass,
@@ -254,6 +255,105 @@ def test_classify_bounds_matches_the_full_distance_argmin(default_model, default
         np.testing.assert_array_equal(got, np.argmin(dist, axis=1) + 1)
     with pytest.raises(ValueError, match="upper bounds"):
         space.classify_bounds([0.0, 1.0], [1.0])
+
+
+def full_scan_ids(space, lower, upper):
+    """Ids of the nearest classes from the whole interval-by-class distance matrix."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    dist = np.maximum(
+        np.abs(lower[:, None] - space.lowers[None, :]), np.abs(upper[:, None] - space.uppers[None, :])
+    )
+    return np.argmin(dist, axis=1) + 1
+
+
+def random_space(rng, cpms, layout):
+    """A space of ``cpms`` classes with bounds on a quarter lattice, so that probes tie exactly.
+
+    ``disjoint`` classes are sorted with gaps between them; ``overlapping``
+    classes have random lower bounds, some equal, and widths up to the whole
+    span, so that neighbours overlap or nest; ``wide`` is disjoint but for
+    one class that reaches far past every other.
+    """
+    if layout == "overlapping":
+        lowers = np.sort(rng.integers(0, 2 * cpms, cpms)) / 4.0
+        uppers = lowers + rng.integers(0, 2 * cpms, cpms) / 4.0
+    else:
+        widths = rng.integers(0, 4, cpms) / 4.0
+        gaps = rng.integers(1, 5, cpms) / 4.0
+        lowers = np.concatenate(([0.0], np.cumsum(widths + gaps)[:-1]))
+        uppers = lowers + widths
+        if layout == "wide":
+            uppers[rng.integers(cpms)] = 2.0 * uppers[-1] + 1.0
+    # classification reads the bounds only; any strictly ascending centers do
+    return PatternSpace(
+        PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j))
+        for j, (lo, up) in enumerate(zip(lowers, uppers))
+    )
+
+
+@pytest.mark.parametrize("layout", ["disjoint", "overlapping", "wide"])
+def test_classify_bounds_matches_the_full_scan_on_random_spaces(layout):
+    # the windowed search with its fallback returns the full scan's ids on
+    # every kind of space and probe, exact ties and non-finite bounds included
+    rng = np.random.default_rng(["disjoint", "overlapping", "wide"].index(layout))
+    inf, nan = np.inf, np.nan
+    for cpms in range(2, 41):
+        space = random_space(rng, cpms, layout)
+        lowers, uppers = space.lowers, space.uppers
+        lo, hi = lowers[0] - 2.0, uppers.max() + 2.0
+        lattice = np.arange(lo, hi + 0.25, 0.25)
+        pairs = np.sort(rng.choice(lattice, size=(2, 400)), axis=0)
+        points = rng.uniform(lo, hi, 300)
+        centers, radii = rng.uniform(lo, hi, 300), rng.uniform(0.0, hi - lo, 300)
+        gaps = 0.5 * (uppers[:-1] + lowers[1:])
+        probes = [
+            (lattice, lattice),  # degenerate, many exactly between two classes
+            (pairs[0], pairs[1]),  # lattice intervals: ties of every kind
+            (points, points),
+            (centers - radii, centers + radii),  # wide
+            (lowers, uppers),
+            (gaps, gaps),
+            (gaps - 0.25, gaps + 0.25),
+            (np.array([lo - 1e6, -1e6, hi + 1e6, lo - 1.0]), np.array([lo - 1e6, 1e6, hi + 1e6, hi + 1.0])),
+            (
+                np.array([-inf, inf, -inf, nan, 0.0, nan, lowers[0], inf, -inf]),
+                np.array([-inf, inf, inf, nan, nan, 0.0, inf, lowers[-1], uppers[0]]),
+            ),
+        ]
+        for lower, upper in probes:
+            np.testing.assert_array_equal(
+                space.classify_bounds(lower, upper), full_scan_ids(space, lower, upper), err_msg=f"cpms {cpms}"
+            )
+
+
+def test_classify_bounds_falls_back_to_the_full_scan_outside_the_window(monkeypatch):
+    # twelve narrow classes [j, j + 0.1]; the interval [0, 10.1] is at
+    # distance max(j, 10 - j) from class j + 1, so its nearest class, id 6,
+    # lies further right of its lower bound than the window reaches
+    space = PatternSpace(
+        PatternClass(id=j + 1, interval=Interval(j, j + 0.1), center=j + 0.05) for j in range(12)
+    )
+    scan = PatternSpace._scan
+    scanned = []
+
+    def spy(self, lower, upper):
+        scanned.append(lower.tolist())
+        return scan(self, lower, upper)
+
+    monkeypatch.setattr(PatternSpace, "_scan", spy)
+    assert space.classify_bounds([5.0, 0.0, 11.0], [5.0, 10.1, 11.1]).tolist() == [6, 6, 12]
+    assert scanned == [[0.0]]
+
+
+def test_window_certifies_every_interval_of_the_default_forecast(default_model, default_result, monkeypatch):
+    # on clustered classes the window alone settles the encoding and the snap
+    # of every step, so a forecast pass never pays for the full scan
+    def no_scan(self, lower, upper):
+        raise AssertionError(f"{lower.size} interval(s) fell back to the full scan")
+
+    monkeypatch.setattr(PatternSpace, "_scan", no_scan)
+    forecast_series(default_model, default_result.data, default_result.u)
 
 
 def test_class_bounds_are_the_stored_intervals():
