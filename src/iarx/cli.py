@@ -1,9 +1,16 @@
 """Command-line interface: fit, eval, sweep, robust, synth.
 
-All outputs land under ``--out`` with fixed filenames. Exit codes: 0 on
-success, 1 on numerical/identification failures, 2 on configuration or
-I/O problems. Flag precedence is flags > ``--config`` JSON > defaults; a
-``--config`` key that the command does not read is a configuration problem.
+All outputs land under ``--out`` with fixed filenames; a command creates
+``--out`` only after its computation succeeds. Exit codes: 0 on success, 1
+on numerical/identification failures, 2 on configuration or I/O problems.
+
+Each setting is declared once, as an argparse flag with its type and
+default (``--help`` prints them). For ``fit``, ``eval``, ``sweep`` and
+``robust``, ``--config`` names a JSON object whose keys are the command's
+flags in ``_`` spelling (``--input-col`` is ``input_col``), each value of
+the flag's type; they become the parser's defaults, so flags > ``--config``
+> built-in defaults. A key that is not one of the command's flags is a
+configuration problem. ``synth --config`` is a synthetic spec instead.
 """
 
 from __future__ import annotations
@@ -61,16 +68,11 @@ SYNTH_TRUTH_FILE = "truth.json"
 _NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError)
 _CONFIG_ERRORS = (ConfigError, DataError, OSError, json.JSONDecodeError)
 
-# The --config keys the commands read; a key a command does not read is an error.
-_SERIES_KEYS = ("data", "input_col", "out")
-_MODEL_KEYS = (*_SERIES_KEYS, "seed", "n", "m", "fuzziness", "fcm_tolerance", "fcm_iterations")
 _SPEC_KEYS = tuple(field.name for field in fields(SyntheticSpec))
 
 
-def _load_config(path: str | None, keys: tuple[str, ...]) -> dict:
-    """The JSON object in ``path`` (``{}`` without one); it may set only ``keys``."""
-    if path is None:
-        return {}
+def _load_config(path: str, keys) -> dict:
+    """The JSON object in ``path``; it may set only ``keys``."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -95,14 +97,14 @@ def _convert(value, name: str, kind):
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}") from None
 
 
-def _setting(args, config: dict, key: str, default=None, kind=str, minimum=None):
-    """The flag, else the config value converted to ``kind``, else ``default``; at least ``minimum``."""
-    value = getattr(args, key, None)  # argparse has typed every flag
-    if value is None:
-        value = _convert(config[key], key, kind) if key in config else default
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """``--config`` read against ``parser``'s flags: each key a flag's dest, each value of its type."""
+    kinds = {
+        action.dest: action.type or str
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    return {key: _convert(value, key, kinds[key]) for key, value in _load_config(path, kinds).items()}
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -133,7 +135,7 @@ def _parse_cpms_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _prepare_series(args, config) -> tuple[np.ndarray, np.ndarray]:
+def _prepare_series(args) -> tuple[np.ndarray, np.ndarray]:
     """Load the CSV, normalize, and reduce the condition columns to one series.
 
     The input column is selected by name; every other column is treated as
@@ -142,19 +144,17 @@ def _prepare_series(args, config) -> tuple[np.ndarray, np.ndarray]:
     a single condition column is just normalized. The input column is
     normalized as well.
     """
-    data_path = _setting(args, config, "data")
-    if data_path is None:
+    if args.data is None:
         raise ConfigError("--data is required")
-    input_col = _setting(args, config, "input_col")
-    if input_col is None:
+    if args.input_col is None:
         raise ConfigError("--input-col is required")
-    dataset = load_csv(_require_file(data_path, "data file"))
-    if input_col not in dataset.columns:
+    dataset = load_csv(_require_file(args.data, "data file"))
+    if args.input_col not in dataset.columns:
         raise ConfigError(
-            f"input column {input_col!r} not in {data_path}; "
+            f"input column {args.input_col!r} not in {args.data}; "
             f"available: {', '.join(dataset.columns)}"
         )
-    condition_names = [name for name in dataset.columns if name != input_col]
+    condition_names = [name for name in dataset.columns if name != args.input_col]
     if not condition_names:
         raise ConfigError("no operating-condition columns besides the input column")
     normalized = [zero_mean_normalize(dataset.columns[name])[0] for name in condition_names]
@@ -162,20 +162,19 @@ def _prepare_series(args, config) -> tuple[np.ndarray, np.ndarray]:
         series = normalized[0]
     else:
         series = pca_project(np.column_stack(normalized))
-    u = zero_mean_normalize(dataset.columns[input_col])[0]
+    u = zero_mean_normalize(dataset.columns[args.input_col])[0]
     return series, u
 
 
-def _model_settings(args, config, cpms: int) -> tuple[int, int, FcmConfig]:
-    """``(n, m, fcm)``: the settings that ``fit`` and ``sweep`` share."""
-    fcm = FcmConfig(
-        k=cpms,
-        fuzziness=_setting(args, config, "fuzziness", FcmConfig.fuzziness, float),
-        tolerance=_setting(args, config, "fcm_tolerance", FcmConfig.tolerance, float),
-        max_iterations=_setting(args, config, "fcm_iterations", FcmConfig.max_iterations, int, 1),
-        seed=_setting(args, config, "seed", 0, int),
+def _fcm_config(args) -> FcmConfig:
+    """The clustering settings that ``fit`` and ``sweep`` share; ``fit_model`` sets ``k``."""
+    return FcmConfig(
+        k=2,
+        fuzziness=args.fuzziness,
+        tolerance=args.fcm_tolerance,
+        max_iterations=args.fcm_iterations,
+        seed=args.seed,
     )
-    return _setting(args, config, "n", 3, int, 1), _setting(args, config, "m", 1, int, 0), fcm
 
 
 def _load_model_dir(model_dir: str) -> MovingPatternModel:
@@ -204,24 +203,20 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config, (*_MODEL_KEYS, "cpms"))
-    series, u = _prepare_series(args, config)
-    cpms = _setting(args, config, "cpms", 26, int, 2)
-    n, m, fcm = _model_settings(args, config, cpms)
-    out = _out_dir(_setting(args, config, "out", "."))
-
-    model = fit_model(series, u, cpms, n, m, fcm=fcm)
+    series, u = _prepare_series(args)
+    model = fit_model(series, u, args.cpms, args.n, args.m, fcm=_fcm_config(args))
     report = evaluate(model, series, u)
 
+    out = _out_dir(args.out)
     _write_json(out / MODEL_FILE, model.params.to_json())
     model.space.save(out / SPACE_FILE)
     _write_json(
         out / REPORT_FILE,
         {
-            "cpms": cpms,
-            "n": n,
-            "m": m,
-            "seed": fcm.seed,
+            "cpms": args.cpms,
+            "n": args.n,
+            "m": args.m,
+            "seed": args.seed,
             "samples": int(len(series)),
             "rmse": {
                 "prelim_upper": report.prelim_upper,
@@ -238,19 +233,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config, (*_SERIES_KEYS, "model_dir"))
-    series, u = _prepare_series(args, config)
-    model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
-    model = _load_model_dir(model_dir)
-    cpms = getattr(args, "cpms", None)
-    if cpms is not None and cpms != model.space.cpms:
-        raise ConfigError(
-            f"--cpms {cpms} does not match the loaded pattern space ({model.space.cpms} classes)"
-        )
-    out = _out_dir(_setting(args, config, "out", "."))
-
+    series, u = _prepare_series(args)
+    model = _load_model_dir(args.model_dir or args.out)
     trace = forecast_series(model, series, u)
     report = rmse_from_records(trace)
+
+    out = _out_dir(args.out)
     write_rmse_csv(out / RMSE_FILE, model.space.cpms, report)
     write_trace_csv(out / TRACE_FILE, trace)
     print(f"wrote {RMSE_FILE}, {TRACE_FILE} to {out}")
@@ -258,32 +246,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, (*_MODEL_KEYS, "cpms_range"))
-    series, u = _prepare_series(args, config)
-    cpms_values = _parse_cpms_range(_setting(args, config, "cpms_range", "16..36"))
-    # Each cell sets its own class count on a copy of this configuration.
-    n, m, fcm = _model_settings(args, config, 2)
-    out = _out_dir(_setting(args, config, "out", "."))
-
-    cells = sweep_cpms(series, u, cpms_values, n, m, fcm=fcm)
+    series, u = _prepare_series(args)
+    cpms_values = _parse_cpms_range(args.cpms_range)
+    cells = sweep_cpms(series, u, cpms_values, args.n, args.m, fcm=_fcm_config(args))
     for cell in cells:
         if cell.error is not None:
             print(f"cpms={cell.cpms} failed: {cell.error}", file=sys.stderr)
+
+    out = _out_dir(args.out)
     write_sweep_csv(out / SWEEP_FILE, cells)
     print(f"wrote {SWEEP_FILE} to {out}")
     return 0
 
 
 def cmd_robust(args) -> int:
-    config = _load_config(args.config, (*_SERIES_KEYS, "model_dir", "magnitude", "seed"))
-    series, u = _prepare_series(args, config)
-    model_dir = _setting(args, config, "model_dir") or _setting(args, config, "out", ".")
-    model = _load_model_dir(model_dir)
-    magnitude = _setting(args, config, "magnitude", 0.002, float)
-    seed = _setting(args, config, "seed", 0, int)
+    series, u = _prepare_series(args)
+    model = _load_model_dir(args.model_dir or args.out)
+    result = robustness_experiment(model, series, u, args.magnitude, args.seed)
 
-    result = robustness_experiment(model, series, u, magnitude, seed)
-    out = _out_dir(_setting(args, config, "out", "."))
+    out = _out_dir(args.out)
     write_robust_csv(out / ROBUST_FILE, result)
     print(f"final class match: {'yes' if result.final_class_match else 'no'}")
     print(f"wrote {ROBUST_FILE} to {out}")
@@ -297,9 +278,9 @@ def cmd_synth(args) -> int:
         spec = SyntheticSpec.from_json(_load_config(args.config, _SPEC_KEYS))
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
-    out = _out_dir(args.out if args.out is not None else ".")
-
     result = synthesize(spec)
+
+    out = _out_dir(args.out)
     with open(out / SYNTH_DATA_FILE, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,u\n")
         for x, u in zip(result.data, result.u):
@@ -316,53 +297,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_model_dir=False):
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)
+        p.add_argument("--out", default=".", help="output directory, created on success (default: %(default)s)")
+        return p
+
+    def add_series(p, *, model_dir=False, seed=True):
+        p.add_argument("--config", help="JSON object of defaults for these flags, keys in _ spelling")
         p.add_argument("--data", help="input CSV (header row, numeric columns)")
-        p.add_argument("--input-col", dest="input_col", help="name of the input column")
-        p.add_argument("--out", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--config", help="JSON file of flag defaults")
-        if with_model_dir:
-            p.add_argument(
-                "--model-dir",
-                dest="model_dir",
-                help="directory holding model.json/space.json (default: --out)",
-            )
+        p.add_argument("--input-col", help="name of the input column")
+        if model_dir:
+            p.add_argument("--model-dir", help="directory holding model.json/space.json (default: --out)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
 
     def add_model(p):
-        p.add_argument("--n", type=int, help="autoregressive order (default 3)")
-        p.add_argument("--m", type=int, help="input order (default 1)")
-        p.add_argument("--fuzziness", type=float, help=f"fcm fuzziness (default {FcmConfig.fuzziness})")
-        p.add_argument("--fcm-tolerance", dest="fcm_tolerance", type=float, help="fcm center-shift tolerance")
-        p.add_argument("--fcm-iterations", dest="fcm_iterations", type=int, help="fcm iteration cap")
+        p.add_argument("--n", type=int, default=3, help="autoregressive order (default: %(default)s)")
+        p.add_argument("--m", type=int, default=1, help="input order (default: %(default)s)")
+        p.add_argument(
+            "--fuzziness", type=float, default=FcmConfig.fuzziness, help="fcm fuzziness (default: %(default)s)"
+        )
+        p.add_argument(
+            "--fcm-tolerance",
+            type=float,
+            default=FcmConfig.tolerance,
+            help="fcm center-shift tolerance (default: %(default)s)",
+        )
+        p.add_argument(
+            "--fcm-iterations",
+            type=int,
+            default=FcmConfig.max_iterations,
+            help="fcm iteration cap (default: %(default)s)",
+        )
 
-    p_fit = sub.add_parser("fit", help="fit a pattern space and model, write model files")
-    add_common(p_fit)
+    p_fit = add_command("fit", cmd_fit, "fit a pattern space and model, write model files")
+    add_series(p_fit)
     add_model(p_fit)
-    p_fit.add_argument("--cpms", type=int, help="class count (default 26)")
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.add_argument("--cpms", type=int, default=26, help="class count (default: %(default)s)")
 
-    p_eval = sub.add_parser("eval", help="score a fitted model, write rmse.csv and trace.csv")
-    add_common(p_eval, with_model_dir=True)
-    p_eval.add_argument("--cpms", type=int, help="cross-check against the loaded space")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval = add_command("eval", cmd_eval, "score a fitted model, write rmse.csv and trace.csv")
+    add_series(p_eval, model_dir=True, seed=False)
 
-    p_sweep = sub.add_parser("sweep", help="fit and score across a class-count range")
-    add_common(p_sweep)
+    p_sweep = add_command("sweep", cmd_sweep, "fit and score across a class-count range")
+    add_series(p_sweep)
     add_model(p_sweep)
-    p_sweep.add_argument("--cpms-range", dest="cpms_range", help="inclusive range A..B (default 16..36)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--cpms-range", default="16..36", help="inclusive range A..B (default: %(default)s)")
 
-    p_robust = sub.add_parser("robust", help="perturb radius coefficients and compare scores")
-    add_common(p_robust, with_model_dir=True)
-    p_robust.add_argument("--magnitude", type=float, help="uniform offset bound (default 0.002)")
-    p_robust.set_defaults(func=cmd_robust)
+    p_robust = add_command("robust", cmd_robust, "perturb radius coefficients and compare scores")
+    add_series(p_robust, model_dir=True)
+    p_robust.add_argument(
+        "--magnitude", type=float, default=0.002, help="uniform offset bound (default: %(default)s)"
+    )
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset and its ground truth")
-    p_synth.add_argument("--out", help="output directory (created if missing)")
+    p_synth = add_command("synth", cmd_synth, "generate a synthetic dataset and its ground truth")
     p_synth.add_argument("--seed", type=int, help="override the spec seed")
     p_synth.add_argument("--config", help="JSON synthetic spec (default: built-in spec)")
-    p_synth.set_defaults(func=cmd_synth)
 
     return parser
 
@@ -371,6 +361,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "synth" and args.config is not None:
+            args.parser.set_defaults(**_config_defaults(args.config, args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

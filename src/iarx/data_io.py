@@ -140,8 +140,8 @@ class WhiteNoiseInput:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.amplitude >= 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude!r}")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
 
     def generate(self, length: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-self.amplitude, self.amplitude, size=length)
@@ -161,6 +161,8 @@ class StepScheduleInput:
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if not self.levels:
             raise ValueError("step schedule needs at least one level")
+        if not np.all(np.isfinite(self.levels)):
+            raise ValueError(f"step levels must be finite, got {list(self.levels)}")
         if self.period < 1:
             raise ValueError(f"step period must be >= 1, got {self.period}")
 
@@ -204,8 +206,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"length {self.length} is too short; need at least 10 * (1 + n + m) = {10 * width}"
             )
-        if self.noise_center < 0.0 or self.noise_radius < 0.0:
-            raise ValueError("noise levels must be >= 0")
+        if not (0.0 <= self.noise_center < np.inf and 0.0 <= self.noise_radius < np.inf):
+            raise ValueError(
+                f"noise levels must be finite and >= 0, got {self.noise_center!r}, {self.noise_radius!r}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -276,20 +280,21 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
     x = np.empty(width)
     x_abs = np.empty(width)
     x[0] = x_abs[0] = 1.0
-    for k in range(kmin, length):
-        for j in range(1, n + 1):
-            x[j] = centers[k - j]
-            x_abs[j] = radii[k - j]
-        for ell in range(1, m + 1):
-            x[n + ell] = u[k - ell]
-            x_abs[n + ell] = abs(u[k - ell])
-        centers[k] = params.A @ x + noise_c[k]
-        radii[k] = max(0.0, params.C @ x_abs + noise_r[k])
-        if abs(centers[k]) > DIVERGENCE_LIMIT:
-            raise SimulationError(
-                f"simulated center diverged to {centers[k]!r} at step {k}; "
-                "the generating parameters are unstable"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow surfaces as divergence below
+        for k in range(kmin, length):
+            for j in range(1, n + 1):
+                x[j] = centers[k - j]
+                x_abs[j] = radii[k - j]
+            for ell in range(1, m + 1):
+                x[n + ell] = u[k - ell]
+                x_abs[n + ell] = abs(u[k - ell])
+            centers[k] = params.A @ x + noise_c[k]
+            radii[k] = max(0.0, params.C @ x_abs + noise_r[k])
+            if not abs(centers[k]) <= DIVERGENCE_LIMIT:  # NaN fails this test too
+                raise SimulationError(
+                    f"simulated center diverged to {float(centers[k])!r} at step {k}; "
+                    "the generating parameters are unstable"
+                )
     return SynthesisResult(data=centers, u=u, truth=params, radii=radii)
 
 

@@ -287,6 +287,8 @@ class PatternSpace:
         if ids != list(range(1, len(classes) + 1)):
             raise ClusteringError(f"class ids must run 1..{len(classes)} in order, got {ids}")
         centers = [cls.center for cls in classes]
+        if not np.all(np.isfinite(centers)):
+            raise ClusteringError(f"class centers must be finite, got {centers}")
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise ClusteringError(f"class centers must strictly ascend, got {centers}")
         lowers = [cls.interval.lower for cls in classes]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import iarx
-from iarx.cli import main
+from iarx.cli import build_parser, main
 from iarx.data_io import default_synthetic_spec
 from iarx.errors import ConvergenceWarning
 from iarx.model import IarxParams
@@ -106,26 +106,6 @@ def test_eval_outputs(workspace, tmp_path):
     trace_lines = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
     # one-step forecasts start after the lag window: 864 - max(n, m) rows
     assert len(trace_lines) == 1 + 864 - 3
-
-
-def test_eval_cpms_mismatch_is_config_error(workspace, tmp_path):
-    data_dir, fit_dir = workspace
-    rc = main(
-        [
-            "eval",
-            "--data",
-            str(data_dir / "synthetic.csv"),
-            "--input-col",
-            "u",
-            "--model-dir",
-            str(fit_dir),
-            "--out",
-            str(tmp_path),
-            "--cpms",
-            "25",
-        ]
-    )
-    assert rc == 2
 
 
 def test_missing_required_flags(tmp_path):
@@ -226,6 +206,93 @@ def test_non_finite_forecast_exits_1(workspace, tmp_path):
         proc = _run_cli([command, *common, "--out", str(tmp_path / command)])
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "error: forecast at step 3 is not finite: [0.0, inf]\n"
+        assert not (tmp_path / command).exists()
+
+
+_MODEL = {"n": 1, "m": 0, "A": [0.5, 0.5], "C": [0, 1]}
+_CLASS = {"id": 1, "lower": 0, "upper": 1, "center": 0.5}
+_SPEC = default_synthetic_spec().to_json()
+# a value of the wrong JSON type for each field of the three files, and the error's account of it
+_MISTYPED = {
+    **{key: ("1", "expected an integer, got '1'") for key in ("n", "m", "cpms", "id", "length", "seed")},
+    **{key: ("0.5", "expected a number, got '0.5'") for key in ("lower", "upper", "center", "noise_center", "noise_radius")},
+    **{key: ("x", "expected an array, got 'x'") for key in ("A", "C", "classes")},
+}
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _space(**cls) -> str:
+    return json.dumps({"cpms": 1, "classes": [{**_CLASS, **cls}]})
+
+
+def _spec(**fields) -> str:
+    return json.dumps({**_SPEC, **fields})
+
+
+# every field of model.json, space.json and a spec (truth.json) missing, then of the wrong JSON type
+_MISSING_AND_MISTYPED_FIELDS = [
+    *[("model.json", json.dumps(_without(_MODEL, key)), f"error: model parameters: missing field {key!r}")
+      for key in _MODEL],
+    *[("space.json", json.dumps(_without({"cpms": 1, "classes": [_CLASS]}, key)),
+       f"error: pattern space: missing field {key!r}") for key in ("cpms", "classes")],
+    *[("space.json", json.dumps({"cpms": 1, "classes": [_without(_CLASS, key)]}),
+       f"error: pattern space class 1: missing field {key!r}") for key in _CLASS],
+    *[("spec.json", json.dumps(_without(_SPEC, key)), f"error: synthetic spec: missing field {key!r}")
+      for key in _SPEC],
+    *[("model.json", json.dumps({**_MODEL, key: _MISTYPED[key][0]}),
+       f"error: model parameters: field {key!r} is invalid: {_MISTYPED[key][1]}") for key in _MODEL],
+    *[("space.json", json.dumps({"cpms": 1, "classes": [_CLASS], key: _MISTYPED[key][0]}),
+       f"error: pattern space: field {key!r} is invalid: {_MISTYPED[key][1]}") for key in ("cpms", "classes")],
+    *[("space.json", _space(**{key: _MISTYPED[key][0]}),
+       f"error: pattern space class 1: field {key!r} is invalid: {_MISTYPED[key][1]}") for key in _CLASS],
+    *[("spec.json", _spec(**{key: _MISTYPED[key][0]}),
+       f"error: synthetic spec: field {key!r} is invalid: {_MISTYPED[key][1]}")
+      for key in ("length", "noise_center", "noise_radius", "seed")],
+    ("spec.json", _spec(true_params=[]), "error: model parameters: expected a JSON object, got list"),
+    ("spec.json", _spec(input_process="steps"), "error: input process: expected a JSON object, got str"),
+]
+
+_NON_FINITE_FIELDS = [
+    ("model.json", json.dumps({**_MODEL, "A": [0.5, float("nan")]}), "error: A must be finite"),
+    ("model.json", json.dumps({**_MODEL, "C": [0, float("inf")]}), "error: C must be finite"),
+    ("space.json", _space(lower=float("nan")), "error: interval bounds must be finite, got [nan, 1.0]"),
+    ("space.json", _space(upper=float("inf")), "error: interval bounds must be finite, got [0.0, inf]"),
+    ("space.json", _space(center=float("nan")), "error: pattern space: class centers must be finite, got [nan]"),
+    (
+        "space.json",
+        json.dumps({"cpms": 2, "classes": [_CLASS, {"id": 2, "lower": 1, "upper": 2, "center": float("inf")}]}),
+        "error: pattern space: class centers must be finite, got [0.5, inf]",
+    ),
+    ("spec.json", _spec(noise_center=float("nan")), "error: noise levels must be finite and >= 0, got nan, 0.25"),
+    ("spec.json", _spec(noise_radius=float("inf")), "error: noise levels must be finite and >= 0, got 0.6, inf"),
+    (
+        "spec.json",
+        _spec(input_process={"kind": "steps", "levels": [1, float("nan")], "period": 24}),
+        "error: synthetic spec: field 'input_process' is invalid: step levels must be finite, got [1.0, nan]",
+    ),
+    (
+        "spec.json",
+        _spec(input_process={"kind": "white", "amplitude": float("inf")}),
+        "error: synthetic spec: field 'input_process' is invalid: amplitude must be finite and >= 0, got inf",
+    ),
+    (
+        "spec.json",
+        _spec(true_params={**_SPEC["true_params"], "A": [float("nan")] * 5}),
+        "error: synthetic spec: field 'true_params' is invalid: A must be finite",
+    ),
+]
+
+_BAD_CSV_FILES = [
+    ("data.csv", "", "error: {path}: file is empty"),
+    ("data.csv", "x,u\n", "error: dataset needs at least 2 rows, got 0"),
+    ("data.csv", "x,u\n1,2\nnan,3\n4,5\n", "error: column contains non-finite values"),
+    ("data.csv", "x,u\n1,2\n3\n", "error: {path}: row 3 has 1 cells, expected 2"),
+    ("data.csv", "x,u\n1,2\n1e3x,3\n", "error: {path}: row 3, column 'x': could not parse '1e3x' as a number"),
+    ("data.csv", "x,y\n1,2\n3,4\n", "error: input column 'u' not in {path}; available: x, y"),
+]
 
 
 @pytest.mark.parametrize(
@@ -291,11 +358,15 @@ def test_non_finite_forecast_exits_1(workspace, tmp_path):
             ),
             "error: input process: field 'levels' is invalid: expected a number, got '2'",
         ),
+        *_MISSING_AND_MISTYPED_FIELDS,
+        *_NON_FINITE_FIELDS,
+        *_BAD_CSV_FILES,
     ],
 )
-def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, message):
-    # a model, pattern-space or spec file with a missing or mistyped field is
-    # an input problem: exit 2 with one error line naming it, no traceback
+def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, content, message):
+    # a model, pattern-space, spec or data file with a missing, mistyped or
+    # non-finite field is an input problem: exit 2 with one error line naming
+    # it, no traceback and no --out directory; ``{path}`` is the bad file
     data_dir, fit_dir = workspace
     model_dir = tmp_path / "model"
     model_dir.mkdir()
@@ -305,11 +376,11 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, me
     if bad_file == "spec.json":
         args = ["synth", "--config", str(model_dir / bad_file)]
     else:
-        data = str(data_dir / "synthetic.csv")
+        data = str(model_dir / bad_file if bad_file == "data.csv" else data_dir / "synthetic.csv")
         args = ["eval", "--data", data, "--input-col", "u", "--model-dir", str(model_dir)]
-    proc = _run_cli([*args, "--out", str(tmp_path / "out")])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == message + "\n"
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message.format(path=model_dir / bad_file) + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -321,8 +392,9 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, bad_file, content, me
             lambda doc: doc["classes"][0].update(center=doc["classes"][1]["center"]),
             "class centers must strictly ascend, got ",
         ),
+        (lambda doc: doc["classes"][0].update(center=float("nan")), "class centers must be finite, got [nan, "),
     ],
-    ids=["declared-cpms", "class-ids", "unordered-centers"],
+    ids=["declared-cpms", "class-ids", "unordered-centers", "nan-center"],
 )
 def test_inconsistent_space_file_exits_2(workspace, tmp_path, edit, message):
     # a space.json whose fields parse but do not form a space is an input
@@ -342,27 +414,41 @@ def test_inconsistent_space_file_exits_2(workspace, tmp_path, edit, message):
         assert line.startswith("error: pattern space: " + message)
 
 
+# the --config keys of each command (its flags in _ spelling) with their JSON types
+_CONFIG_KEYS = {
+    "fit": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fuzziness": float,
+            "fcm_tolerance": float, "fcm_iterations": int, "cpms": int},
+    "eval": {"data": str, "input_col": str, "out": str, "model_dir": str},
+    "sweep": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fuzziness": float,
+              "fcm_tolerance": float, "fcm_iterations": int, "cpms_range": str},
+    "robust": {"data": str, "input_col": str, "out": str, "model_dir": str, "seed": int, "magnitude": float},
+}
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
         ("robust", {"center_magnitude": 0.5}),
         ("fit", {"fuzzines": 1.5}),
         ("eval", {"cpms": 26, "magnitud": 0.1}),
+        ("sweep", {"cpms": 26, "config": "other.json"}),
+        ("eval", {"seed": 1}),
     ],
 )
 def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config):
     # a key the command does not read, removed or misspelled, is named in the
-    # error instead of being ignored
+    # error instead of being ignored; the error lists the keys it does read
     data_dir, fit_dir = workspace
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"data": str(data_dir / "synthetic.csv"), **config}), encoding="utf-8")
     args = [command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if command != "fit":
+    if command in ("eval", "robust"):
         args += ["--model-dir", str(fit_dir)]
     assert main(args) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: config file {cfg}: unknown key(s) ")
     assert all(repr(key) in line for key in config)
+    assert set(line.split("; this command reads ")[1].split(", ")) == set(_CONFIG_KEYS[command])
     assert not (tmp_path / "out").exists()
 
 
@@ -381,6 +467,12 @@ def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config
         ("sweep", {"fuzziness": True}),
         ("robust", {"magnitude": "0.5"}),
         ("sweep", {"cpms_range": 26}),
+        # every key of every command
+        *[
+            (command, {key: {str: 5, int: 2.5, float: "x"}[kind]})
+            for command, keys in _CONFIG_KEYS.items()
+            for key, kind in keys.items()
+        ],
     ],
 )
 def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
@@ -394,27 +486,60 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
     (line,) = capsys.readouterr().err.splitlines()
     (key,) = config
     assert line.startswith(f"error: {key} must be of type ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
-        ("robust", "--magnitude", "nan", "magnitude must be finite and >= 0, got nan"),
-        ("robust", "--magnitude", "inf", "magnitude must be finite and >= 0, got inf"),
-        ("robust", "--magnitude", "-1", "magnitude must be finite and >= 0, got -1.0"),
-        ("fit", "--fuzziness", "inf", "fuzziness must exceed 1 and be finite, got inf"),
+        ("robust", "--magnitude", float("nan"), "magnitude must be finite and >= 0, got nan"),
+        ("robust", "--magnitude", float("inf"), "magnitude must be finite and >= 0, got inf"),
+        ("robust", "--magnitude", -1, "magnitude must be finite and >= 0, got -1.0"),
+        ("fit", "--fuzziness", float("inf"), "fuzziness must exceed 1 and be finite, got inf"),
+        ("fit", "--n", 0, "orders must be n >= 1 and m >= 0, got n=0, m=1"),
+        ("sweep", "--m", -1, "orders must be n >= 1 and m >= 0, got n=3, m=-1"),
+        ("fit", "--cpms", 1, "cpms must be >= 2, got 1"),
+        ("sweep", "--fuzziness", 1, "fuzziness must exceed 1 and be finite, got 1.0"),
+        ("fit", "--fcm-tolerance", 0, "tolerance must be positive, got 0.0"),
+        ("sweep", "--fcm-iterations", 0, "max_iterations must be >= 1, got 0"),
     ],
 )
-def test_out_of_range_flag_values_exit_2(workspace, tmp_path, command, flag, value, message):
-    # a value outside its domain is an input problem: exit 2 with one error
-    # line, before anything is written
+def test_out_of_range_flag_values_exit_2(workspace, tmp_path, capsys, command, flag, value, message):
+    # a value outside its domain, as a flag or as a --config key, is an input
+    # problem: exit 2 with one error line, before anything is written
     data_dir, fit_dir = workspace
-    args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", flag, value]
+    args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--out", str(tmp_path / "out")]
     if command == "robust":
         args += ["--model-dir", str(fit_dir)]
-    proc = _run_cli([*args, "--out", str(tmp_path / "out")])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: {message}\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}), encoding="utf-8")
+    for setting in ([flag, str(value)], ["--config", str(cfg)]):
+        assert main([*args, *setting]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval", "sweep", "robust", "synth"])
+def test_help_prints_every_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = {key: value for key, value in vars(build_parser().parse_args([command])).items()
+                if key not in ("command", "func", "parser") and value is not None}
+    assert defaults
+    assert all(f"(default: {value})" in text for value in defaults.values()), text
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--cpms", "26")])
+def test_removed_eval_flags_exit_2(workspace, tmp_path, capsys, flag, value):
+    # eval never read --seed, and --cpms only repeated the model directory's own class count
+    data_dir, fit_dir = workspace
+    args = ["eval", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--model-dir", str(fit_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -95,8 +95,12 @@ def test_pca_rejects_tied_leading_eigenvalues():
 
 
 def test_input_process_validation():
-    with pytest.raises(ValueError):
-        WhiteNoiseInput(amplitude=-0.5)
+    for amplitude in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
+            WhiteNoiseInput(amplitude=amplitude)
+    for level in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="step levels must be finite"):
+            StepScheduleInput(levels=(1.0, level), period=10)
     with pytest.raises(ValueError):
         StepScheduleInput(levels=(), period=10)
     with pytest.raises(ValueError):
@@ -127,6 +131,9 @@ def test_spec_validation_and_round_trip():
             input_process=WhiteNoiseInput(),
             seed=0,
         )
+    for noise in ({"noise_center": float("nan")}, {"noise_radius": float("inf")}, {"noise_center": -0.1}):
+        with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
+            replace(spec, **noise)
 
 
 def test_synthesize_is_deterministic():
@@ -165,4 +172,18 @@ def test_unstable_parameters_surface_as_simulation_error():
         seed=0,
     )
     with pytest.raises(SimulationError):
+        synthesize(spec)
+
+
+def test_overflowing_center_surfaces_as_simulation_error():
+    # 5.0 * 1e308 overflows: one SimulationError naming the value, no numpy warning
+    spec = SyntheticSpec(
+        length=30,
+        true_params=IarxParams(n=1, m=1, A=[0, 0, 1e308], C=[0.1] * 3),
+        noise_center=0.0,
+        noise_radius=0.0,
+        input_process=StepScheduleInput(levels=(5.0,), period=1),
+        seed=0,
+    )
+    with pytest.raises(SimulationError, match=r"^simulated center diverged to inf at step 1;"):
         synthesize(spec)
