@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,9 @@ def load_csv(path) -> RawDataset:
 
     Rows are validated as they stream in: a ragged row or an unparseable
     cell raises ``DataError`` naming the 1-based file row and the column.
+    The parsed table is then checked at once: the first ``nan`` or ``inf``
+    cell in file order, and a file with fewer than 2 rows, is a
+    ``DataError`` naming the file as well.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -75,8 +78,18 @@ def load_csv(path) -> RawDataset:
                         f"{path}: row {row_no}, column {name!r}: "
                         f"could not parse {cell.strip()!r} as a number"
                     ) from None
-    columns = {name: np.asarray(series) for name, series in zip(names, data)}
-    return RawDataset(columns=columns)
+    table = np.array(data, dtype=float)  # one row per column
+    bad = ~np.isfinite(table)
+    if bad.any():
+        row = int(bad.any(axis=0).argmax())
+        col = int(bad[:, row].argmax())
+        raise DataError(
+            f"{path}: row {row + 2}, column {names[col]!r}: {float(table[col, row])!r} is not a finite number"
+        )
+    try:
+        return RawDataset(columns=dict(zip(names, table)))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def zero_mean_normalize(column) -> tuple[np.ndarray, float, float]:
@@ -167,10 +180,7 @@ class StepScheduleInput:
             raise ValueError(f"step period must be >= 1, got {self.period}")
 
     def generate(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        reps = -(-length // self.period)  # ceil
-        series = np.repeat(np.asarray(self.levels), self.period)
-        tiles = -(-reps // len(self.levels))
-        return np.tile(series, tiles)[:length]
+        return np.resize(np.repeat(self.levels, self.period), length)
 
     def to_json(self) -> dict:
         return {"kind": "steps", "levels": list(self.levels), "period": self.period}
@@ -210,6 +220,8 @@ class SyntheticSpec:
             raise ValueError(
                 f"noise levels must be finite and >= 0, got {self.noise_center!r}, {self.noise_radius!r}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict:
         return {
@@ -223,19 +235,20 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, doc) -> "SyntheticSpec":
-        """The spec of :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
+        """The spec of :meth:`to_json` output; a missing or mistyped field, or
+        values the constructor rejects, is a ``DataError``."""
         what = "synthetic spec"
-        return cls(
-            length=json_field(doc, "length", int, what),
-            true_params=json_field(doc, "true_params", IarxParams.from_json, what),
-            noise_center=json_field(doc, "noise_center", float, what),
-            noise_radius=json_field(doc, "noise_radius", float, what),
-            input_process=json_field(doc, "input_process", _input_from_json, what),
-            seed=json_field(doc, "seed", int, what),
-        )
-
-    def with_seed(self, seed: int) -> "SyntheticSpec":
-        return replace(self, seed=seed)
+        try:
+            return cls(
+                length=json_field(doc, "length", int, what),
+                true_params=json_field(doc, "true_params", IarxParams.from_json, what),
+                noise_center=json_field(doc, "noise_center", float, what),
+                noise_radius=json_field(doc, "noise_radius", float, what),
+                input_process=json_field(doc, "input_process", _input_from_json, what),
+                seed=json_field(doc, "seed", int, what),
+            )
+        except ValueError as exc:  # the fields parsed, but do not make a spec
+            raise DataError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)

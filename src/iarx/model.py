@@ -103,12 +103,17 @@ class IarxParams:
 
     @classmethod
     def from_json(cls, doc) -> "IarxParams":
-        """Parameters from :meth:`to_json` output; a missing or mistyped field is a ``DataError``."""
+        """Parameters from :meth:`to_json` output; a missing or mistyped field is a ``DataError``,
+        and values the constructor rejects are a ``ValueError`` naming the model parameters."""
+        what = "model parameters"
         n, m, a, c = (
-            json_field(doc, key, kind, "model parameters")
+            json_field(doc, key, kind, what)
             for key, kind in (("n", int), ("m", int), ("A", json_floats), ("C", json_floats))
         )
-        return cls(n=n, m=m, A=a, C=c)
+        try:
+            return cls(n=n, m=m, A=a, C=c)
+        except ValueError as exc:  # still a ValueError, so a spec that nests these names its field too
+            raise ValueError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -45,27 +45,26 @@ _BLOCK_PAIRS = 1 << 16
 
 @dataclass(frozen=True)
 class FcmConfig:
-    """Fuzzy c-means settings.
+    """Fuzzy c-means settings; the cluster count is an argument of its own.
 
-    ``k`` is the target cluster count. ``tolerance`` bounds the maximum
-    center movement between iterations at convergence.
+    ``tolerance`` bounds the maximum center movement between iterations at
+    convergence.
     """
 
-    k: int
     fuzziness: float = 2.0
     tolerance: float = 1e-6
     max_iterations: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"cluster count must be >= 1, got {self.k}")
         if not 1.0 < self.fuzziness < np.inf:
             raise ValueError(f"fuzziness must exceed 1 and be finite, got {self.fuzziness!r}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,8 +107,8 @@ def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
     return scale, float(np.dot(nearest * s, scale))
 
 
-def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster a scalar series by fuzzy c-means with hardened assignments.
+def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster a scalar series into ``k`` fuzzy c-means clusters, hardened.
 
     Runs the alternating update of Bezdek, Ehrlich & Full (1984), reformulated
     in the centers alone (see ``_reformulate``), until no center moves by
@@ -128,14 +127,14 @@ def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ClusteringError("cannot cluster an empty series")
     if not np.all(np.isfinite(values)):
         raise ClusteringError("data series contains non-finite values")
-    if config.k > values.size:
-        raise ClusteringError(
-            f"cluster count {config.k} exceeds the {values.size} data point(s)"
-        )
+    if k < 1:
+        raise ValueError(f"cluster count must be >= 1, got {k}")
+    if k > values.size:
+        raise ClusteringError(f"cluster count {k} exceeds the {values.size} data point(s)")
 
     rng = np.random.default_rng(config.seed)
-    centers = _farthest_point_init(values, config.k, rng)
-    work = np.empty((config.k, values.size))  # squared distances, then r, every pass
+    centers = _farthest_point_init(values, k, rng)
+    work = np.empty((k, values.size))  # squared distances, then r, every pass
     ones_x = np.stack([np.ones_like(values), values])
     scaled = np.empty_like(ones_x)  # [1, x] * s ** -fuzziness
 
@@ -173,14 +172,14 @@ def fcm_cluster(data, config: FcmConfig) -> tuple[np.ndarray, np.ndarray]:
     if shift >= config.tolerance:
         warnings.warn(
             ConvergenceWarning(
-                f"fuzzy c-means with k={config.k} did not converge in "
+                f"fuzzy c-means with k={k} did not converge in "
                 f"{config.max_iterations} iterations: final center shift "
                 f"{shift:.3g} is not below the tolerance {config.tolerance:g}"
             ),
             stacklevel=2,
         )
 
-    counts = np.bincount(assignments, minlength=config.k)
+    counts = np.bincount(assignments, minlength=k)
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ClusteringError(
@@ -196,10 +195,6 @@ class PatternClass:
     id: int
     interval: Interval
     center: float
-
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"class id must be >= 1, got {self.id}")
 
 
 class _WindowTable:
@@ -397,11 +392,15 @@ class PatternSpace:
         classes that do not form a valid space, is a ``DataError``."""
         classes = []
         for position, entry in enumerate(json_field(doc, "classes", list, "pattern space"), start=1):
+            what = f"pattern space class {position}"
             class_id, lower, upper, center = (
-                json_field(entry, key, kind, f"pattern space class {position}")
+                json_field(entry, key, kind, what)
                 for key, kind in (("id", int), ("lower", float), ("upper", float), ("center", float))
             )
-            classes.append(PatternClass(id=class_id, interval=Interval(lower, upper), center=center))
+            try:
+                classes.append(PatternClass(id=class_id, interval=Interval(lower, upper), center=center))
+            except ValueError as exc:
+                raise DataError(f"{what}: {exc}") from None
         declared = json_field(doc, "cpms", int, "pattern space")
         if declared != len(classes):
             raise DataError(
@@ -412,25 +411,20 @@ class PatternSpace:
         except ClusteringError as exc:
             raise DataError(f"pattern space: {exc}") from None
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "PatternSpace":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
 
-def build_space(data, config: FcmConfig) -> PatternSpace:
-    """Cluster a scalar series and assemble the ordered pattern space.
+def build_space(data, k: int, config: FcmConfig = FcmConfig()) -> PatternSpace:
+    """Cluster a scalar series into ``k`` classes and assemble the ordered pattern space.
 
     Each cluster becomes a class spanning ``[min, max]`` of its hard
     members; classes are reordered by ascending center and renumbered.
     """
     values = np.asarray(data, dtype=float).ravel()
-    centers, assignments = fcm_cluster(values, config)
+    centers, assignments = fcm_cluster(values, k, config)
     order = np.argsort(centers, kind="stable")
     classes = []
     for rank, idx in enumerate(order, start=1):

@@ -15,7 +15,6 @@ perturbation study, plus the fixed CSV writers used by the command line.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -129,14 +128,6 @@ class ForecastTrace:
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, field.name) for field in fields(self)]
 
-    def _position(self, index) -> int:
-        """The row of ``index``, counting from the end when negative."""
-        row = operator.index(index)
-        size = len(self)
-        if not -size <= row < size:
-            raise IndexError(f"step index {row} is out of range for {size} step(s)")
-        return row % size
-
     def _rows(self):
         """The steps as tuples of Python numbers, in column order."""
         return zip(*(col.tolist() for col in self._columns()))
@@ -146,11 +137,9 @@ class ForecastTrace:
             yield _record(*row)
 
     def __getitem__(self, index) -> ForecastRecord:
-        row = self._position(index)
-        return _record(*(col[row].item() for col in self._columns()))
+        return _record(*(col[index].item() for col in self._columns()))
 
     def __setitem__(self, index, record: ForecastRecord) -> None:
-        row = self._position(index)
         values = (
             record.k,
             record.actual.lower,
@@ -163,7 +152,7 @@ class ForecastTrace:
         )
         for field, value in zip(fields(self), values):
             col = getattr(self, field.name).copy()
-            col[row] = value
+            col[index] = value
             col.setflags(write=False)
             object.__setattr__(self, field.name, col)
 
@@ -229,12 +218,12 @@ def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx, (0.5 * (lowers + uppers))[idx], (0.5 * (uppers - lowers))[idx]
 
 
-def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) -> MovingPatternModel:
+def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) -> MovingPatternModel:
     """Fit the full pipeline on a scalar series and its input series.
 
     Builds a ``cpms``-class pattern space, encodes the series, and
     identifies both parameter channels on the encoded centers and radii. ``fcm``
-    supplies clustering settings; its ``k`` is overridden by ``cpms``.
+    supplies the other clustering settings.
     Clustering and identification errors propagate; no retries are made.
     """
     data = np.asarray(data, dtype=float).ravel()
@@ -248,8 +237,7 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig | None = None) 
         raise DataError(
             f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}"
         )
-    config = FcmConfig(k=cpms) if fcm is None else replace(fcm, k=cpms)
-    space = build_space(data, config)
+    space = build_space(data, cpms, fcm)
     _, centers, radii = _encode(space, data)
     return MovingPatternModel(space=space, params=fit(centers, radii, u, n, m))
 
@@ -333,7 +321,7 @@ def evaluate(
     return rmse_from_records(forecast_series(model, data, u, start=start, end=end))
 
 
-def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig | None = None) -> list[SweepCell]:
+def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig = FcmConfig()) -> list[SweepCell]:
     """Fit and score one model per class count; failures stay in the table.
 
     The orders and every class count are checked before the first cell, so
@@ -361,10 +349,13 @@ def perturb_radius_params(radius_coeffs, magnitude: float, seed: int) -> np.ndar
 
     Offsets are one-sided so the perturbed coefficients stay nonnegative.
     Deterministic for a fixed seed; magnitude zero returns the input unchanged.
-    A magnitude that is negative or not finite raises ``ValueError``.
+    A magnitude that is negative or not finite, or a negative seed, raises
+    ``ValueError``.
     """
     if not 0.0 <= magnitude < np.inf:
         raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     coeffs = np.asarray(radius_coeffs, dtype=float).ravel()
     rng = np.random.default_rng(seed)
     return coeffs + rng.uniform(0.0, magnitude, size=coeffs.size)
@@ -393,44 +384,37 @@ def robustness_experiment(
     )
 
 
-def _fmt(value: float) -> str:
-    """Shortest digit string that round-trips the exact float."""
-    return repr(float(value))
+def _row(label, report: RmseReport) -> str:
+    """``label`` and the four RMSEs, each as the shortest digit string that round-trips it."""
+    return ",".join([str(label)] + [repr(float(v)) for v in report.as_row()])
+
+
+def _write_csv(path, header: str, lines) -> None:
+    """Write ``header`` and then ``lines``, one per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([header, *lines]) + "\n")
 
 
 def write_rmse_csv(path, cpms: int, report: RmseReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(RESULT_HEADER + "\n")
-        fh.write(",".join([str(cpms)] + [_fmt(v) for v in report.as_row()]) + "\n")
+    _write_csv(path, RESULT_HEADER, [_row(cpms, report)])
 
 
 def write_trace_csv(path, trace: ForecastTrace) -> None:
     """One row per step; floats are written as their shortest round-trip reprs."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        fh.writelines(
-            f"{k},{al!r},{au!r},{pl!r},{pu!r},{fl!r},{fu!r},{cid}\n"
-            for k, al, au, pl, pu, fl, fu, cid in trace._rows()
-        )
+    rows = (
+        f"{k},{al!r},{au!r},{pl!r},{pu!r},{fl!r},{fu!r},{cid}" for k, al, au, pl, pu, fl, fu, cid in trace._rows()
+    )
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def write_sweep_csv(path, cells) -> None:
     """Write sweep results; a failed cell keeps its row with empty RMSE fields."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(RESULT_HEADER + "\n")
-        for cell in cells:
-            if cell.report is None:
-                fh.write(f"{cell.cpms},,,,\n")
-            else:
-                fh.write(
-                    ",".join([str(cell.cpms)] + [_fmt(v) for v in cell.report.as_row()]) + "\n"
-                )
+    rows = (f"{cell.cpms},,,," if cell.report is None else _row(cell.cpms, cell.report) for cell in cells)
+    _write_csv(path, RESULT_HEADER, rows)
 
 
 def write_robust_csv(path, result: RobustnessResult) -> None:
     """Two labeled rows (original, perturbed) plus the digestion flag."""
     flag = "true" if result.final_class_match else "false"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(ROBUST_HEADER + "\n")
-        for label, report in (("original", result.original), ("perturbed", result.perturbed)):
-            fh.write(",".join([label] + [_fmt(v) for v in report.as_row()] + [flag]) + "\n")
+    rows = [f"{_row('original', result.original)},{flag}", f"{_row('perturbed', result.perturbed)},{flag}"]
+    _write_csv(path, ROBUST_HEADER, rows)

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iarx
+from iarx import cli
 from iarx.cli import build_parser, main
-from iarx.data_io import default_synthetic_spec
+from iarx.data_io import default_synthetic_spec, load_csv, pca_project, zero_mean_normalize
 from iarx.errors import ConvergenceWarning
 from iarx.model import IarxParams
 from iarx.pattern_space import PatternSpace
@@ -256,18 +258,34 @@ _MISSING_AND_MISTYPED_FIELDS = [
 ]
 
 _NON_FINITE_FIELDS = [
-    ("model.json", json.dumps({**_MODEL, "A": [0.5, float("nan")]}), "error: A must be finite"),
-    ("model.json", json.dumps({**_MODEL, "C": [0, float("inf")]}), "error: C must be finite"),
-    ("space.json", _space(lower=float("nan")), "error: interval bounds must be finite, got [nan, 1.0]"),
-    ("space.json", _space(upper=float("inf")), "error: interval bounds must be finite, got [0.0, inf]"),
+    ("model.json", json.dumps({**_MODEL, "A": [0.5, float("nan")]}), "error: model parameters: A must be finite"),
+    ("model.json", json.dumps({**_MODEL, "C": [0, float("inf")]}), "error: model parameters: C must be finite"),
+    (
+        "space.json",
+        _space(lower=float("nan")),
+        "error: pattern space class 1: interval bounds must be finite, got [nan, 1.0]",
+    ),
+    (
+        "space.json",
+        _space(upper=float("inf")),
+        "error: pattern space class 1: interval bounds must be finite, got [0.0, inf]",
+    ),
     ("space.json", _space(center=float("nan")), "error: pattern space: class centers must be finite, got [nan]"),
     (
         "space.json",
         json.dumps({"cpms": 2, "classes": [_CLASS, {"id": 2, "lower": 1, "upper": 2, "center": float("inf")}]}),
         "error: pattern space: class centers must be finite, got [0.5, inf]",
     ),
-    ("spec.json", _spec(noise_center=float("nan")), "error: noise levels must be finite and >= 0, got nan, 0.25"),
-    ("spec.json", _spec(noise_radius=float("inf")), "error: noise levels must be finite and >= 0, got 0.6, inf"),
+    (
+        "spec.json",
+        _spec(noise_center=float("nan")),
+        "error: synthetic spec: noise levels must be finite and >= 0, got nan, 0.25",
+    ),
+    (
+        "spec.json",
+        _spec(noise_radius=float("inf")),
+        "error: synthetic spec: noise levels must be finite and >= 0, got 0.6, inf",
+    ),
     (
         "spec.json",
         _spec(input_process={"kind": "steps", "levels": [1, float("nan")], "period": 24}),
@@ -281,14 +299,27 @@ _NON_FINITE_FIELDS = [
     (
         "spec.json",
         _spec(true_params={**_SPEC["true_params"], "A": [float("nan")] * 5}),
-        "error: synthetic spec: field 'true_params' is invalid: A must be finite",
+        "error: synthetic spec: field 'true_params' is invalid: model parameters: A must be finite",
     ),
+]
+
+# fields that parse but do not make a valid object, or disagree with another file
+_INVALID_VALUES = [
+    ("model.json", json.dumps({**_MODEL, "C": [0, -1]}),
+     "error: model parameters: radius coefficients C must be entrywise nonnegative"),
+    ("space.json", _space(lower=2), "error: pattern space class 1: lower bound 2.0 exceeds upper bound 1.0"),
+    ("space.json", _space(id=0), "error: pattern space: class ids must run 1..1 in order, got [0]"),
+    ("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1"),
+    ("spec.json", _spec(length=10), "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50"),
+    ("report.json", '{"cpms": 25}',
+     "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes"),
 ]
 
 _BAD_CSV_FILES = [
     ("data.csv", "", "error: {path}: file is empty"),
-    ("data.csv", "x,u\n", "error: dataset needs at least 2 rows, got 0"),
-    ("data.csv", "x,u\n1,2\nnan,3\n4,5\n", "error: column contains non-finite values"),
+    ("data.csv", "x,u\n", "error: {path}: dataset needs at least 2 rows, got 0"),
+    ("data.csv", "x,u\n1,2\nnan,3\n4,5\n", "error: {path}: row 3, column 'x': nan is not a finite number"),
+    ("data.csv", "x,u\n1,2\n3,4\n5,-Infinity\n", "error: {path}: row 4, column 'u': -inf is not a finite number"),
     ("data.csv", "x,u\n1,2\n3\n", "error: {path}: row 3 has 1 cells, expected 2"),
     ("data.csv", "x,u\n1,2\n1e3x,3\n", "error: {path}: row 3, column 'x': could not parse '1e3x' as a number"),
     ("data.csv", "x,y\n1,2\n3,4\n", "error: input column 'u' not in {path}; available: x, y"),
@@ -360,13 +391,15 @@ _BAD_CSV_FILES = [
         ),
         *_MISSING_AND_MISTYPED_FIELDS,
         *_NON_FINITE_FIELDS,
+        *_INVALID_VALUES,
         *_BAD_CSV_FILES,
     ],
 )
 def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, content, message):
     # a model, pattern-space, spec or data file with a missing, mistyped or
     # non-finite field is an input problem: exit 2 with one error line naming
-    # it, no traceback and no --out directory; ``{path}`` is the bad file
+    # it, no traceback and no --out directory; ``{path}`` is the bad file and
+    # ``{dir}`` the model directory
     data_dir, fit_dir = workspace
     model_dir = tmp_path / "model"
     model_dir.mkdir()
@@ -379,7 +412,7 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, con
         data = str(model_dir / bad_file if bad_file == "data.csv" else data_dir / "synthetic.csv")
         args = ["eval", "--data", data, "--input-col", "u", "--model-dir", str(model_dir)]
     assert main([*args, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == message.format(path=model_dir / bad_file) + "\n"
+    assert capsys.readouterr().err == message.format(path=model_dir / bad_file, dir=model_dir) + "\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -502,18 +535,23 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
         ("sweep", "--fuzziness", 1, "fuzziness must exceed 1 and be finite, got 1.0"),
         ("fit", "--fcm-tolerance", 0, "tolerance must be positive, got 0.0"),
         ("sweep", "--fcm-iterations", 0, "max_iterations must be >= 1, got 0"),
+        ("sweep", "--cpms-range", "1..5", "cpms must be >= 2, got 1"),
+        *[(command, "--seed", -1, "seed must be >= 0, got -1") for command in ("fit", "sweep", "robust", "synth")],
     ],
 )
 def test_out_of_range_flag_values_exit_2(workspace, tmp_path, capsys, command, flag, value, message):
     # a value outside its domain, as a flag or as a --config key, is an input
     # problem: exit 2 with one error line, before anything is written
     data_dir, fit_dir = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}), encoding="utf-8")
+    settings = [[flag, str(value)], ["--config", str(cfg)]]
     args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--out", str(tmp_path / "out")]
     if command == "robust":
         args += ["--model-dir", str(fit_dir)]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}), encoding="utf-8")
-    for setting in ([flag, str(value)], ["--config", str(cfg)]):
+    if command == "synth":  # its --config is a spec; test_malformed_input_files_exit_2 covers that
+        args, settings = ["synth", "--out", str(tmp_path / "out")], settings[:1]
+    for setting in settings:
         assert main([*args, *setting]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -574,22 +612,58 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
-def test_bad_cpms_range(workspace, tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("16-36", "--cpms-range must look like A..B, got '16-36'"),
+        ("16..3x", "--cpms-range bounds must be integers, got '16..3x'"),
+        ("16.5..20", "--cpms-range bounds must be integers, got '16.5..20'"),
+        ("20..16", "cpms range end 16 is below start 20"),
+    ],
+)
+def test_bad_cpms_range(workspace, tmp_path, capsys, text, message):
     data_dir, _ = workspace
-    rc = main(
-        [
-            "sweep",
-            "--data",
-            str(data_dir / "synthetic.csv"),
-            "--input-col",
-            "u",
-            "--cpms-range",
-            "16-36",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 2
+    args = ["sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--cpms-range", text]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_several_condition_columns_are_projected_on_their_principal_component(workspace, tmp_path, monkeypatch):
+    # the paper's multi-sensor input: every column but the input is a
+    # condition sensor; fit and eval z-score each and use the leading
+    # principal component of the z-scored columns as the series
+    data_dir, _ = workspace
+    dataset = load_csv(data_dir / "synthetic.csv")
+    x, u = dataset.columns["x"], dataset.columns["u"]
+    y = 0.5 * x + np.random.default_rng(4).normal(0.0, 2.0, x.size)
+    data = tmp_path / "sensors.csv"
+    rows = np.column_stack([x, u, y]).tolist()
+    data.write_text("x,u,y\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows), encoding="utf-8")
+    want = pca_project(np.column_stack([zero_mean_normalize(x)[0], zero_mean_normalize(y)[0]]))
+
+    seen = {}
+    fit_model, forecast_series = cli.fit_model, cli.forecast_series
+
+    def fit_spy(series, u, *args, **kwargs):
+        seen["fit"] = (series, u)
+        return fit_model(series, u, *args, **kwargs)
+
+    def forecast_spy(model, series, u, *args, **kwargs):
+        seen["eval"] = (series, u)
+        return forecast_series(model, series, u, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_model", fit_spy)
+    monkeypatch.setattr(cli, "forecast_series", forecast_spy)
+    args = ["--data", str(data), "--input-col", "u"]
+    assert main(["fit", *args, "--cpms", "12", "--out", str(tmp_path / "fit")]) == 0
+    assert main(["eval", *args, "--model-dir", str(tmp_path / "fit"), "--out", str(tmp_path / "eval")]) == 0
+    assert set(seen) == {"fit", "eval"}
+    for series, u_used in seen.values():
+        assert np.array_equal(series, want)
+        assert np.array_equal(u_used, zero_mean_normalize(u)[0])
+    # the projection is not either sensor alone
+    assert not np.allclose(want, zero_mean_normalize(x)[0]) and not np.allclose(want, zero_mean_normalize(y)[0])
 
 
 def test_robust_default_digests(workspace, tmp_path, capsys):

@@ -36,6 +36,27 @@ def test_load_csv_diagnostics(tmp_path):
         load_csv(bad_cell)
     assert "row 3" in str(err.value) and "'x'" in str(err.value)
 
+    for cell in ("nan", "-inf", " Infinity"):
+        non_finite = tmp_path / "non-finite.csv"
+        non_finite.write_text(f"x,u\n1.0,0.1\n2.0,0.2\n3.0,{cell}\n4.0,0.3\n")
+        with pytest.raises(DataError) as err:
+            load_csv(non_finite)
+        value = float(cell)
+        assert str(err.value) == f"{non_finite}: row 4, column 'u': {value!r} is not a finite number"
+
+    # the first non-finite cell in file order is named, not the first in column order
+    both = tmp_path / "both.csv"
+    both.write_text("x,u\n1.0,0.1\n2.0,nan\ninf,0.3\n")
+    with pytest.raises(DataError, match="row 3, column 'u'"):
+        load_csv(both)
+
+    for text in ("x,u\n", "x,u\n1.0,0.1\n"):
+        short = tmp_path / "short.csv"
+        short.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv(short)
+        assert str(err.value).startswith(f"{short}: dataset needs at least 2 rows")
+
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x,u\n1.0,0.1\n2.0\n")
     with pytest.raises(DataError):
@@ -120,7 +141,8 @@ def test_spec_validation_and_round_trip():
 
     again = SyntheticSpec.from_json(spec.to_json())
     assert again == spec
-    assert spec.with_seed(99).seed == 99
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        replace(spec, seed=-1)
 
     with pytest.raises(ValueError):
         SyntheticSpec(

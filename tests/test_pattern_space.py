@@ -39,14 +39,14 @@ def textbook_memberships(values, centers, m):
     return u
 
 
-def textbook_fcm(values, config):
+def textbook_fcm(values, k, config):
     """Bezdek's fuzzy c-means written out plainly, as the reference.
 
     Weights u ** m, and hard assignment by maximal membership.
     """
     values = np.asarray(values, dtype=float)
     m = config.fuzziness
-    centers = _farthest_point_init(values, config.k, np.random.default_rng(config.seed))
+    centers = _farthest_point_init(values, k, np.random.default_rng(config.seed))
     for _ in range(config.max_iterations):
         weights = textbook_memberships(values, centers, m) ** m
         new_centers = (weights @ values) / weights.sum(axis=1)
@@ -58,22 +58,24 @@ def textbook_fcm(values, config):
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="cluster count must be >= 1, got 0"):
+        fcm_cluster([0.0, 1.0], 0)
     with pytest.raises(ValueError):
-        FcmConfig(k=0)
-    with pytest.raises(ValueError):
-        FcmConfig(k=2, fuzziness=1.0)
+        FcmConfig(fuzziness=1.0)
     with pytest.raises(ValueError, match="finite"):
-        FcmConfig(k=2, fuzziness=float("inf"))
+        FcmConfig(fuzziness=float("inf"))
     with pytest.raises(ValueError):
-        FcmConfig(k=2, fuzziness=float("nan"))
+        FcmConfig(fuzziness=float("nan"))
     with pytest.raises(ValueError):
-        FcmConfig(k=2, tolerance=0.0)
+        FcmConfig(tolerance=0.0)
     with pytest.raises(ValueError):
-        FcmConfig(k=2, max_iterations=0)
+        FcmConfig(max_iterations=0)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1$"):
+        FcmConfig(seed=-1)
 
 
 def test_two_well_separated_clumps():
-    space = build_space([0.0, 0.0, 0.0, 10.0, 10.0, 10.0], FcmConfig(k=2))
+    space = build_space([0.0, 0.0, 0.0, 10.0, 10.0, 10.0], 2)
     assert [(c.id, c.interval) for c in space.classes] == [
         (1, Interval(0.0, 0.0)),
         (2, Interval(10.0, 10.0)),
@@ -81,7 +83,7 @@ def test_two_well_separated_clumps():
 
 
 def test_four_point_split():
-    space = build_space([0.0, 0.1, 9.9, 10.0], FcmConfig(k=2))
+    space = build_space([0.0, 0.1, 9.9, 10.0], 2)
     assert space.classes[0].interval == Interval(0.0, 0.1)
     assert space.classes[1].interval == Interval(9.9, 10.0)
 
@@ -90,7 +92,7 @@ def test_classes_tile_an_evenly_spread_series():
     # hard assignments are nearest-center cells in one dimension, so the
     # class intervals must be disjoint and ordered
     data = np.arange(1.0, 101.0)
-    space = build_space(data, FcmConfig(k=4))
+    space = build_space(data, 4)
     ivs = [c.interval for c in space.classes]
     assert [c.id for c in space.classes] == [1, 2, 3, 4]
     for left, right in zip(ivs, ivs[1:]):
@@ -102,7 +104,7 @@ def test_classes_tile_an_evenly_spread_series():
 def test_assignments_match_membership_argmax():
     # recompute fuzzy memberships directly from the returned centers
     data = np.arange(1.0, 101.0)
-    centers, assign = fcm_cluster(data, FcmConfig(k=4))
+    centers, assign = fcm_cluster(data, 4)
     d = np.abs(data[:, None] - centers[None, :])
     d = np.where(d == 0.0, 1e-300, d)
     w = (1.0 / d) ** 2  # fuzziness 2.0 -> exponent 2 / (fuzziness - 1)
@@ -115,10 +117,10 @@ def test_assignments_match_membership_argmax():
 def test_fcm_matches_textbook_bezdek(default_result, fuzziness, k):
     # the initial centers are data points, so the on-center branch runs too;
     # the CLI clusters the z-scored series, so it is checked as well
-    config = FcmConfig(k=k, fuzziness=fuzziness)
+    config = FcmConfig(fuzziness=fuzziness)
     for series in (default_result.data, zero_mean_normalize(default_result.data)[0]):
-        want_centers, want_assign = textbook_fcm(series, config)
-        centers, assign = fcm_cluster(series, config)
+        want_centers, want_assign = textbook_fcm(series, k, config)
+        centers, assign = fcm_cluster(series, k, config)
         assert np.array_equal(assign, want_assign)
         np.testing.assert_allclose(centers, want_centers, rtol=0.0, atol=1e-9)
 
@@ -148,7 +150,7 @@ def test_reformulated_objective_never_rises(default_result, monkeypatch):
         return scale, objective
 
     monkeypatch.setattr(pattern_space, "_reformulate", recording)
-    fcm_cluster(default_result.data, FcmConfig(k=26))
+    fcm_cluster(default_result.data, 26)
     assert len(seen) > 10
     assert np.all(np.diff(seen) <= 0.0)
     assert seen[-1] < seen[0]
@@ -157,7 +159,7 @@ def test_reformulated_objective_never_rises(default_result, monkeypatch):
 def test_iteration_cap_warns_with_the_details():
     data = np.arange(1.0, 101.0)
     with pytest.warns(ConvergenceWarning) as record:
-        centers, assign = fcm_cluster(data, FcmConfig(k=4, max_iterations=2))
+        centers, assign = fcm_cluster(data, 4, FcmConfig(max_iterations=2))
     (warning,) = record
     message = str(warning.message)
     for detail in ("k=4", "2 iterations", "center shift", "tolerance 1e-06"):
@@ -168,7 +170,7 @@ def test_iteration_cap_warns_with_the_details():
 def test_default_data_converges_at_the_default_class_count(default_result):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
-        fcm_cluster(default_result.data, FcmConfig(k=26))
+        fcm_cluster(default_result.data, 26)
 
 
 def test_overflowing_objective_is_a_clustering_error():
@@ -176,30 +178,30 @@ def test_overflowing_objective_is_a_clustering_error():
     # not an assert that python -O would strip
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ClusteringError, match="objective"):
-            fcm_cluster([0.0, 1e200, 2e200, 3e200], FcmConfig(k=2))
+            fcm_cluster([0.0, 1e200, 2e200, 3e200], 2)
 
 
 def test_single_class_space():
-    space = build_space([1.0, 2.0, 5.0], FcmConfig(k=1))
+    space = build_space([1.0, 2.0, 5.0], 1)
     assert space.cpms == 1
     assert space.classes[0].interval == Interval(1.0, 5.0)
 
 
 def test_not_enough_distinct_values():
     with pytest.raises(ClusteringError):
-        build_space([1.0, 1.0, 2.0, 2.0], FcmConfig(k=3))
+        build_space([1.0, 1.0, 2.0, 2.0], 3)
 
 
 def test_empty_series_rejected():
     with pytest.raises(ClusteringError):
-        fcm_cluster([], FcmConfig(k=2))
+        fcm_cluster([], 2)
 
 
 def test_determinism_same_seed():
     rng = np.random.default_rng(0)
     data = rng.normal(size=400)
-    a = build_space(data, FcmConfig(k=8, seed=5))
-    b = build_space(data, FcmConfig(k=8, seed=5))
+    a = build_space(data, 8, FcmConfig(seed=5))
+    b = build_space(data, 8, FcmConfig(seed=5))
     assert a.to_json() == b.to_json()
 
 
@@ -357,7 +359,7 @@ def test_window_certifies_every_interval_of_the_default_forecast(default_model, 
 
 
 def test_class_bounds_are_the_stored_intervals():
-    space = build_space([0.0, 0.0, 10.0, 10.0], FcmConfig(k=2))
+    space = build_space([0.0, 0.0, 10.0, 10.0], 2)
     assert space.lowers.tolist() == [cls.interval.lower for cls in space.classes]
     assert space.uppers.tolist() == [cls.interval.upper for cls in space.classes]
     with pytest.raises(ValueError):
@@ -388,9 +390,20 @@ def test_json_round_trip_is_bit_exact(default_model, tmp_path):
     ]
 
     path = tmp_path / "space.json"
-    space.save(path)
+    path.write_text(json.dumps(space.to_json()), encoding="utf-8")
     loaded = PatternSpace.load(path)
     assert loaded.to_json() == space.to_json()
+    assert loaded == space
+
+
+def test_spaces_are_equal_only_when_every_bound_is(default_model):
+    space = default_model.space
+    assert PatternSpace.from_json(json.loads(json.dumps(space.to_json()))) == space
+    for field in ("lower", "upper"):
+        doc = space.to_json()
+        doc["classes"][7][field] = np.nextafter(doc["classes"][7][field], np.inf if field == "upper" else -np.inf)
+        moved = PatternSpace.from_json(doc)
+        assert moved != space and not moved == space
 
 
 def test_from_json_checks_declared_cpms(default_model):
@@ -402,7 +415,7 @@ def test_from_json_checks_declared_cpms(default_model):
 
 def test_saved_file_is_plain_json(default_model, tmp_path):
     path = tmp_path / "space.json"
-    default_model.space.save(path)
+    path.write_text(json.dumps(default_model.space.to_json()), encoding="utf-8")
     doc = json.loads(path.read_text())
     assert doc["cpms"] == 26
     assert len(doc["classes"]) == 26

@@ -72,8 +72,29 @@ def test_fit_model_validation():
         fit_model(data, u, cpms=1, n=3, m=1)
     with pytest.raises(DataError):
         fit_model(data, u[:-1], cpms=8, n=3, m=1)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^need at least cpms = 8 samples, got 5$"):
         fit_model(data[:5], u[:5], cpms=8, n=3, m=1)
+    with pytest.raises(DataError, match=r"^need at least 8 samples to fit orders n=3, m=1$"):
+        fit_model(data[:7], u[:7], cpms=2, n=3, m=1)
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (2, None, r"^start 2 is inside the lag warm-up \(first valid step is 3\)$"),
+        (None, 865, r"^end 865 is beyond the 864 samples$"),
+        (10, 10, r"^empty scored range \[10, 10\)$"),
+        (500, 400, r"^empty scored range \[500, 400\)$"),
+    ],
+)
+def test_forecast_range_is_checked(default_model, default_result, start, end, message):
+    with pytest.raises(DataError, match=message):
+        forecast_series(default_model, default_result.data, default_result.u, start=start, end=end)
+
+
+def test_forecast_data_and_input_lengths_must_agree(default_model, default_result):
+    with pytest.raises(DataError, match=r"^data length 864 does not match input length 863$"):
+        forecast_series(default_model, default_result.data, default_result.u[:-1])
 
 
 def test_forecast_range_and_record_layout(default_model, default_result, default_records):
@@ -311,6 +332,8 @@ def test_perturb_radius_params_properties():
     assert not np.array_equal(shifted, perturb_radius_params(coeffs, 0.02, seed=6))
     with pytest.raises(ValueError):
         perturb_radius_params(coeffs, -0.1, seed=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        perturb_radius_params(coeffs, 0.02, seed=-1)
 
 
 def test_robustness_zero_magnitude_is_identity(default_model, default_result):
