@@ -44,6 +44,7 @@ from .model import IarxParams
 from .pattern_space import FcmConfig, PatternSpace
 from .pipeline import (
     MovingPatternModel,
+    _write_csv,
     evaluate,
     fit_model,
     forecast_series,
@@ -263,10 +264,8 @@ def cmd_synth(args) -> int:
     result = synthesize(spec)
 
     out = _out_dir(args.out)
-    with open(out / SYNTH_DATA_FILE, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,u\n")
-        for x, u in zip(result.data, result.u):
-            fh.write(f"{float(x)!r},{float(u)!r}\n")
+    rows = (f"{x!r},{u!r}" for x, u in zip(result.data.tolist(), result.u.tolist()))
+    _write_csv(out / SYNTH_DATA_FILE, "x,u", rows)
     _write_json(out / SYNTH_TRUTH_FILE, spec.to_json())
     print(f"wrote {SYNTH_DATA_FILE} ({spec.length} rows), {SYNTH_TRUTH_FILE} to {out}")
     return 0

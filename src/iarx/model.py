@@ -155,8 +155,8 @@ def lag_columns(centers, radii, inputs, n: int, m: int, start: int, stop: int):
     """
     rows = stop - start
     width = 1 + n + m
-    x = np.ones((rows, width))
-    x_abs = np.ones((rows, width))
+    x = np.ones((rows, width), order="F")
+    x_abs = np.ones((rows, width), order="F")
     for j in range(1, n + 1):
         x[:, j] = centers[start - j : stop - j]
         x_abs[:, j] = radii[start - j : stop - j]

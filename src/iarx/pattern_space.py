@@ -33,9 +33,11 @@ __all__ = [
 
 # classify_bounds measures each interval against this many neighbouring
 # classes, found through a uniform grid over the class lower bounds with this
-# many cells per class.
-_WINDOW = 5
-_CELLS_PER_CLASS = 4
+# many cells per class. At 16 cells the window certifies every encoding and
+# snap of the default series at each class count of the default sweep, raw
+# and z-scored; at 4 or 8 a few rows fall back to the full scan.
+_WINDOW = 3
+_CELLS_PER_CLASS = 16
 
 # The full scan, which settles the intervals a window cannot certify, measures
 # this many (interval, class) distances at a time, so its work arrays stay
@@ -202,14 +204,21 @@ class _WindowTable:
 
     A uniform grid spans ``[lo, hi]``, the first and last class lower
     bounds; cell ``c`` holds the lower bounds ``origin + [c, c + 1) / scale``.
-    Per cell the table keeps the first class of the window around the
-    insertion point of the cell's midpoint (``first``), the bounds of the
-    window's classes in offset order (one row per offset), and the class
-    lower bounds just outside the window (``left``, ``right``; infinite
-    where the window reaches the first or last class).
+    For the cell's midpoint, ``j`` is the last class whose lower bound does
+    not exceed it, and the cell's window is the classes ``j - 1 .. j + 1``
+    (shifted inside ``0 .. cpms - 1`` at either end). Per cell the table
+    keeps the window's first class (``first``), the bounds of the window's
+    classes in offset order (one row per offset), and for the classes
+    outside it: the nearest lower bounds (``left``, ``right``), the largest
+    upper bound to the left (``left_upper``) and the smallest to the right
+    (``right_upper``), infinite where the window reaches the first or last
+    class.
     """
 
-    __slots__ = ("lo", "hi", "origin", "scale", "first", "lowers", "uppers", "left", "right")
+    __slots__ = (
+        "lo", "hi", "origin", "scale", "first", "lowers", "uppers",
+        "left", "right", "left_upper", "right_upper",
+    )
 
     def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
         cpms = lowers.size
@@ -220,7 +229,7 @@ class _WindowTable:
         scale = cells / span if span > 0.0 else 0.0
         if 0.0 < scale < np.inf:
             midpoints = self.lo + (np.arange(cells + 1) + 0.5) * (span / cells)
-            start = np.searchsorted(lowers, midpoints, side="right") - width // 2
+            start = np.searchsorted(lowers, midpoints, side="right") - 1 - width // 2
             self.origin, self.scale, self.first = self.lo, scale, np.clip(start, 0, cpms - width)
         else:  # a zero, vanishing or overflowing span: one cell, at the first class
             self.origin, self.scale, self.first = 0.0, 0.0, np.zeros(1, dtype=np.intp)
@@ -228,10 +237,14 @@ class _WindowTable:
         self.lowers, self.uppers = lowers[window], uppers[window]
         padded = np.concatenate(([-np.inf], lowers, [np.inf]))
         self.left, self.right = padded[self.first], padded[self.first + width + 1]
+        # upper_max[i] is the largest of uppers[:i], upper_min[i] the smallest of uppers[i:].
+        upper_max = np.concatenate(([-np.inf], np.maximum.accumulate(uppers)))
+        upper_min = np.concatenate((np.minimum.accumulate(uppers[::-1])[::-1], [np.inf]))
+        self.left_upper, self.right_upper = upper_max[self.first], upper_min[self.first + width]
 
     def classify(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, certified)``: the 0-based nearest class within each
-        interval's window, and whether no class outside it can win."""
+        """``(index, stray)``: the 0-based nearest class within each interval's
+        window, and the rows where a class outside the window might win."""
         # fmax/fmin send NaN to the first cell, so the cast below never sees it.
         cell = np.fmax(lower, self.lo)
         np.fmin(cell, self.hi, out=cell)
@@ -254,13 +267,19 @@ class _WindowTable:
                 np.less(dist, best, out=closer)
                 np.copyto(offset, i, where=closer)
                 np.minimum(best, dist, out=best)
+        index = self.first.take(cell)
+        index += offset
         # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
         with np.errstate(invalid="ignore"):
             certified = np.subtract(lower, self.left.take(cell), out=dist) > best
             certified &= np.subtract(self.right.take(cell), lower, out=other) >= best
-        index = self.first.take(cell)
-        index += offset
-        return index, certified
+            stray = np.flatnonzero(~certified)
+            if stray.size:  # the upper-bound terms, on the rows the lower bounds leave
+                cell, lower, upper, best = cell[stray], lower[stray], upper[stray], best[stray]
+                left = (lower - self.left[cell] > best) | (upper - self.left_upper[cell] > best)
+                right = (self.right[cell] - lower >= best) | (self.right_upper[cell] - upper >= best)
+                stray = stray[~(left & right)]
+        return index, stray
 
 
 class PatternSpace:
@@ -324,23 +343,29 @@ class PatternSpace:
         class upper|)``; ties resolve to the lowest id. Returns a 1-based
         integer array with the shape of ``lower``.
 
-        Each interval is measured against the ``_WINDOW`` classes around the
-        insertion point of its lower bound in :attr:`lowers`, keeping the
-        first strict minimum ``best``. Because the lower bounds do not
-        decrease and rounded subtraction is monotone, every class left of
-        the window is farther than ``best`` when ``lower`` minus the last
-        lower bound before the window exceeds ``best``, and no class right
-        of it is nearer when the first lower bound after the window minus
-        ``lower`` is at least ``best``. Intervals that fail either test
-        (overlapping or nested classes, non-finite bounds) are measured
-        against every class, so the ids are always those of a full scan.
+        Each interval is measured against the ``_WINDOW`` classes
+        ``j - 1 .. j + 1``, where ``j`` is the last class whose lower bound
+        does not exceed the midpoint of the grid cell that holds the
+        interval's lower bound (see :class:`_WindowTable`), keeping the
+        first strict minimum ``best``. A class's distance is at
+        least ``lower - L``, ``L - lower``, ``upper - U`` and ``U - upper``
+        for its bounds ``L`` and ``U``, and rounded subtraction is monotone.
+        So every class left of the window is farther than ``best`` when
+        ``lower`` minus the last lower bound before the window, or ``upper``
+        minus the largest upper bound before it, exceeds ``best``; and no
+        class right of it is nearer when the first lower bound after the
+        window minus ``lower``, or the smallest upper bound after it minus
+        ``upper``, is at least ``best``. The lower-bound tests run first and
+        the upper-bound ones only on the rows they leave. Intervals that
+        fail on either side (overlapping or nested classes, wide intervals,
+        non-finite bounds) are measured against every class, so the ids are
+        always those of a full scan.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
         if lower.size != upper.size:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
-        ids, certified = self._window.classify(lower, upper)
-        stray = np.flatnonzero(~certified)
+        ids, stray = self._window.classify(lower, upper)
         if stray.size:
             ids[stray] = self._scan(lower[stray], upper[stray])
         ids += 1

@@ -175,6 +175,26 @@ def test_sweep_deterministic(workspace, tmp_path):
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 
+
+def test_fit_eval_robust_reruns_write_identical_files(workspace, tmp_path):
+    data_dir, _ = workspace
+    data = ["--data", str(data_dir / "synthetic.csv"), "--input-col", "u"]
+    written = {
+        "fit": ("model.json", "space.json", "report.json"),
+        "eval": ("rmse.csv", "trace.csv"),
+        "robust": ("robust.csv",),
+    }
+    for run in ("a", "b"):
+        model_dir = tmp_path / run / "fit"
+        for command in written:
+            model = [] if command == "fit" else ["--model-dir", str(model_dir)]
+            assert main([command, *data, *model, "--out", str(tmp_path / run / command)]) == 0
+    for command, names in written.items():
+        for name in names:
+            first = (tmp_path / "a" / command / name).read_bytes()
+            assert first and first == (tmp_path / "b" / command / name).read_bytes(), f"{command}/{name}"
+
+
 def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
     # on the normalized default series, fuzzy c-means at 22 classes runs all
     # 300 iterations; the cell is still scored and the files are unchanged

@@ -151,6 +151,22 @@ def test_predict_bounds_rows_match_single_step_predictions():
         predict_bounds(params, np.ones(6), np.ones(6))
 
 
+
+def test_predict_bounds_does_not_depend_on_the_regressor_layout():
+    # lag_columns lays its regressors out column by column; a row-major copy
+    # of the same values predicts the same bits
+    rng = np.random.default_rng(4)
+    params = IarxParams(n=3, m=2, A=rng.normal(size=6), C=np.abs(rng.normal(size=6)))
+    centers, radii = _series(rng, 500)
+    u = rng.normal(size=500)
+    x, x_abs = lag_columns(centers, radii, u, 3, 2, 3, 500)
+    assert x.flags.f_contiguous and x_abs.flags.f_contiguous
+    lower, upper = predict_bounds(params, x, x_abs)
+    rows = predict_bounds(params, np.ascontiguousarray(x), np.ascontiguousarray(x_abs))
+    np.testing.assert_array_equal(lower, rows[0])
+    np.testing.assert_array_equal(upper, rows[1])
+
+
 # --------------------------------------------------------------- center channel
 
 
