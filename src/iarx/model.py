@@ -243,7 +243,9 @@ def _design_matrices(centers, radii, inputs, n: int, m: int):
         )
     u = np.asarray(inputs, dtype=float) if m > 0 else np.empty(0)
     x, x_abs = lag_columns(centers, radii, u, n, m, kmin, total)
-    return x, centers[kmin:], x_abs, radii[kmin:]
+    # The fit's BLAS products sum in an order set by the memory layout; on
+    # row-major copies the fitted bits do not depend on lag_columns's layout.
+    return np.ascontiguousarray(x), centers[kmin:], np.ascontiguousarray(x_abs), radii[kmin:]
 
 
 def _ols_center(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -208,17 +208,12 @@ class _WindowTable:
     not exceed it, and the cell's window is the classes ``j - 1 .. j + 1``
     (shifted inside ``0 .. cpms - 1`` at either end). Per cell the table
     keeps the window's first class (``first``), the bounds of the window's
-    classes in offset order (one row per offset), and for the classes
-    outside it: the nearest lower bounds (``left``, ``right``), the largest
-    upper bound to the left (``left_upper``) and the smallest to the right
-    (``right_upper``), infinite where the window reaches the first or last
-    class.
+    classes in offset order (one row per offset), and the class lower bounds
+    just outside the window (``left``, ``right``; infinite where the window
+    reaches the first or last class).
     """
 
-    __slots__ = (
-        "lo", "hi", "origin", "scale", "first", "lowers", "uppers",
-        "left", "right", "left_upper", "right_upper",
-    )
+    __slots__ = ("lo", "hi", "origin", "scale", "first", "lowers", "uppers", "left", "right")
 
     def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
         cpms = lowers.size
@@ -237,14 +232,10 @@ class _WindowTable:
         self.lowers, self.uppers = lowers[window], uppers[window]
         padded = np.concatenate(([-np.inf], lowers, [np.inf]))
         self.left, self.right = padded[self.first], padded[self.first + width + 1]
-        # upper_max[i] is the largest of uppers[:i], upper_min[i] the smallest of uppers[i:].
-        upper_max = np.concatenate(([-np.inf], np.maximum.accumulate(uppers)))
-        upper_min = np.concatenate((np.minimum.accumulate(uppers[::-1])[::-1], [np.inf]))
-        self.left_upper, self.right_upper = upper_max[self.first], upper_min[self.first + width]
 
     def classify(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, stray)``: the 0-based nearest class within each interval's
-        window, and the rows where a class outside the window might win."""
+        """``(index, certified)``: the 0-based nearest class within each
+        interval's window, and whether no class outside it can win."""
         # fmax/fmin send NaN to the first cell, so the cast below never sees it.
         cell = np.fmax(lower, self.lo)
         np.fmin(cell, self.hi, out=cell)
@@ -267,19 +258,13 @@ class _WindowTable:
                 np.less(dist, best, out=closer)
                 np.copyto(offset, i, where=closer)
                 np.minimum(best, dist, out=best)
-        index = self.first.take(cell)
-        index += offset
         # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
         with np.errstate(invalid="ignore"):
             certified = np.subtract(lower, self.left.take(cell), out=dist) > best
             certified &= np.subtract(self.right.take(cell), lower, out=other) >= best
-            stray = np.flatnonzero(~certified)
-            if stray.size:  # the upper-bound terms, on the rows the lower bounds leave
-                cell, lower, upper, best = cell[stray], lower[stray], upper[stray], best[stray]
-                left = (lower - self.left[cell] > best) | (upper - self.left_upper[cell] > best)
-                right = (self.right[cell] - lower >= best) | (self.right_upper[cell] - upper >= best)
-                stray = stray[~(left & right)]
-        return index, stray
+        index = self.first.take(cell)
+        index += offset
+        return index, certified
 
 
 class PatternSpace:
@@ -347,25 +332,22 @@ class PatternSpace:
         ``j - 1 .. j + 1``, where ``j`` is the last class whose lower bound
         does not exceed the midpoint of the grid cell that holds the
         interval's lower bound (see :class:`_WindowTable`), keeping the
-        first strict minimum ``best``. A class's distance is at
-        least ``lower - L``, ``L - lower``, ``upper - U`` and ``U - upper``
-        for its bounds ``L`` and ``U``, and rounded subtraction is monotone.
-        So every class left of the window is farther than ``best`` when
-        ``lower`` minus the last lower bound before the window, or ``upper``
-        minus the largest upper bound before it, exceeds ``best``; and no
-        class right of it is nearer when the first lower bound after the
-        window minus ``lower``, or the smallest upper bound after it minus
-        ``upper``, is at least ``best``. The lower-bound tests run first and
-        the upper-bound ones only on the rows they leave. Intervals that
-        fail on either side (overlapping or nested classes, wide intervals,
-        non-finite bounds) are measured against every class, so the ids are
-        always those of a full scan.
+        first strict minimum ``best``. Because the lower bounds do not
+        decrease and rounded subtraction is monotone, every class left of
+        the window is farther than ``best`` when ``lower`` minus the last
+        lower bound before the window exceeds ``best``, and no class right
+        of it is nearer when the first lower bound after the window minus
+        ``lower`` is at least ``best``. Intervals that fail either test
+        (overlapping or nested classes, wide intervals, non-finite bounds)
+        are measured against every class, so the ids are always those of a
+        full scan.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
         if lower.size != upper.size:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
-        ids, stray = self._window.classify(lower, upper)
+        ids, certified = self._window.classify(lower, upper)
+        stray = np.flatnonzero(~certified)
         if stray.size:
             ids[stray] = self._scan(lower[stray], upper[stray])
         ids += 1

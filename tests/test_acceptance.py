@@ -24,6 +24,7 @@ from iarx.model import (
     predict_compositional,
     solve_qp_nonneg,
 )
+from iarx.pattern_space import PatternSpace
 from iarx.pipeline import fit_model, forecast_series, robustness_experiment, sweep_cpms
 
 # Frozen fixtures for the robustness criterion: the small magnitude moves the
@@ -237,8 +238,17 @@ def test_perturbation_digestion_and_limit(default_model, default_result):
     )
 
 
-def test_class_count_sweep_shows_downward_rmse_trend(default_result):
-    """Final RMSEs trend downward as the class count grows from 16 to 36."""
+def test_class_count_sweep_shows_downward_rmse_trend(default_result, monkeypatch):
+    """Final RMSEs trend downward as the class count grows from 16 to 36.
+
+    Every encoding and snap of the sweep is settled by the nearest-class
+    window; none falls back to the full scan.
+    """
+
+    def no_scan(self, lower, upper):
+        raise AssertionError(f"{lower.size} interval(s) fell back to the full scan")
+
+    monkeypatch.setattr(PatternSpace, "_scan", no_scan)
     start = time.perf_counter()
     cells = sweep_cpms(default_result.data, default_result.u, range(16, 37), n=3, m=1)
     elapsed = time.perf_counter() - start

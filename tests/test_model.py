@@ -161,6 +161,10 @@ def test_predict_bounds_does_not_depend_on_the_regressor_layout():
     u = rng.normal(size=500)
     x, x_abs = lag_columns(centers, radii, u, 3, 2, 3, 500)
     assert x.flags.f_contiguous and x_abs.flags.f_contiguous
+    # the fit's least-squares and QP products run on row-major copies
+    x_fit, _, x_abs_fit, _ = _design_matrices(centers, radii, u, 3, 2)
+    assert x_fit.flags.c_contiguous and x_abs_fit.flags.c_contiguous
+    np.testing.assert_array_equal(x_fit, x)
     lower, upper = predict_bounds(params, x, x_abs)
     rows = predict_bounds(params, np.ascontiguousarray(x), np.ascontiguousarray(x_abs))
     np.testing.assert_array_equal(lower, rows[0])
