@@ -144,52 +144,47 @@ class QpProblem:
 
 
 def lag_columns(centers, radii, inputs, n: int, m: int, start: int, stop: int):
-    """Stacked regressors of the steps ``start .. stop - 1`` of a series.
+    """Regressor columns of the steps ``start .. stop - 1`` of a series, as views.
 
-    ``centers`` and ``radii`` are the center and radius arrays of the
-    interval series and ``inputs`` the crisp input array, all indexed by
-    step; step ``k`` reads only the lags ``k - 1 .. k - max(n, m)``.
-    Returns ``(x, x_abs)`` with one row per step, laid out as [1, lagged
-    outputs (newest first), lagged inputs (newest first)]: ``x`` carries
-    centers and signed inputs, ``x_abs`` radii and absolute inputs.
+    ``centers``, ``radii`` and ``inputs`` are indexed by step; step ``k``
+    reads only the lags ``k - 1 .. k - max(n, m)``. Returns ``(x, x_abs)``,
+    two lists of ``n + m`` columns ordered [lagged outputs, lagged inputs],
+    each newest first, with one entry per step and the intercept's ones
+    implied: ``x`` holds centers and signed inputs, ``x_abs`` radii and
+    absolute inputs.
     """
-    rows = stop - start
-    width = 1 + n + m
-    x = np.ones((rows, width), order="F")
-    x_abs = np.ones((rows, width), order="F")
-    for j in range(1, n + 1):
-        x[:, j] = centers[start - j : stop - j]
-        x_abs[:, j] = radii[start - j : stop - j]
+    inputs_abs = np.abs(inputs)
+    x = [centers[start - j : stop - j] for j in range(1, n + 1)]
+    x_abs = [radii[start - j : stop - j] for j in range(1, n + 1)]
     for ell in range(1, m + 1):
-        x[:, n + ell] = inputs[start - ell : stop - ell]
-        np.abs(x[:, n + ell], out=x_abs[:, n + ell])
+        x.append(inputs[start - ell : stop - ell])
+        x_abs.append(inputs_abs[start - ell : stop - ell])
     return x, x_abs
 
 
 def predict_bounds(params: IarxParams, x, x_abs) -> tuple[np.ndarray, np.ndarray]:
-    """Preliminary bounds of every row of the stacked regressors ``x`` / ``x_abs``.
+    """Preliminary bounds of every step of the columns ``x`` / ``x_abs`` of :func:`lag_columns`.
 
-    The center ``A . x`` and the radius ``C . x_abs`` are summed term by
-    term in column order, elementwise over the rows, so each row gets the
-    same floating-point operations whatever the row count or the BLAS
-    library. Returns ``(center - radius, center + radius)``. Overflow is
-    not reported here; callers check the bounds for finiteness.
+    The center ``A . [1, x]`` and the radius ``C . [1, x_abs]`` are summed
+    term by term in column order, elementwise over the steps, so each step
+    gets the same floating-point operations whatever the step count or the
+    BLAS library. Returns ``(center - radius, center + radius)``. Overflow
+    is not reported here; callers check the bounds for finiteness.
     """
-    x = np.asarray(x, dtype=float)
-    x_abs = np.asarray(x_abs, dtype=float)
-    if x.ndim != 2 or x.shape != x_abs.shape:
-        raise ValueError(f"regressor shapes {x.shape} and {x_abs.shape} must be equal and 2-D")
-    if x.shape[1] != params.A.size:
-        raise ValueError(
-            f"regressor length {x.shape[1]} does not match parameter length {params.A.size}"
-        )
+    width = params.A.size - 1
+    shapes = sorted({np.shape(col) for col in (*x, *x_abs)})
+    if len(x) != width or len(x_abs) != width or len(shapes) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"need {width} equal-length 1-D columns each, got {len(x)}, {len(x_abs)}: {shapes}")
+    rows = shapes[0][0]
+    center = np.full(rows, params.A[0])
+    radius = np.full(rows, params.C[0])
+    term = np.empty(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        center = params.A[0] * x[:, 0]
-        radius = params.C[0] * x_abs[:, 0]
-        for j in range(1, params.A.size):
-            center += params.A[j] * x[:, j]
-            radius += params.C[j] * x_abs[:, j]
-        return center - radius, center + radius
+        for a, c, col, col_abs in zip(params.A[1:], params.C[1:], x, x_abs):
+            center += np.multiply(a, col, out=term)
+            radius += np.multiply(c, col_abs, out=term)
+        np.add(center, radius, out=term)
+        return np.subtract(center, radius, out=radius), term
 
 
 def predict_compositional(params: IarxParams, history, inputs, k: int) -> Interval:
@@ -242,10 +237,10 @@ def _design_matrices(centers, radii, inputs, n: int, m: int):
             f"need at least {width} usable steps to identify {width} coefficients, have {rows}"
         )
     u = np.asarray(inputs, dtype=float) if m > 0 else np.empty(0)
-    x, x_abs = lag_columns(centers, radii, u, n, m, kmin, total)
-    # The fit's BLAS products sum in an order set by the memory layout; on
-    # row-major copies the fitted bits do not depend on lag_columns's layout.
-    return np.ascontiguousarray(x), centers[kmin:], np.ascontiguousarray(x_abs), radii[kmin:]
+    # Stacked row-major, as the fit's BLAS products sum in an order set by the memory layout.
+    cols = lag_columns(centers, radii, u, n, m, kmin, total)
+    x, x_abs = (np.column_stack((np.ones(rows), *c)) for c in cols)
+    return x, centers[kmin:], x_abs, radii[kmin:]
 
 
 def _ols_center(x: np.ndarray, y: np.ndarray) -> np.ndarray:

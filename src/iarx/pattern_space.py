@@ -118,11 +118,11 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     ``centers`` has shape ``(k,)`` and ``assignments`` maps each point to the
     0-based cluster of the nearest center (ties to the lowest index); in exact
     arithmetic that is the cluster of maximal membership for every fuzziness.
-    Raises ``ClusteringError`` when a cluster ends up with no hard members, so
-    callers may retry with a new seed, or when the objective R rises on any
-    center set, the last included. Warns with ``ConvergenceWarning`` when
-    ``config.max_iterations`` pass without convergence; the last centers are
-    still returned.
+    Raises ``DataError`` for more clusters than points, ``ClusteringError``
+    when a cluster ends up with no hard members, so callers may retry with a
+    new seed, or when the objective R rises on any center set, the last
+    included. Warns with ``ConvergenceWarning`` when ``config.max_iterations``
+    pass without convergence; the last centers are still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
     if values.size == 0:
@@ -132,7 +132,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     if k < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if k > values.size:
-        raise ClusteringError(f"cluster count {k} exceeds the {values.size} data point(s)")
+        raise DataError(f"cluster count {k} exceeds the {values.size} data point(s)")
 
     rng = np.random.default_rng(config.seed)
     centers = _farthest_point_init(values, k, rng)
@@ -256,7 +256,7 @@ class _WindowTable:
             np.maximum(d, other, out=d)
             if i:
                 np.less(dist, best, out=closer)
-                np.copyto(offset, i, where=closer)
+                np.maximum(offset, closer.view(np.int8) * np.int8(i), out=offset)
                 np.minimum(best, dist, out=best)
         # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
         with np.errstate(invalid="ignore"):

@@ -249,12 +249,13 @@ def forecast_series(
 
     Each step is predicted from the encoded actuals, never from earlier
     forecasts. The default range scores every step with a full lag window,
-    i.e. ``max(n, m) .. len(data) - 1``. All steps are computed at once:
-    the series is encoded as class ids, the lag columns are gathered from
-    the class centers and radii, the preliminaries come from
-    :func:`~iarx.model.predict_bounds` and are classified together, and
-    the finals are the bounds of the winning classes. A non-finite
-    preliminary raises ``SimulationError`` naming the first such step.
+    i.e. ``max(n, m) .. len(data) - 1``. All steps are computed at once: the
+    series is encoded as class ids, the lag columns are gathered from the
+    class centers and radii, the preliminaries come from
+    :func:`~iarx.model.predict_bounds` and are classified together, and the
+    finals are the bounds of the winning classes. The first non-finite sample
+    of ``data`` or ``u`` in ``[start - max(n, m), end)`` raises ``DataError``,
+    the first non-finite preliminary ``SimulationError``.
     """
     data = np.asarray(data, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
@@ -270,10 +271,14 @@ def forecast_series(
     if start >= end:
         raise DataError(f"empty scored range [{start}, {end})")
 
+    # Only the scored steps and their lags are read; row 0 is step start - kmin.
+    offset = start - kmin
+    for name, values in (("data", data), ("u", u)):
+        finite = np.isfinite(values[offset:end])
+        if not finite.all():
+            raise DataError(f"{name} sample {offset + int(np.argmin(finite))} is not finite")
     space = model.space
     lowers, uppers = space.lowers, space.uppers
-    # Only the scored steps and their lags are encoded; row 0 is step start - kmin.
-    offset = start - kmin
     idx, centers, radii = _encode(space, data[offset:end])
     x, x_abs = lag_columns(centers, radii, u[offset:end], model.n, model.m, kmin, end - offset)
     prelim_lower, prelim_upper = predict_bounds(model.params, x, x_abs)

@@ -179,7 +179,8 @@ def test_synthesized_stream_is_the_center_series():
     res = synthesize(spec)
     params = spec.true_params
     kmin = max(params.n, params.m)
-    x, x_abs = lag_columns(res.data, res.radii, res.u, params.n, params.m, kmin, spec.length)
+    columns = lag_columns(res.data, res.radii, res.u, params.n, params.m, kmin, spec.length)
+    x, x_abs = (np.column_stack((np.ones(spec.length - kmin), *cols)) for cols in columns)
     np.testing.assert_allclose(res.data[kmin:], x @ params.A, rtol=1e-12)
     np.testing.assert_allclose(res.radii[kmin:], np.maximum(0.0, x_abs @ params.C), rtol=1e-12)
 

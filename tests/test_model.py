@@ -75,14 +75,18 @@ def test_params_arrays_are_frozen():
 
 
 def test_regressor_layout():
-    # layout: [1, centers of lags 1..n, inputs of lags 1..m]; the series is
-    # [-0.5, 1.1], [0.8, 2.0], [1.2, 3.4] and step 3 is the next, unseen one
+    # columns: [centers of lags 1..n, inputs of lags 1..m], the intercept's ones implied;
+    # the series is [-0.5, 1.1], [0.8, 2.0], [1.2, 3.4] and step 3 is the next, unseen one
     centers = np.array([0.3, 1.4, 2.3])
     radii = np.array([0.8, 0.6, 1.1])
     u = np.array([0.0, 0.0, -1.5, 0.0])
     x, x_abs = lag_columns(centers, radii, u, 3, 1, 3, 4)
-    np.testing.assert_array_equal(x, [[1.0, 2.3, 1.4, 0.3, -1.5]])
-    np.testing.assert_array_equal(x_abs, [[1.0, 1.1, 0.6, 0.8, 1.5]])
+    np.testing.assert_array_equal(np.column_stack(x), [[2.3, 1.4, 0.3, -1.5]])
+    np.testing.assert_array_equal(np.column_stack(x_abs), [[1.1, 0.6, 0.8, 1.5]])
+    # the lagged outputs and signed inputs are views of the series, not copies
+    assert all(np.shares_memory(col, centers) for col in x[:3])
+    assert all(np.shares_memory(col, radii) for col in x_abs[:3])
+    assert np.shares_memory(x[3], u)
 
 
 # ----------------------------------------------------------------- prediction
@@ -143,30 +147,33 @@ def test_predict_bounds_rows_match_single_step_predictions():
     singles = np.array([_one_step(params, centers, radii, u, k) for k in range(3, 61)])
     np.testing.assert_array_equal(lower, singles[:, 0])
     np.testing.assert_array_equal(upper, singles[:, 1])
-    with pytest.raises(ValueError):
-        predict_bounds(params, np.ones((4, 5)), np.ones((4, 5)))  # width is 1 + n + m = 6
-    with pytest.raises(ValueError):
-        predict_bounds(params, np.ones((4, 6)), np.ones((3, 6)))
-    with pytest.raises(ValueError):
-        predict_bounds(params, np.ones(6), np.ones(6))
+    # the kernel takes n + m = 5 columns per channel, each 1-D and all of one length
+    with pytest.raises(ValueError, match=r"^need 5 equal-length 1-D columns each, got 4, 4"):
+        predict_bounds(params, [np.ones(4)] * 4, [np.ones(4)] * 4)
+    with pytest.raises(ValueError, match=r"got 5, 4"):
+        predict_bounds(params, [np.ones(4)] * 5, [np.ones(4)] * 4)
+    with pytest.raises(ValueError, match=r"\[\(3,\), \(4,\)\]$"):
+        predict_bounds(params, [np.ones(4)] * 5, [np.ones(4)] * 4 + [np.ones(3)])
+    with pytest.raises(ValueError, match=r"\[\(4, 1\)\]$"):
+        predict_bounds(params, [np.ones((4, 1))] * 5, [np.ones((4, 1))] * 5)
+    with pytest.raises(ValueError, match=r"\[\(\)\]$"):
+        predict_bounds(params, np.ones(5), np.ones(5))
 
 
-
-def test_predict_bounds_does_not_depend_on_the_regressor_layout():
-    # lag_columns lays its regressors out column by column; a row-major copy
-    # of the same values predicts the same bits
+def test_column_views_predict_the_bits_of_the_design_matrix_rows():
+    # the kernel reads lag_columns's views in place; the strided columns of the
+    # row-major matrices that _design_matrices stacks for the fit give the same bits
     rng = np.random.default_rng(4)
     params = IarxParams(n=3, m=2, A=rng.normal(size=6), C=np.abs(rng.normal(size=6)))
     centers, radii = _series(rng, 500)
     u = rng.normal(size=500)
     x, x_abs = lag_columns(centers, radii, u, 3, 2, 3, 500)
-    assert x.flags.f_contiguous and x_abs.flags.f_contiguous
-    # the fit's least-squares and QP products run on row-major copies
     x_fit, _, x_abs_fit, _ = _design_matrices(centers, radii, u, 3, 2)
     assert x_fit.flags.c_contiguous and x_abs_fit.flags.c_contiguous
-    np.testing.assert_array_equal(x_fit, x)
+    np.testing.assert_array_equal(x_fit, np.column_stack((np.ones(497), *x)))
+    np.testing.assert_array_equal(x_abs_fit, np.column_stack((np.ones(497), *x_abs)))
     lower, upper = predict_bounds(params, x, x_abs)
-    rows = predict_bounds(params, np.ascontiguousarray(x), np.ascontiguousarray(x_abs))
+    rows = predict_bounds(params, x_fit[:, 1:].T, x_abs_fit[:, 1:].T)
     np.testing.assert_array_equal(lower, rows[0])
     np.testing.assert_array_equal(upper, rows[1])
 

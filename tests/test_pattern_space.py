@@ -192,6 +192,12 @@ def test_not_enough_distinct_values():
         build_space([1.0, 1.0, 2.0, 2.0], 3)
 
 
+def test_more_classes_than_samples_is_a_data_error():
+    # the input error fit_model reports for the same data, here from build_space
+    with pytest.raises(DataError, match=r"^cluster count 5 exceeds the 4 data point\(s\)$"):
+        build_space([1.0, 2.0, 3.0, 4.0], 5)
+
+
 def test_empty_series_rejected():
     with pytest.raises(ClusteringError):
         fcm_cluster([], 2)

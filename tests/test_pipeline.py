@@ -97,6 +97,22 @@ def test_forecast_data_and_input_lengths_must_agree(default_model, default_resul
         forecast_series(default_model, default_result.data, default_result.u[:-1])
 
 
+@pytest.mark.parametrize("column", ["data", "u"])
+def test_forecast_rejects_a_non_finite_sample(default_model, default_result, default_records, column):
+    # A non-finite sample is an input error, not silently a class-1 encoding.
+    arrays = {"data": default_result.data.copy(), "u": default_result.u.copy()}
+    for value in (np.nan, np.inf, -np.inf):
+        arrays[column][100] = value
+        with pytest.raises(DataError, match=rf"^{column} sample 100 is not finite$"):
+            forecast_series(default_model, arrays["data"], arrays["u"])
+    # a sample before the lags of the scored range is not read
+    kmin = max(default_model.n, default_model.m)
+    trace = forecast_series(default_model, arrays["data"], arrays["u"], start=101 + kmin)
+    np.testing.assert_array_equal(trace.prelim_upper, default_records.prelim_upper[101:])
+    with pytest.raises(DataError, match=rf"^{column} sample 100 is not finite$"):
+        forecast_series(default_model, arrays["data"], arrays["u"], start=100 + kmin)
+
+
 def test_forecast_range_and_record_layout(default_model, default_result, default_records):
     n, m = default_model.n, default_model.m
     length = len(default_result.data)

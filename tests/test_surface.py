@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,19 @@ def test_package_defines_only_its_version():
     tree = ast.parse(Path(iarx.__file__).read_text(encoding="utf-8"))
     statements = [node for node in tree.body if not isinstance(node, ast.Expr)]  # the docstring
     assert [ast.unparse(node) for node in statements] == [f"__version__ = {iarx.__version__!r}"]
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml declares numpy as the one dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "iarx"}
+    foreign = []
+    for path in sorted(Path(iarx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []
