@@ -9,7 +9,13 @@ cardinality of the space.
 Classification of an interval is nearest-neighbor under the Hausdorff
 distance, and the space keeps its class bounds as read-only arrays, so an
 interval taken from them by class id is bit-identical to that class's
-interval.
+interval. For a single value ``x``, the degenerate interval ``[x, x]``, the
+nearest class is a step function of ``x``; the space keeps it as a table
+over a uniform grid (``_PointTable``), so a series is encoded with one cell
+computation and one lookup per sample. The table holds a class only where
+it is proven nearest for every float of the cell, and leaves the other
+samples to ``classify_bounds``; either way the ids are those of a full
+scan.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ __all__ = [
 
 # classify_bounds measures each interval against this many neighbouring
 # classes, found through a uniform grid over the class lower bounds with this
-# many cells per class. At 16 cells the window certifies every encoding and
-# snap of the default series at each class count of the default sweep, raw
-# and z-scored; at 4 or 8 a few rows fall back to the full scan.
+# many cells per class. At 16 cells the window certifies every snap of the
+# default series at each class count of the default sweep, raw and z-scored
+# (and every encoding, though _PointTable settles those first); at 4 or 8 a
+# few rows fall back to the full scan.
 _WINDOW = 3
 _CELLS_PER_CLASS = 16
 
@@ -43,6 +50,15 @@ _CELLS_PER_CLASS = 16
 # this many (interval, class) distances at a time, so its work arrays stay
 # cache-sized however many intervals reach it.
 _BLOCK_PAIRS = 1 << 16
+
+# The encoding of a series reads each sample's class from a uniform grid over
+# the class extent with this many cells per class (see _PointTable). At 64
+# cells about 3 % of the samples of the default series land in a cell that a
+# class boundary crosses and need one more comparison, at 16 cells 12 %; the
+# build of a finer grid costs more in every space.
+_POINT_CELLS_PER_CLASS = 64
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -267,6 +283,87 @@ class _WindowTable:
         return index, certified
 
 
+class _PointTable:
+    """The nearest class of every degenerate interval ``[x, x]``, read by grid cell.
+
+    The distance of ``[x, x]`` to class ``j`` rounds to ``max(fl(x - L_j),
+    fl(U_j - x))``. When the class bounds ``L`` and ``U`` both strictly
+    increase, class ``j`` is the nearest in exact arithmetic on ``(t_{j-1},
+    t_j]``, where ``t_j = (L_j + U_{j+1}) / 2``, and any other class is
+    farther by at least ``min(2 |x - t|, s)``, with ``t`` the breakpoint
+    next to the nearest class on that class's side and ``s`` the least step
+    of ``L`` or ``U``. For ``x`` in ``[origin, top]`` the two rounded
+    distances of a comparison err by less than ``E = 2 eps (|origin| +
+    |top|)`` together; ``E`` also adds the least normal float, which bounds
+    the error of halving a subnormal ``t_j``. So where every step exceeds
+    ``2 E``, the rounded argmin (ties to the lowest id) is the exact one at
+    every ``x`` at least ``2 E`` from every breakpoint; where only ``t_j``
+    is nearer, only classes ``j`` and ``j + 1`` can win, and ``j`` wins
+    exactly when ``fl(x - L_j) <= fl(U_{j+1} - x)``.
+
+    A uniform grid over ``[origin, top]``, the class extent widened by two
+    cells at either end, maps ``x`` to the cell ``int((clip(x) - origin) *
+    scale)``; NaN and values beyond the grid land in the first or the last
+    cell. The map is monotone in ``x``, so the cells that can hold a value
+    within ``2 E`` of ``t_j`` run from the cell of ``t_j - 2 E`` to that of
+    ``t_j + 2 E``, computed by the same map. With ``b`` the breakpoints
+    wholly below a cell and ``r`` those that reach it, ``code`` holds ``b -
+    k r``: the 0-based class ``b`` when ``r = 0``; ``b - k``, in ``[-k,
+    -1]``, when ``t_b`` alone reaches it; and less than ``-k`` for cells
+    that two breakpoints reach, the first and the last cell, and every cell
+    of a space with a step of ``2 E`` or less.
+    """
+
+    __slots__ = ("origin", "top", "scale", "code", "lowers", "uppers")
+
+    def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
+        self.lowers, self.uppers = lowers, uppers
+        cells = _POINT_CELLS_PER_CLASS * lowers.size
+        span = float(uppers[-1] - lowers[0])
+        scale = cells / span if span > 0.0 else 0.0
+        pad = 2.0 * span / cells
+        self.origin, self.top = float(lowers[0]) - pad, float(uppers[-1]) + pad
+        rounding = 2.0 * _EPS * (abs(self.origin) + abs(self.top)) + _TINY
+        steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
+        if not (0.0 < scale < np.inf and rounding < np.inf and (steps > 2.0 * rounding).all()):
+            self.origin = self.top = self.scale = 0.0
+            self.code = np.full(1, -2 * lowers.size, dtype=np.intp)
+            return
+        self.scale = scale
+        size = int((self.top - self.origin) * scale) + 1  # the map of top, as _cells computes it
+        breaks = 0.5 * (lowers[:-1] + uppers[1:])
+        first, last = self._cells(np.add.outer((-2.0 * rounding, 2.0 * rounding), breaks))
+        # b counts the breakpoints whose last cell lies below a cell and r + b
+        # those whose first cell does not lie above it, so b - k r = (k + 1) b
+        # - k (r + b) is one running sum over the cells
+        k = lowers.size
+        ended = np.bincount(last + 1, minlength=size)[:size]
+        code = np.add.accumulate((k + 1) * ended - k * np.bincount(first, minlength=size))
+        code[0] = code[-1] = -2 * k
+        self.code = code
+
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        cell = np.fmax(x, self.origin)
+        np.fmin(cell, self.top, out=cell)
+        cell -= self.origin
+        cell *= self.scale
+        return cell.astype(np.intp)
+
+    def classify(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, stray)``: the 0-based nearest class of each ``[x, x]``, and the
+        positions the table cannot settle, whose index is negative."""
+        index = self.code.take(self._cells(x))
+        stray = np.flatnonzero(index < 0)
+        if stray.size:
+            j = index[stray] + self.lowers.size
+            split = j >= 0
+            at, j = stray[split], j[split]
+            point = x[at]
+            index[at] = j + (point - self.lowers.take(j) > self.uppers.take(j + 1) - point)
+            stray = stray[~split]
+        return index, stray
+
+
 class PatternSpace:
     """An ordered collection of pattern classes over a scalar series.
 
@@ -276,7 +373,7 @@ class PatternSpace:
     clustering or from a serialized file.
     """
 
-    __slots__ = ("_classes", "_lowers", "_uppers", "_window")
+    __slots__ = ("_classes", "_lowers", "_uppers", "_window", "_points")
 
     def __init__(self, classes):
         classes = tuple(classes)
@@ -301,6 +398,7 @@ class PatternSpace:
         self._lowers.setflags(write=False)
         self._uppers.setflags(write=False)
         self._window = _WindowTable(self._lowers, self._uppers)
+        self._points = _PointTable(self._lowers, self._uppers)
 
     @property
     def classes(self) -> tuple[PatternClass, ...]:

@@ -210,12 +210,27 @@ def _check_shape(cpms: int, n: int, m: int) -> None:
 def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode each sample as the class nearest its degenerate interval ``[x, x]``.
 
-    Returns the 0-based class index of every sample with that class's
-    center ``(L + U) / 2`` and radius ``(U - L) / 2``.
+    The space's grid table gives each sample's class from its cell, with one
+    comparison between two classes for cells that a breakpoint between them
+    crosses; it leaves a sample only where it cannot prove the class (beyond
+    the grid, NaN, spaces whose class bounds do not both strictly increase),
+    and those samples go through ``classify_bounds``. The ids
+    equal a full scan's. Returns the 0-based class index of every sample
+    with that class's center ``(L + U) / 2`` and radius ``(U - L) / 2``.
     """
-    idx = space.classify_bounds(data, data) - 1
+    idx, stray = space._points.classify(data)
+    if stray.size:
+        idx[stray] = space.classify_bounds(data[stray], data[stray]) - 1
     lowers, uppers = space.lowers, space.uppers
-    return idx, (0.5 * (lowers + uppers))[idx], (0.5 * (uppers - lowers))[idx]
+    return idx, (0.5 * (lowers + uppers)).take(idx), (0.5 * (uppers - lowers)).take(idx)
+
+
+def _require_finite(data: np.ndarray, u: np.ndarray, start: int, end: int) -> None:
+    """Raise ``DataError`` naming the first non-finite sample of ``data`` or ``u`` in ``[start, end)``."""
+    for name, values in (("data", data), ("u", u)):
+        finite = np.isfinite(values[start:end])
+        if not finite.all():
+            raise DataError(f"{name} sample {start + int(np.argmin(finite))} is not finite")
 
 
 def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) -> MovingPatternModel:
@@ -223,8 +238,9 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) 
 
     Builds a ``cpms``-class pattern space, encodes the series, and
     identifies both parameter channels on the encoded centers and radii. ``fcm``
-    supplies the other clustering settings.
-    Clustering and identification errors propagate; no retries are made.
+    supplies the other clustering settings. The first non-finite sample of
+    ``data`` or ``u`` raises ``DataError``; clustering and identification
+    errors propagate, and no retries are made.
     """
     data = np.asarray(data, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
@@ -237,6 +253,7 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) 
         raise DataError(
             f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}"
         )
+    _require_finite(data, u, 0, data.size)
     space = build_space(data, cpms, fcm)
     _, centers, radii = _encode(space, data)
     return MovingPatternModel(space=space, params=fit(centers, radii, u, n, m))
@@ -250,12 +267,14 @@ def forecast_series(
     Each step is predicted from the encoded actuals, never from earlier
     forecasts. The default range scores every step with a full lag window,
     i.e. ``max(n, m) .. len(data) - 1``. All steps are computed at once: the
-    series is encoded as class ids, the lag columns are gathered from the
-    class centers and radii, the preliminaries come from
-    :func:`~iarx.model.predict_bounds` and are classified together, and the
-    finals are the bounds of the winning classes. The first non-finite sample
-    of ``data`` or ``u`` in ``[start - max(n, m), end)`` raises ``DataError``,
-    the first non-finite preliminary ``SimulationError``.
+    series is encoded as class ids by :func:`_encode` (a grid-table lookup
+    per sample; ``classify_bounds`` settles the samples the table cannot),
+    the lag columns are gathered from the class centers and radii, the
+    preliminaries come from :func:`~iarx.model.predict_bounds` and are
+    classified together, and the finals are the bounds of the winning
+    classes. The first non-finite sample of ``data`` or ``u`` in ``[start -
+    max(n, m), end)`` raises ``DataError``, the first non-finite preliminary
+    ``SimulationError``.
     """
     data = np.asarray(data, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
@@ -273,10 +292,7 @@ def forecast_series(
 
     # Only the scored steps and their lags are read; row 0 is step start - kmin.
     offset = start - kmin
-    for name, values in (("data", data), ("u", u)):
-        finite = np.isfinite(values[offset:end])
-        if not finite.all():
-            raise DataError(f"{name} sample {offset + int(np.argmin(finite))} is not finite")
+    _require_finite(data, u, offset, end)
     space = model.space
     lowers, uppers = space.lowers, space.uppers
     idx, centers, radii = _encode(space, data[offset:end])

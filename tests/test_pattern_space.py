@@ -8,7 +8,7 @@ from iarx.errors import ClusteringError, ConvergenceWarning, DataError
 from iarx.intervals import Interval, hausdorff_distance
 from iarx import pattern_space
 from iarx.data_io import zero_mean_normalize
-from iarx.pipeline import fit_model, forecast_series
+from iarx.pipeline import _encode, fit_model, forecast_series
 from iarx.pattern_space import (
     FcmConfig,
     PatternClass,
@@ -359,8 +359,9 @@ def _no_scan(self, lower, upper):
 
 
 def test_window_certifies_every_interval_of_the_default_forecast(default_model, default_result, monkeypatch):
-    # on clustered classes the window alone settles the encoding and the snap
-    # of every step, so a forecast pass never pays for the full scan
+    # on clustered classes the encoding table and the window settle the
+    # encoding and the snap of every step, so a forecast pass never pays for
+    # the full scan
     monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
     forecast_series(default_model, default_result.data, default_result.u)
 
@@ -374,6 +375,92 @@ def test_window_certifies_every_interval_of_every_z_scored_sweep_model(default_r
     monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
     for cpms in range(16, 37):
         forecast_series(fit_model(data, u, cpms, n=3, m=1), data, u)
+
+
+@pytest.fixture(scope="module")
+def sweep_spaces(default_result):
+    """The spaces of the default sweep, class counts 16..36, on the raw and the z-scored series."""
+    series = {"raw": default_result.data, "z-scored": zero_mean_normalize(default_result.data)[0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        return {(scaling, cpms): build_space(data, cpms) for scaling, data in series.items() for cpms in range(16, 37)}
+
+
+def point_probes(space, neighbours=2):
+    """Scalars where the encoding of ``[x, x]`` is easiest to get wrong.
+
+    The class bounds, the breakpoints ``(L_j + U_{j+1}) / 2`` where the
+    nearest class changes, both ends of the encoding grid and values beyond
+    them, each with its ``neighbours`` nearest floats on either side; a
+    sweep across the grid; and huge, infinite and NaN values.
+    """
+    lowers, uppers = space.lowers, space.uppers
+    table = space._points
+    span = uppers.max() - lowers.min()
+    ends = np.array([table.origin, table.top, lowers.min() - span, uppers.max() + span])
+    exact = np.concatenate((lowers, uppers, 0.5 * (lowers[:-1] + uppers[1:]), ends))
+    probes = [exact]
+    down = up = exact
+    for _ in range(neighbours):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        probes += [down, up]
+    probes.append(np.linspace(lowers.min() - 0.1 * span, uppers.max() + 0.1 * span, 4001))
+    probes.append(np.array([1e300, -1e300, np.inf, -np.inf, np.nan]))
+    return np.concatenate(probes)
+
+
+def two_class_space(rng):
+    """Two classes about 30 from zero whose breakpoint lies near it.
+
+    The breakpoint of two classes is the middle of their extent, a cell edge
+    of the encoding grid, and there the rounded distances, of size 30, tie
+    over dozens of floats on either side, so a grid cell that holds one of
+    them must not be taken for a one-class cell.
+    """
+    first = -rng.uniform(30.0, 40.0)
+    bounds = np.cumsum([first, rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)])
+    upper = -first + rng.uniform(-1.0, 1.0)
+    return PatternSpace(
+        PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j))
+        for j, (lo, up) in enumerate([(bounds[0], bounds[1]), (bounds[2], upper)])
+    )
+
+
+def test_encoding_matches_the_full_scan(sweep_spaces):
+    # the grid table, its two-class cells and the classify_bounds fallback
+    # together give the full scan's id for every scalar, on random spaces of
+    # every layout (overlapping and wide ones have no table and fall back
+    # whole), on the spaces of the default sweep, raw and z-scored, and at
+    # the 64 floats either side of a breakpoint on a cell edge
+    rng = np.random.default_rng(7)
+    layouts = ("disjoint", "overlapping", "wide")
+    cases = [(random_space(rng, cpms, layout), 2) for layout in layouts for cpms in range(2, 41)]
+    cases += [(space, 2) for space in sweep_spaces.values()]
+    cases += [(two_class_space(rng), 64) for _ in range(50)]
+    for space, neighbours in cases:
+        x = point_probes(space, neighbours)
+        np.testing.assert_array_equal(
+            _encode(space, x)[0] + 1, full_scan_ids(space, x, x), err_msg=repr(space.to_json())
+        )
+
+
+def test_encoding_table_settles_the_default_forecast_and_every_z_scored_sweep_model(
+    default_model, default_result, sweep_spaces
+):
+    # coverage guard, so that a grid change cannot switch the fast path off
+    # unseen: at 64 cells per class the table reads at least 94.8 % of these
+    # samples straight from their cell (the rest through its two-class
+    # cells) and leaves none to classify_bounds; the bounds, 94 % and 0.1 %,
+    # leave a little room
+    z_scored = zero_mean_normalize(default_result.data)[0]
+    cases = [(default_model.space, default_result.data)]
+    cases += [(space, z_scored) for (scaling, _), space in sweep_spaces.items() if scaling == "z-scored"]
+    for space, data in cases:
+        table = space._points
+        direct = np.mean(table.code.take(table._cells(data)) >= 0)
+        _, stray = table.classify(data)
+        assert direct >= 0.94, f"cpms {space.cpms}: {direct:.4f} read straight from a cell"
+        assert stray.size <= 0.001 * data.size, f"cpms {space.cpms}: {stray.size} samples left to classify_bounds"
 
 
 def test_class_bounds_are_the_stored_intervals():

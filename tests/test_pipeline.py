@@ -113,6 +113,24 @@ def test_forecast_rejects_a_non_finite_sample(default_model, default_result, def
         forecast_series(default_model, arrays["data"], arrays["u"], start=100 + kmin)
 
 
+@pytest.mark.parametrize("column", ["data", "u"])
+def test_fit_rejects_a_non_finite_sample(default_result, column, capfd):
+    # the input error forecast_series reports, raised before clustering or
+    # least squares see the sample (a NaN input used to reach LAPACK, which
+    # printed to stderr and raised numpy's LinAlgError)
+    for value in (np.nan, np.inf, -np.inf):
+        arrays = {"data": default_result.data.copy(), "u": default_result.u.copy()}
+        arrays[column][100] = value
+        with pytest.raises(DataError, match=rf"^{column} sample 100 is not finite$"):
+            fit_model(arrays["data"], arrays["u"], cpms=16, n=3, m=1)
+        # a sweep records the failed cell and goes on to the next
+        cells = sweep_cpms(arrays["data"], arrays["u"], [16, 17], n=3, m=1)
+        assert [(c.cpms, c.report, c.error) for c in cells] == [
+            (cpms, None, f"{column} sample 100 is not finite") for cpms in (16, 17)
+        ]
+    assert capfd.readouterr().err == ""
+
+
 def test_forecast_range_and_record_layout(default_model, default_result, default_records):
     n, m = default_model.n, default_model.m
     length = len(default_result.data)
