@@ -76,8 +76,7 @@ _SPEC_KEYS = tuple(field.name for field in fields(SyntheticSpec))
 def _load_config(path: str, keys) -> dict:
     """The JSON object in ``path``; it may set only ``keys``."""
     p = _require_file(path, "config file")
-    with open(p, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(p)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
     unknown = [key for key in doc if key not in keys]
@@ -105,6 +104,15 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
         if action.option_strings and action.dest not in ("help", "config")
     }
     return {key: _convert(value, key, kinds[key]) for key, value in _load_config(path, kinds).items()}
+
+
+def _read_json(path: Path):
+    """The JSON document in ``path``; text that does not parse is an input error naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or not UTF-8
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -178,13 +186,11 @@ def _load_model_dir(model_dir: str) -> MovingPatternModel:
     base = Path(model_dir)
     model_path = _require_file(base / MODEL_FILE, "model file")
     space_path = _require_file(base / SPACE_FILE, "pattern space file")
-    with open(model_path, "r", encoding="utf-8") as fh:
-        params = IarxParams.from_json(json.load(fh))
-    space = PatternSpace.load(space_path)
+    params = IarxParams.from_json(_read_json(model_path))
+    space = PatternSpace.from_json(_read_json(space_path))
     report_path = base / REPORT_FILE
     if report_path.is_file():
-        with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _read_json(report_path)
         if isinstance(report, dict) and report.get("cpms", space.cpms) != space.cpms:
             raise ConfigError(
                 f"model dir {base} is inconsistent: fit report says cpms={report['cpms']} "

@@ -9,13 +9,15 @@ cardinality of the space.
 Classification of an interval is nearest-neighbor under the Hausdorff
 distance, and the space keeps its class bounds as read-only arrays, so an
 interval taken from them by class id is bit-identical to that class's
-interval. For a single value ``x``, the degenerate interval ``[x, x]``, the
-nearest class is a step function of ``x``; the space keeps it as a table
-over a uniform grid (``_PointTable``), so a series is encoded with one cell
-computation and one lookup per sample. The table holds a class only where
-it is proven nearest for every float of the cell, and leaves the other
-samples to ``classify_bounds``; either way the ids are those of a full
-scan.
+interval. The space keeps one uniform grid over its class extent
+(``_GridTable``), and both searches read it. For a single value ``x``, the
+degenerate interval ``[x, x]``, the nearest class is a step function of
+``x``; a cell holds it where it is proven nearest for every float of the
+cell, so a series is encoded with one cell computation and one lookup per
+sample, and the other samples go to ``classify_bounds``. That measures an
+interval against the three classes of the window of the cell that holds
+its lower bound, and against every class where a certificate cannot rule
+the others out; either way the ids are those of a full scan.
 """
 
 from __future__ import annotations
@@ -38,25 +40,20 @@ __all__ = [
 ]
 
 # classify_bounds measures each interval against this many neighbouring
-# classes, found through a uniform grid over the class lower bounds with this
-# many cells per class. At 16 cells the window certifies every snap of the
-# default series at each class count of the default sweep, raw and z-scored
-# (and every encoding, though _PointTable settles those first); at 4 or 8 a
-# few rows fall back to the full scan.
+# classes, the window of the grid cell that holds its lower bound.
 _WINDOW = 3
-_CELLS_PER_CLASS = 16
 
 # The full scan, which settles the intervals a window cannot certify, measures
 # this many (interval, class) distances at a time, so its work arrays stay
 # cache-sized however many intervals reach it.
 _BLOCK_PAIRS = 1 << 16
 
-# The encoding of a series reads each sample's class from a uniform grid over
-# the class extent with this many cells per class (see _PointTable). At 64
-# cells about 3 % of the samples of the default series land in a cell that a
-# class boundary crosses and need one more comparison, at 16 cells 12 %; the
-# build of a finer grid costs more in every space.
-_POINT_CELLS_PER_CLASS = 64
+# A space keeps one uniform grid over its class extent with this many cells
+# per class (see _GridTable), and reads a sample's class and an interval's
+# window from it. At 64 cells about 3 % of the samples of the default series
+# land in a cell that a class boundary crosses and need one more comparison,
+# at 16 cells 12 %; the build of a finer grid costs more in every space.
+_GRID_CELLS = 64
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -134,17 +131,18 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     ``centers`` has shape ``(k,)`` and ``assignments`` maps each point to the
     0-based cluster of the nearest center (ties to the lowest index); in exact
     arithmetic that is the cluster of maximal membership for every fuzziness.
-    Raises ``DataError`` for more clusters than points, ``ClusteringError``
-    when a cluster ends up with no hard members, so callers may retry with a
-    new seed, or when the objective R rises on any center set, the last
-    included. Warns with ``ConvergenceWarning`` when ``config.max_iterations``
-    pass without convergence; the last centers are still returned.
+    Raises ``DataError`` naming the first non-finite point, or for more
+    clusters than points; ``ClusteringError`` when a cluster ends up with no
+    hard members, so callers may retry with a new seed, or when the
+    objective R rises on any center set, the last included. Warns with
+    ``ConvergenceWarning`` when ``config.max_iterations`` pass without
+    convergence; the last centers are still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
     if values.size == 0:
         raise ClusteringError("cannot cluster an empty series")
-    if not np.all(np.isfinite(values)):
-        raise ClusteringError("data series contains non-finite values")
+    if not np.isfinite(values).all():
+        raise DataError(f"data sample {np.flatnonzero(~np.isfinite(values))[0]} is not finite")
     if k < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if k > values.size:
@@ -215,141 +213,92 @@ class PatternClass:
     center: float
 
 
-class _WindowTable:
-    """Where :meth:`PatternSpace.classify_bounds` looks for an interval's nearest class.
+class _GridTable:
+    """One uniform grid over the class extent: per cell, an encoding code and a snap window.
 
-    A uniform grid spans ``[lo, hi]``, the first and last class lower
-    bounds; cell ``c`` holds the lower bounds ``origin + [c, c + 1) / scale``.
-    For the cell's midpoint, ``j`` is the last class whose lower bound does
-    not exceed it, and the cell's window is the classes ``j - 1 .. j + 1``
-    (shifted inside ``0 .. cpms - 1`` at either end). Per cell the table
-    keeps the window's first class (``first``), the bounds of the window's
-    classes in offset order (one row per offset), and the class lower bounds
-    just outside the window (``left``, ``right``; infinite where the window
-    reaches the first or last class).
+    The grid spans ``[origin, top]``, the class extent ``[L_1, U_k]`` widened
+    by two cells at either end, and maps ``x`` to the cell ``int((clip(x) -
+    origin) * scale)``; NaN and values beyond the grid land in the first or
+    the last cell. The map is monotone in ``x``. A zero or non-finite span
+    leaves a single cell.
+
+    Window. Per cell the table keeps the classes that
+    :meth:`PatternSpace.classify_bounds` tries first for an interval whose
+    lower bound lies in the cell: the id of the first (``first``), their
+    upper bounds (``window_uppers``, one row per offset), and their lower
+    bounds between the class lower bounds just outside them
+    (``window_lowers``; infinite past the first or the last class). As
+    ``classify_bounds`` certifies each answer, no window needs a code.
+
+    Encoding. The distance of ``[x, x]`` to class ``j`` rounds to
+    ``max(fl(x - L_j), fl(U_j - x))``. When the class bounds ``L`` and ``U``
+    both strictly increase, class ``j`` is the nearest in exact arithmetic
+    on ``(t_{j-1}, t_j]``, where ``t_j = (L_j + U_{j+1}) / 2``, and any other
+    class is farther by at least ``min(2 |x - t|, s)``, with ``t`` the
+    breakpoint next to the nearest class on that class's side and ``s`` the
+    least step of ``L`` or ``U``. For ``x`` in ``[origin, top]`` the two
+    rounded distances of a comparison err by less than ``E = 2 eps
+    (|origin| + |top|)`` together; ``E`` also adds the least normal float,
+    which bounds the error of halving a subnormal ``t_j``. So where every
+    step exceeds ``2 E``, the rounded argmin (ties to the lowest id) is the
+    exact one at every ``x`` at least ``2 E`` from every breakpoint; where
+    only ``t_j`` is nearer, only classes ``j`` and ``j + 1`` can win, and
+    ``j`` wins exactly when ``fl(x - L_j) <= fl(U_{j+1} - x)``. The cells
+    that can hold a value within ``2 E`` of ``t_j`` run from the cell of
+    ``t_j - 2 E`` to that of ``t_j + 2 E``, computed by the same map. With
+    ``b`` the breakpoints wholly below a cell and ``r`` those that reach it,
+    ``code`` holds ``b - k r``: the 0-based class ``b`` when ``r = 0``; ``b
+    - k``, in ``[-k, -1]``, when ``t_b`` alone reaches it; and less than
+    ``-k`` for cells that two breakpoints reach, the first and the last
+    cell, and every cell of a space with a step of ``2 E`` or less.
     """
 
-    __slots__ = ("lo", "hi", "origin", "scale", "first", "lowers", "uppers", "left", "right")
-
-    def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
-        cpms = lowers.size
-        width = min(_WINDOW, cpms)
-        cells = _CELLS_PER_CLASS * cpms
-        self.lo, self.hi = float(lowers[0]), float(lowers[-1])
-        span = self.hi - self.lo
-        scale = cells / span if span > 0.0 else 0.0
-        if 0.0 < scale < np.inf:
-            midpoints = self.lo + (np.arange(cells + 1) + 0.5) * (span / cells)
-            start = np.searchsorted(lowers, midpoints, side="right") - 1 - width // 2
-            self.origin, self.scale, self.first = self.lo, scale, np.clip(start, 0, cpms - width)
-        else:  # a zero, vanishing or overflowing span: one cell, at the first class
-            self.origin, self.scale, self.first = 0.0, 0.0, np.zeros(1, dtype=np.intp)
-        window = self.first + np.arange(width)[:, None]
-        self.lowers, self.uppers = lowers[window], uppers[window]
-        padded = np.concatenate(([-np.inf], lowers, [np.inf]))
-        self.left, self.right = padded[self.first], padded[self.first + width + 1]
-
-    def classify(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, certified)``: the 0-based nearest class within each
-        interval's window, and whether no class outside it can win."""
-        # fmax/fmin send NaN to the first cell, so the cast below never sees it.
-        cell = np.fmax(lower, self.lo)
-        np.fmin(cell, self.hi, out=cell)
-        cell -= self.origin
-        cell *= self.scale
-        cell = cell.astype(np.intp)
-        best = np.empty_like(lower)
-        dist = np.empty_like(lower)
-        other = np.empty_like(lower)
-        offset = np.zeros(lower.size, dtype=np.int8)
-        closer = np.empty(lower.size, dtype=bool)
-        for i, (class_lowers, class_uppers) in enumerate(zip(self.lowers, self.uppers)):
-            d = best if i == 0 else dist
-            np.subtract(lower, class_lowers.take(cell), out=d)
-            np.abs(d, out=d)
-            np.subtract(upper, class_uppers.take(cell), out=other)
-            np.abs(other, out=other)
-            np.maximum(d, other, out=d)
-            if i:
-                np.less(dist, best, out=closer)
-                np.maximum(offset, closer.view(np.int8) * np.int8(i), out=offset)
-                np.minimum(best, dist, out=best)
-        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
-        with np.errstate(invalid="ignore"):
-            certified = np.subtract(lower, self.left.take(cell), out=dist) > best
-            certified &= np.subtract(self.right.take(cell), lower, out=other) >= best
-        index = self.first.take(cell)
-        index += offset
-        return index, certified
-
-
-class _PointTable:
-    """The nearest class of every degenerate interval ``[x, x]``, read by grid cell.
-
-    The distance of ``[x, x]`` to class ``j`` rounds to ``max(fl(x - L_j),
-    fl(U_j - x))``. When the class bounds ``L`` and ``U`` both strictly
-    increase, class ``j`` is the nearest in exact arithmetic on ``(t_{j-1},
-    t_j]``, where ``t_j = (L_j + U_{j+1}) / 2``, and any other class is
-    farther by at least ``min(2 |x - t|, s)``, with ``t`` the breakpoint
-    next to the nearest class on that class's side and ``s`` the least step
-    of ``L`` or ``U``. For ``x`` in ``[origin, top]`` the two rounded
-    distances of a comparison err by less than ``E = 2 eps (|origin| +
-    |top|)`` together; ``E`` also adds the least normal float, which bounds
-    the error of halving a subnormal ``t_j``. So where every step exceeds
-    ``2 E``, the rounded argmin (ties to the lowest id) is the exact one at
-    every ``x`` at least ``2 E`` from every breakpoint; where only ``t_j``
-    is nearer, only classes ``j`` and ``j + 1`` can win, and ``j`` wins
-    exactly when ``fl(x - L_j) <= fl(U_{j+1} - x)``.
-
-    A uniform grid over ``[origin, top]``, the class extent widened by two
-    cells at either end, maps ``x`` to the cell ``int((clip(x) - origin) *
-    scale)``; NaN and values beyond the grid land in the first or the last
-    cell. The map is monotone in ``x``, so the cells that can hold a value
-    within ``2 E`` of ``t_j`` run from the cell of ``t_j - 2 E`` to that of
-    ``t_j + 2 E``, computed by the same map. With ``b`` the breakpoints
-    wholly below a cell and ``r`` those that reach it, ``code`` holds ``b -
-    k r``: the 0-based class ``b`` when ``r = 0``; ``b - k``, in ``[-k,
-    -1]``, when ``t_b`` alone reaches it; and less than ``-k`` for cells
-    that two breakpoints reach, the first and the last cell, and every cell
-    of a space with a step of ``2 E`` or less.
-    """
-
-    __slots__ = ("origin", "top", "scale", "code", "lowers", "uppers")
+    __slots__ = ("origin", "top", "scale", "code", "lowers", "uppers", "first", "window_lowers", "window_uppers")
 
     def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
         self.lowers, self.uppers = lowers, uppers
-        cells = _POINT_CELLS_PER_CLASS * lowers.size
-        span = float(uppers[-1] - lowers[0])
-        scale = cells / span if span > 0.0 else 0.0
-        pad = 2.0 * span / cells
-        self.origin, self.top = float(lowers[0]) - pad, float(uppers[-1]) + pad
-        rounding = 2.0 * _EPS * (abs(self.origin) + abs(self.top)) + _TINY
-        steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
-        if not (0.0 < scale < np.inf and rounding < np.inf and (steps > 2.0 * rounding).all()):
-            self.origin = self.top = self.scale = 0.0
-            self.code = np.full(1, -2 * lowers.size, dtype=np.intp)
-            return
-        self.scale = scale
-        size = int((self.top - self.origin) * scale) + 1  # the map of top, as _cells computes it
-        breaks = 0.5 * (lowers[:-1] + uppers[1:])
-        first, last = self._cells(np.add.outer((-2.0 * rounding, 2.0 * rounding), breaks))
-        # b counts the breakpoints whose last cell lies below a cell and r + b
-        # those whose first cell does not lie above it, so b - k r = (k + 1) b
-        # - k (r + b) is one running sum over the cells
         k = lowers.size
-        ended = np.bincount(last + 1, minlength=size)[:size]
-        code = np.add.accumulate((k + 1) * ended - k * np.bincount(first, minlength=size))
+        cells = _GRID_CELLS * k
+        span = float(uppers[-1] - lowers[0])
+        pad = 2.0 * span / cells
+        origin, top = float(lowers[0]) - pad, float(uppers[-1]) + pad
+        scale = cells / span if span > 0.0 else 0.0
+        if not (0.0 < scale < np.inf and top - origin < np.inf):  # a zero or non-finite span: one cell
+            origin = top = scale = 0.0
+        self.origin, self.top, self.scale = origin, top, scale
+        size = int((top - origin) * scale) + 1  # the map of top, as _cells computes it
+        width = min(_WINDOW, k)
+        midpoints = origin + (np.arange(size) + 0.5) * (span / cells)
+        start = np.searchsorted(lowers, midpoints, side="right") - width // 2
+        self.first = np.clip(start, 1, k - width + 1)
+        # the window's class ids; window_lowers adds the lower bound before and after it as rows
+        rows = self.first + np.arange(-1, width + 1)[:, None]
+        self.window_lowers = np.concatenate(([-np.inf], lowers, [np.inf]))[rows]
+        self.window_uppers = uppers[rows[1:-1] - 1]
+        rounding = 2.0 * _EPS * (abs(origin) + abs(top)) + _TINY
+        steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
+        if not (scale and (steps > 2.0 * rounding).all()):
+            self.code = np.full(size, -2 * k, dtype=np.intp)
+            return
+        breaks = 0.5 * (lowers[:-1] + uppers[1:])
+        low, high = self._cells(np.add.outer((-2.0 * rounding, 2.0 * rounding), breaks))
+        # a breakpoint reaches the cells low .. high; b counts those with high
+        # below a cell and r + b those with low not above it, so b - k r =
+        # (k + 1) b - k (r + b) is one running sum over the cells
+        ended = np.bincount(high + 1, minlength=size)[:size]
+        code = np.add.accumulate((k + 1) * ended - k * np.bincount(low, minlength=size))
         code[0] = code[-1] = -2 * k
         self.code = code
 
     def _cells(self, x: np.ndarray) -> np.ndarray:
+        # fmax/fmin send NaN to the first cell, so the cast never sees it
         cell = np.fmax(x, self.origin)
         np.fmin(cell, self.top, out=cell)
         cell -= self.origin
         cell *= self.scale
         return cell.astype(np.intp)
 
-    def classify(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(index, stray)``: the 0-based nearest class of each ``[x, x]``, and the
         positions the table cannot settle, whose index is negative."""
         index = self.code.take(self._cells(x))
@@ -373,7 +322,7 @@ class PatternSpace:
     clustering or from a serialized file.
     """
 
-    __slots__ = ("_classes", "_lowers", "_uppers", "_window", "_points")
+    __slots__ = ("_classes", "_lowers", "_uppers", "_grid")
 
     def __init__(self, classes):
         classes = tuple(classes)
@@ -397,8 +346,7 @@ class PatternSpace:
         self._uppers = np.array([cls.interval.upper for cls in classes])
         self._lowers.setflags(write=False)
         self._uppers.setflags(write=False)
-        self._window = _WindowTable(self._lowers, self._uppers)
-        self._points = _PointTable(self._lowers, self._uppers)
+        self._grid = _GridTable(self._lowers, self._uppers)
 
     @property
     def classes(self) -> tuple[PatternClass, ...]:
@@ -427,28 +375,50 @@ class PatternSpace:
         integer array with the shape of ``lower``.
 
         Each interval is measured against the ``_WINDOW`` classes
-        ``j - 1 .. j + 1``, where ``j`` is the last class whose lower bound
-        does not exceed the midpoint of the grid cell that holds the
-        interval's lower bound (see :class:`_WindowTable`), keeping the
-        first strict minimum ``best``. Because the lower bounds do not
-        decrease and rounded subtraction is monotone, every class left of
-        the window is farther than ``best`` when ``lower`` minus the last
-        lower bound before the window exceeds ``best``, and no class right
-        of it is nearer when the first lower bound after the window minus
-        ``lower`` is at least ``best``. Intervals that fail either test
-        (overlapping or nested classes, wide intervals, non-finite bounds)
-        are measured against every class, so the ids are always those of a
-        full scan.
+        ``j - 1 .. j + 1`` (shifted inside ``1 .. cpms`` at either end),
+        where ``j`` is the last class whose lower bound does not exceed the
+        midpoint of the cell of the space's grid that holds the interval's
+        lower bound (see :class:`_GridTable`), keeping the first strict
+        minimum ``best``. Because the lower bounds do not decrease and
+        rounded subtraction is monotone, every class left of the window is
+        farther than ``best`` when ``lower`` minus the last lower bound
+        before the window exceeds ``best``, and no class right of it is
+        nearer when the first lower bound after the window minus ``lower``
+        is at least ``best``. Intervals that fail either test (overlapping
+        or nested classes, wide intervals, non-finite bounds) are measured
+        against every class, so the ids are always those of a full scan.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
         if lower.size != upper.size:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
-        ids, certified = self._window.classify(lower, upper)
+        grid = self._grid
+        cell = grid._cells(lower)
+        best = np.empty_like(lower)
+        dist = np.empty_like(lower)
+        other = np.empty_like(lower)
+        offset = np.zeros(lower.size, dtype=np.int8)
+        closer = np.empty(lower.size, dtype=bool)
+        for i, (class_lowers, class_uppers) in enumerate(zip(grid.window_lowers[1:-1], grid.window_uppers)):
+            d = best if i == 0 else dist
+            np.subtract(lower, class_lowers.take(cell), out=d)
+            np.abs(d, out=d)
+            np.subtract(upper, class_uppers.take(cell), out=other)
+            np.abs(other, out=other)
+            np.maximum(d, other, out=d)
+            if i:
+                np.less(dist, best, out=closer)
+                np.maximum(offset, closer.view(np.int8) * np.int8(i), out=offset)
+                np.minimum(best, dist, out=best)
+        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
+        with np.errstate(invalid="ignore"):
+            certified = np.subtract(lower, grid.window_lowers[0].take(cell), out=dist) > best
+            certified &= np.subtract(grid.window_lowers[-1].take(cell), lower, out=other) >= best
+        ids = grid.first.take(cell)
+        ids += offset
         stray = np.flatnonzero(~certified)
         if stray.size:
-            ids[stray] = self._scan(lower[stray], upper[stray])
-        ids += 1
+            ids[stray] = self._scan(lower[stray], upper[stray]) + 1
         return ids
 
     def _scan(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

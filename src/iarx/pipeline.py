@@ -210,15 +210,16 @@ def _check_shape(cpms: int, n: int, m: int) -> None:
 def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode each sample as the class nearest its degenerate interval ``[x, x]``.
 
-    The space's grid table gives each sample's class from its cell, with one
+    The space's one grid gives each sample's class from its cell, with one
     comparison between two classes for cells that a breakpoint between them
     crosses; it leaves a sample only where it cannot prove the class (beyond
     the grid, NaN, spaces whose class bounds do not both strictly increase),
-    and those samples go through ``classify_bounds``. The ids
-    equal a full scan's. Returns the 0-based class index of every sample
-    with that class's center ``(L + U) / 2`` and radius ``(U - L) / 2``.
+    and those samples go through ``classify_bounds``, which reads its window
+    from the cell of the same grid. The ids equal a full scan's. Returns the
+    0-based class index of every sample with that class's center ``(L + U)
+    / 2`` and radius ``(U - L) / 2``.
     """
-    idx, stray = space._points.classify(data)
+    idx, stray = space._grid.encode(data)
     if stray.size:
         idx[stray] = space.classify_bounds(data[stray], data[stray]) - 1
     lowers, uppers = space.lowers, space.uppers
@@ -267,13 +268,14 @@ def forecast_series(
     Each step is predicted from the encoded actuals, never from earlier
     forecasts. The default range scores every step with a full lag window,
     i.e. ``max(n, m) .. len(data) - 1``. All steps are computed at once: the
-    series is encoded as class ids by :func:`_encode` (a grid-table lookup
-    per sample; ``classify_bounds`` settles the samples the table cannot),
-    the lag columns are gathered from the class centers and radii, the
-    preliminaries come from :func:`~iarx.model.predict_bounds` and are
-    classified together, and the finals are the bounds of the winning
-    classes. The first non-finite sample of ``data`` or ``u`` in ``[start -
-    max(n, m), end)`` raises ``DataError``, the first non-finite preliminary
+    series is encoded as class ids by :func:`_encode` (a lookup in the
+    space's grid per sample; ``classify_bounds`` settles the samples the
+    grid cannot), the lag columns are gathered from the class centers and
+    radii, the preliminaries come from :func:`~iarx.model.predict_bounds`
+    and are classified together in the windows of the same grid's cells,
+    and the finals are the bounds of the winning classes. The first
+    non-finite sample of ``data`` or ``u`` in ``[start - max(n, m), end)``
+    raises ``DataError``, the first non-finite preliminary
     ``SimulationError``.
     """
     data = np.asarray(data, dtype=float).ravel()

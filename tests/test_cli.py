@@ -335,6 +335,16 @@ _INVALID_VALUES = [
      "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes"),
 ]
 
+# text that is not JSON, in every JSON file a command reads; config.json is an eval --config file
+_BAD_JSON_FILES = [
+    (name, "{\n", "error: {path}: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)")
+    for name in ("model.json", "space.json", "report.json", "spec.json", "config.json")
+] + [
+    ("model.json", "", "error: {path}: Expecting value: line 1 column 1 (char 0)"),
+    ("space.json", "[" * 100_000,
+     "error: {path}: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+]
+
 _BAD_CSV_FILES = [
     ("data.csv", "", "error: {path}: file is empty"),
     ("data.csv", "x,u\n", "error: {path}: dataset needs at least 2 rows, got 0"),
@@ -413,13 +423,14 @@ _BAD_CSV_FILES = [
         *_NON_FINITE_FIELDS,
         *_INVALID_VALUES,
         *_BAD_CSV_FILES,
+        *_BAD_JSON_FILES,
     ],
 )
 def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, content, message):
-    # a model, pattern-space, spec or data file with a missing, mistyped or
-    # non-finite field is an input problem: exit 2 with one error line naming
-    # it, no traceback and no --out directory; ``{path}`` is the bad file and
-    # ``{dir}`` the model directory
+    # a model, pattern-space, report, spec, config or data file that does not
+    # parse, or has a missing, mistyped or non-finite field, is an input
+    # problem: exit 2 with one error line naming it, no traceback and no --out
+    # directory; ``{path}`` is the bad file and ``{dir}`` the model directory
     data_dir, fit_dir = workspace
     model_dir = tmp_path / "model"
     model_dir.mkdir()
@@ -431,6 +442,8 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, con
     else:
         data = str(model_dir / bad_file if bad_file == "data.csv" else data_dir / "synthetic.csv")
         args = ["eval", "--data", data, "--input-col", "u", "--model-dir", str(model_dir)]
+        if bad_file == "config.json":
+            args += ["--config", str(model_dir / bad_file)]
     assert main([*args, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == message.format(path=model_dir / bad_file, dir=model_dir) + "\n"
     assert not (tmp_path / "out").exists()

@@ -198,6 +198,13 @@ def test_more_classes_than_samples_is_a_data_error():
         build_space([1.0, 2.0, 3.0, 4.0], 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_is_a_data_error(bad):
+    # the input error fit_model and forecast_series report for the same data
+    with pytest.raises(DataError, match=r"^data sample 1 is not finite$"):
+        build_space([1.0, bad, 2.0, bad], 2)
+
+
 def test_empty_series_rejected():
     with pytest.raises(ClusteringError):
         fcm_cluster([], 2)
@@ -377,6 +384,23 @@ def test_window_certifies_every_interval_of_every_z_scored_sweep_model(default_r
         forecast_series(fit_model(data, u, cpms, n=3, m=1), data, u)
 
 
+def test_window_does_not_need_the_encoding_codes(monkeypatch):
+    # a repeated lower bound leaves every cell of the grid without an
+    # encoding code, but its windows still certify the class intervals and
+    # every sample, so neither search reaches the full scan
+    bounds = [(0, 1), (0, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
+    space = PatternSpace(
+        PatternClass(id=j + 1, interval=Interval(lo, up), center=0.5 * (lo + up))
+        for j, (lo, up) in enumerate(bounds)
+    )
+    assert (space._grid.code < -space.cpms).all()
+    x = np.linspace(-1.0, 11.0, 97)
+    expected = full_scan_ids(space, x, x)
+    monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
+    assert space.classify_bounds(space.lowers, space.uppers).tolist() == [1, 2, 3, 4, 5, 6]
+    np.testing.assert_array_equal(_encode(space, x)[0] + 1, expected)
+
+
 @pytest.fixture(scope="module")
 def sweep_spaces(default_result):
     """The spaces of the default sweep, class counts 16..36, on the raw and the z-scored series."""
@@ -395,7 +419,7 @@ def point_probes(space, neighbours=2):
     sweep across the grid; and huge, infinite and NaN values.
     """
     lowers, uppers = space.lowers, space.uppers
-    table = space._points
+    table = space._grid
     span = uppers.max() - lowers.min()
     ends = np.array([table.origin, table.top, lowers.min() - span, uppers.max() + span])
     exact = np.concatenate((lowers, uppers, 0.5 * (lowers[:-1] + uppers[1:]), ends))
@@ -456,9 +480,9 @@ def test_encoding_table_settles_the_default_forecast_and_every_z_scored_sweep_mo
     cases = [(default_model.space, default_result.data)]
     cases += [(space, z_scored) for (scaling, _), space in sweep_spaces.items() if scaling == "z-scored"]
     for space, data in cases:
-        table = space._points
+        table = space._grid
         direct = np.mean(table.code.take(table._cells(data)) >= 0)
-        _, stray = table.classify(data)
+        _, stray = table.encode(data)
         assert direct >= 0.94, f"cpms {space.cpms}: {direct:.4f} read straight from a cell"
         assert stray.size <= 0.001 * data.size, f"cpms {space.cpms}: {stray.size} samples left to classify_bounds"
 
