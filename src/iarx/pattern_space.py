@@ -62,8 +62,8 @@ _TINY = float(np.finfo(float).tiny)
 class FcmConfig:
     """Fuzzy c-means settings; the cluster count is an argument of its own.
 
-    ``tolerance`` bounds the maximum center movement between iterations at
-    convergence.
+    ``tolerance`` bounds the largest center movement of the last plain step,
+    and ``max_iterations`` caps the passes over the data (see ``fcm_cluster``).
     """
 
     fuzziness: float = 2.0
@@ -125,18 +125,29 @@ def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
 def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarray, np.ndarray]:
     """Cluster a scalar series into ``k`` fuzzy c-means clusters, hardened.
 
-    Runs the alternating update of Bezdek, Ehrlich & Full (1984), reformulated
-    in the centers alone (see ``_reformulate``), until no center moves by
-    ``config.tolerance`` or more. Returns ``(centers, assignments)`` where
-    ``centers`` has shape ``(k,)`` and ``assignments`` maps each point to the
-    0-based cluster of the nearest center (ties to the lowest index); in exact
-    arithmetic that is the cluster of maximal membership for every fuzziness.
-    Raises ``DataError`` naming the first non-finite point, or for more
-    clusters than points; ``ClusteringError`` when a cluster ends up with no
-    hard members, so callers may retry with a new seed, or when the
-    objective R rises on any center set, the last included. Warns with
-    ``ConvergenceWarning`` when ``config.max_iterations`` pass without
-    convergence; the last centers are still returned.
+    Iterates the centers-only form ``V -> T(V)`` of the alternating update of
+    Bezdek, Ehrlich & Full (1984), which never raises the objective R (see
+    ``_reformulate``), in SQUAREM cycles (Varadhan & Roland 2008): plain steps
+    ``V1 = T(V0)``, ``V2 = T(V1)``, then ``Vp = V0 + 2a r + a^2 v`` with ``r =
+    V1 - V0``, ``v = V2 - V1 - r``, ``a = clip(|r| / |v|, 1, smax)``; ``smax``
+    starts at 1, doubles when an accepted ``a`` reached it, halves on each
+    rejection. ``Vp`` starts the next cycle if it keeps the strict center
+    order of ``V2`` inside the data range, moves each boundary count (points
+    below the midpoint of two neighbouring centers) the way ``V0 -> V2`` did
+    or not at all, and has ``R(Vp) <= R(V1)``; else ``V2`` does. It stops
+    once a plain step moves no center by ``config.tolerance`` or more.
+
+    Returns ``(centers, assignments)`` where ``centers`` has shape ``(k,)``
+    and ``assignments`` maps each point to the 0-based cluster of the nearest
+    center (ties to the lowest index); in exact arithmetic that is the
+    cluster of maximal membership for every fuzziness. Raises ``DataError``
+    naming the first non-finite point, or for more clusters than points;
+    ``ClusteringError`` when a cluster ends up with no hard members or no
+    membership mass, so callers may retry with a new seed, or when R rises on
+    any accepted center set, the last included. Warns with
+    ``ConvergenceWarning`` when ``config.max_iterations`` passes over the k x
+    N distances, one per center set measured (a rejected ``Vp`` included),
+    run out before convergence; the last centers are still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
     if values.size == 0:
@@ -149,21 +160,26 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         raise DataError(f"cluster count {k} exceeds the {values.size} data point(s)")
 
     rng = np.random.default_rng(config.seed)
-    centers = _farthest_point_init(values, k, rng)
     work = np.empty((k, values.size))  # squared distances, then r, every pass
     ones_x = np.stack([np.ones_like(values), values])
     scaled = np.empty_like(ones_x)  # [1, x] * s ** -fuzziness
+    ordered = np.sort(values)
 
     prev_objective = shift = np.inf
-    iteration = 0
+    iteration, bound, a = 0, 1.0, 0.0
+    cycle = [_farthest_point_init(values, k, rng)]  # V0, V1, V2, then Vp on trial
     while True:
+        centers = cycle[-1]
         np.subtract(centers[:, None], values[None, :], out=work)
         final = shift < config.tolerance or iteration == config.max_iterations
         if final:
             assignments = np.argmin(np.abs(work, out=work), axis=0)
         scale, objective = _reformulate(np.multiply(work, work, out=work), config.fuzziness)
-        # R(V_t+1) <= J(U_t, V_t+1) <= R(V_t), so R must not rise. A NaN,
-        # e.g. from squared distances that overflow, fails the test as well.
+        if len(cycle) == 4 and not objective <= prev_objective:  # R(Vp) > R(V1)
+            cycle, iteration, bound = cycle[2:3], iteration + 1, 0.5 * bound
+            continue
+        # R(T(V)) <= J(U, T(V)) <= R(V), so R must not rise. A NaN, e.g. from
+        # squared distances that overflow, fails the test as well.
         if not objective <= prev_objective * (1.0 + 1e-12) + 1e-12:
             raise ClusteringError(
                 f"fcm objective failed to decrease at iteration {iteration}: "
@@ -182,9 +198,28 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         mass, numer = (weights @ scaled.T).T
         if np.any(mass == 0.0):
             raise ClusteringError("a cluster lost all membership mass; reseed and retry")
-        new_centers = numer / mass
-        shift = float(np.max(np.abs(new_centers - centers)))
-        centers = new_centers
+        if len(cycle) == 4:  # Vp is accepted and starts the next cycle
+            bound *= 2.0 if a == bound else 1.0
+            del cycle[:3]
+        cycle.append(numer / mass)
+        shift = float(np.max(np.abs(cycle[-1] - cycle[-2])))
+        if len(cycle) < 3 or shift < config.tolerance or iteration == config.max_iterations:
+            continue
+        v0, v1, v2 = cycle
+        r, v = v1 - v0, (v2 - v1) - (v1 - v0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a = min(max(float(np.sqrt((r @ r) / (v @ v))), 1.0), bound)
+            trial = v0 + (2.0 * a) * r + (a * a) * v
+        order = np.argsort(v2)
+        ascending = trial[order]
+        if ordered[0] <= ascending[0] <= ascending[-1] <= ordered[-1] and (ascending[1:] > ascending[:-1]).all():
+            # boundary counts of V0, V2 and Vp: the points below the midpoint of two neighbouring centers
+            c = np.stack((np.sort(v0), v2[order], ascending))
+            moved, step = np.sign(np.diff(np.searchsorted(ordered, 0.5 * (c[:, 1:] + c[:, :-1])), axis=0))
+            if ((step == 0) | (step == moved)).all():
+                cycle.append(trial)
+                continue
+        cycle, bound = cycle[2:], 0.5 * bound
     if shift >= config.tolerance:
         warnings.warn(
             ConvergenceWarning(
@@ -344,6 +379,10 @@ class PatternSpace:
         self._classes = classes
         self._lowers = np.array(lowers)
         self._uppers = np.array([cls.interval.upper for cls in classes])
+        top = float(self._uppers.max())
+        with np.errstate(over="ignore"):  # the grid spans the extent and the encoding halves L + U
+            if not (top - lowers[0] < np.inf and np.isfinite(self._lowers + self._uppers).all()):
+                raise ClusteringError(f"class bounds from {lowers[0]!r} to {top!r} overflow a float")
         self._lowers.setflags(write=False)
         self._uppers.setflags(write=False)
         self._grid = _GridTable(self._lowers, self._uppers)

@@ -196,10 +196,13 @@ def test_fit_eval_robust_reruns_write_identical_files(workspace, tmp_path):
 
 
 def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
-    # on the normalized default series, fuzzy c-means at 22 classes runs all
-    # 300 iterations; the cell is still scored and the files are unchanged
+    # with a cap of 5 passes fuzzy c-means at 22 classes stops before it
+    # converges; the cell is still scored and the files are unchanged
     data_dir, _ = workspace
-    args = ["sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--cpms-range", "22..22"]
+    args = [
+        "sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--cpms-range", "22..22",
+        "--fcm-iterations", "5",
+    ]
     with pytest.warns(ConvergenceWarning, match="k=22"):
         assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
 
@@ -459,12 +462,21 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, con
             "class centers must strictly ascend, got ",
         ),
         (lambda doc: doc["classes"][0].update(center=float("nan")), "class centers must be finite, got [nan, "),
+        (
+            lambda doc: doc.update(cpms=2, classes=[
+                {"id": 1, "lower": -1e308, "upper": -1e308, "center": -1e308},
+                {"id": 2, "lower": 1e308, "upper": 1e308, "center": 1e308},
+            ]),
+            "class bounds from -1e+308 to 1e+308 overflow a float",
+        ),
     ],
-    ids=["declared-cpms", "class-ids", "unordered-centers", "nan-center"],
+    ids=["declared-cpms", "class-ids", "unordered-centers", "nan-center", "overflowing-extent"],
 )
-def test_inconsistent_space_file_exits_2(workspace, tmp_path, edit, message):
+def test_inconsistent_space_file_exits_2(workspace, tmp_path, monkeypatch, edit, message):
     # a space.json whose fields parse but do not form a space is an input
-    # problem, not a clustering failure: exit 2 with one error line
+    # problem, not a clustering failure: exit 2 with one error line, and no
+    # numpy warning on the way, even where RuntimeWarnings are errors
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
     data_dir, fit_dir = workspace
     model_dir = tmp_path / "model"
     model_dir.mkdir()

@@ -112,17 +112,53 @@ def test_assignments_match_membership_argmax():
     assert np.array_equal(assign, np.argmax(u, axis=1))
 
 
+def textbook_objective(values, centers, m):
+    """The objective J(U, V) at the textbook memberships of the centers."""
+    d2 = (centers[:, None] - np.asarray(values)[None, :]) ** 2
+    return float(np.sum(textbook_memberships(values, centers, m) ** m * d2))
+
+
+@pytest.fixture(scope="module")
+def textbook_runs(default_result):
+    """Textbook FCM on the raw and the z-scored default series, per (fuzziness, k):
+    run to a fixed point (tolerance 1e-12) and at the default tolerance."""
+    series = (default_result.data, zero_mean_normalize(default_result.data)[0])
+    runs = {}
+    for fuzziness in (1.5, 2.0, 3.0):
+        converged = FcmConfig(fuzziness=fuzziness, tolerance=1e-12, max_iterations=50_000)
+        for k in (16, 26, 36):
+            runs[fuzziness, k] = [
+                (data, textbook_fcm(data, k, converged), textbook_fcm(data, k, FcmConfig(fuzziness=fuzziness)))
+                for data in series
+            ]
+    return runs
+
+
 @pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("k", [16, 26, 36])
-def test_fcm_matches_textbook_bezdek(default_result, fuzziness, k):
+def test_fcm_matches_textbook_bezdek(textbook_runs, fuzziness, k):
     # the initial centers are data points, so the on-center branch runs too;
-    # the CLI clusters the z-scored series, so it is checked as well
-    config = FcmConfig(fuzziness=fuzziness)
-    for series in (default_result.data, zero_mean_normalize(default_result.data)[0]):
-        want_centers, want_assign = textbook_fcm(series, k, config)
+    # the CLI clusters the z-scored series, so it is checked as well. The
+    # accelerated run leaves the plain trajectory, so both run to the fixed
+    # point they share
+    config = FcmConfig(fuzziness=fuzziness, tolerance=1e-12, max_iterations=50_000)
+    for series, (want_centers, want_assign), _ in textbook_runs[fuzziness, k]:
         centers, assign = fcm_cluster(series, k, config)
         assert np.array_equal(assign, want_assign)
         np.testing.assert_allclose(centers, want_centers, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [16, 26, 36])
+def test_fcm_at_the_default_tolerance_keeps_the_textbook_partition(textbook_runs, fuzziness, k):
+    # at the default settings the accelerated run stops elsewhere on its way
+    # to that fixed point, but it hardens to the same clusters, and its
+    # objective is no higher than where textbook FCM stops
+    for series, (_, want_assign), (plain_centers, _) in textbook_runs[fuzziness, k]:
+        centers, assign = fcm_cluster(series, k, FcmConfig(fuzziness=fuzziness))
+        assert np.array_equal(assign, want_assign)
+        plain = textbook_objective(series, plain_centers, fuzziness)
+        assert textbook_objective(series, centers, fuzziness) <= plain * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
@@ -133,10 +169,8 @@ def test_reformulated_objective_is_the_textbook_objective(default_result, fuzzin
     rng = np.random.default_rng(31)
     on_points = rng.choice(np.unique(data), size=26, replace=False)
     for centers in (rng.uniform(data.min(), data.max(), size=26), on_points, on_points[:1]):
-        d2 = (centers[:, None] - data[None, :]) ** 2
-        want = float(np.sum(textbook_memberships(data, centers, fuzziness) ** fuzziness * d2))
-        _, got = _reformulate(d2.copy(), fuzziness)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        _, got = _reformulate((centers[:, None] - data[None, :]) ** 2, fuzziness)
+        assert got == pytest.approx(textbook_objective(data, centers, fuzziness), rel=1e-12, abs=0.0)
 
 
 def test_reformulated_objective_never_rises(default_result, monkeypatch):
@@ -373,7 +407,6 @@ def test_window_certifies_every_interval_of_the_default_forecast(default_model, 
     forecast_series(default_model, default_result.data, default_result.u)
 
 
-@pytest.mark.filterwarnings("ignore::iarx.errors.ConvergenceWarning")
 def test_window_certifies_every_interval_of_every_z_scored_sweep_model(default_result, monkeypatch):
     # the same holds at every class count of the default sweep on the
     # z-scored series the command line fits (the acceptance sweep test
@@ -405,9 +438,7 @@ def test_window_does_not_need_the_encoding_codes(monkeypatch):
 def sweep_spaces(default_result):
     """The spaces of the default sweep, class counts 16..36, on the raw and the z-scored series."""
     series = {"raw": default_result.data, "z-scored": zero_mean_normalize(default_result.data)[0]}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        return {(scaling, cpms): build_space(data, cpms) for scaling, data in series.items() for cpms in range(16, 37)}
+    return {(scaling, cpms): build_space(data, cpms) for scaling, data in series.items() for cpms in range(16, 37)}
 
 
 def point_probes(space, neighbours=2):
@@ -509,6 +540,17 @@ def test_constructor_rejects_malformed_spaces():
         PatternSpace(
             [good, PatternClass(id=2, interval=Interval(-1.0, 2.0), center=0.6)]
         )
+
+    # the grid spans the extent, max U - L_1, and the encoding halves each
+    # L_j + U_j, so neither may overflow; the check raises no numpy warning
+    for bounds in (
+        [(-1e308, -1e308), (1e308, 1e308)],
+        [(-1e308, 0.0), (-0.5e308, 1e308), (0.0, 0.0)],  # an upper bound beyond U_k
+        [(0.0, 0.0), (1e308, 1.5e308)],
+    ):
+        classes = [PatternClass(id=j, interval=Interval(*b), center=float(j)) for j, b in enumerate(bounds, start=1)]
+        with pytest.raises(ClusteringError, match=r"^class bounds from .* overflow a float$"):
+            PatternSpace(classes)
 
 
 def test_json_round_trip_is_bit_exact(default_model, tmp_path):

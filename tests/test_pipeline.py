@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from dataclasses import replace
 
 from iarx import intervals, pipeline
-from iarx.data_io import default_synthetic_spec, synthesize
-from iarx.errors import DataError, SimulationError
+from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
+from iarx.errors import ConvergenceWarning, DataError, SimulationError
 from iarx.intervals import Interval, hausdorff_distance
 from iarx.model import IarxParams, lag_columns, predict_bounds, predict_compositional
 from iarx.pipeline import (
@@ -411,6 +412,18 @@ def test_sweep_deterministic_and_ordered(default_result):
     for c, c2 in zip(cells, again):
         assert c.error is None
         assert c.report == c2.report
+
+
+def test_default_sweep_converges_at_every_class_count(default_result):
+    # no cell of the default sweep stops at the fuzzy c-means iteration cap,
+    # on the raw series nor on the z-scored one the command line sweeps
+    data, u = default_result.data, default_result.u
+    for series, inputs in ((data, u), (zero_mean_normalize(data)[0], zero_mean_normalize(u)[0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            cells = sweep_cpms(series, inputs, range(16, 37), n=3, m=1)
+        assert [c.cpms for c in cells] == list(range(16, 37))
+        assert all(c.error is None for c in cells)
 
 
 def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
