@@ -31,13 +31,7 @@ import numpy as np
 from .errors import ClusteringError, ConvergenceWarning, DataError, json_field
 from .intervals import Interval
 
-__all__ = [
-    "FcmConfig",
-    "PatternClass",
-    "PatternSpace",
-    "fcm_cluster",
-    "build_space",
-]
+__all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
 
 # classify_bounds measures each interval against this many neighbouring
 # classes, the window of the grid cell that holds its lower bound.
@@ -91,7 +85,7 @@ def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -
     centers[0] = distinct[rng.integers(distinct.size)]
     min_dist = np.abs(distinct - centers[0])
     for i in range(1, k):
-        centers[i] = distinct[np.argmax(min_dist)]
+        centers[i] = distinct[min_dist.argmax()]
         np.minimum(min_dist, np.abs(distinct - centers[i]), out=min_dist)
     return centers
 
@@ -107,13 +101,14 @@ def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
     objective J(U, V) at that U.
     """
     nearest = d2.min(axis=0)
-    on_center = np.flatnonzero(nearest == 0.0)
-    if on_center.size:
+    exact = not nearest.all()  # some point sits on a center
+    if exact:
+        on_center = np.flatnonzero(nearest == 0.0)
         rows = np.argmax(d2[:, on_center] == 0.0, axis=0)
         d2[:, on_center] = 1.0
     # Ratios to the nearest center lie in [0, 1], so the powers cannot overflow.
     r = np.divide(nearest, d2, out=d2)
-    if on_center.size:
+    if exact:
         r[rows, on_center] = 1.0
     if fuzziness != 2.0:
         r **= 1.0 / (fuzziness - 1.0)
@@ -160,23 +155,31 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         raise DataError(f"cluster count {k} exceeds the {values.size} data point(s)")
 
     rng = np.random.default_rng(config.seed)
-    work = np.empty((k, values.size))  # squared distances, then r, every pass
+    work = np.empty((k, values.size))  # c - x, squared distances, then r, every pass
     ones_x = np.stack([np.ones_like(values), values])
     scaled = np.empty_like(ones_x)  # [1, x] * s ** -fuzziness
     ordered = np.sort(values)
 
+    def below_midpoints(ascending):  # boundary counts: points below the midpoint of two neighbouring centers
+        return ordered.searchsorted(0.5 * (ascending[1:] + ascending[:-1]))
+
     prev_objective = shift = np.inf
     iteration, bound, a = 0, 1.0, 0.0
     cycle = [_farthest_point_init(values, k, rng)]  # V0, V1, V2, then Vp on trial
+    below = below_midpoints(np.sort(cycle[0]))  # of V0, carried from cycle to cycle
     while True:
         centers = cycle[-1]
-        np.subtract(centers[:, None], values[None, :], out=work)
+        np.copyto(work, centers[:, None])  # then subtracting x row by row beats a column-row broadcast
+        np.subtract(work, values, out=work)
         final = shift < config.tolerance or iteration == config.max_iterations
-        if final:
-            assignments = np.argmin(np.abs(work, out=work), axis=0)
+        if final:  # argmin down axis 0 copies its operand, so it takes a block of columns at a time
+            np.abs(work, out=work)
+            assignments, width = np.empty(values.size, dtype=np.intp), max(1, _BLOCK_PAIRS // k)
+            for start in range(0, values.size, width):
+                np.argmin(work[:, start : start + width], axis=0, out=assignments[start : start + width])
         scale, objective = _reformulate(np.multiply(work, work, out=work), config.fuzziness)
         if len(cycle) == 4 and not objective <= prev_objective:  # R(Vp) > R(V1)
-            cycle, iteration, bound = cycle[2:3], iteration + 1, 0.5 * bound
+            cycle, iteration, bound, below = cycle[2:3], iteration + 1, 0.5 * bound, below_v2
             continue
         # R(T(V)) <= J(U, T(V)) <= R(V), so R must not rise. A NaN, e.g. from
         # squared distances that overflow, fails the test as well.
@@ -196,30 +199,33 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
             weights = np.power(work, config.fuzziness, out=work)
         np.multiply(ones_x, scale, out=scaled)
         mass, numer = (weights @ scaled.T).T
-        if np.any(mass == 0.0):
+        if not mass.all():
             raise ClusteringError("a cluster lost all membership mass; reseed and retry")
         if len(cycle) == 4:  # Vp is accepted and starts the next cycle
             bound *= 2.0 if a == bound else 1.0
             del cycle[:3]
+            below = below_vp
         cycle.append(numer / mass)
-        shift = float(np.max(np.abs(cycle[-1] - cycle[-2])))
+        delta = cycle[-1] - cycle[-2]  # V2 - V1 in a full cycle
+        shift = float(np.abs(delta).max())
         if len(cycle) < 3 or shift < config.tolerance or iteration == config.max_iterations:
             continue
         v0, v1, v2 = cycle
-        r, v = v1 - v0, (v2 - v1) - (v1 - v0)
+        r = v1 - v0
+        v = delta - r
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             a = min(max(float(np.sqrt((r @ r) / (v @ v))), 1.0), bound)
             trial = v0 + (2.0 * a) * r + (a * a) * v
-        order = np.argsort(v2)
+        order = v2.argsort()
         ascending = trial[order]
+        below_v2 = below_midpoints(v2[order])  # of the next V0, unless Vp is accepted
         if ordered[0] <= ascending[0] <= ascending[-1] <= ordered[-1] and (ascending[1:] > ascending[:-1]).all():
-            # boundary counts of V0, V2 and Vp: the points below the midpoint of two neighbouring centers
-            c = np.stack((np.sort(v0), v2[order], ascending))
-            moved, step = np.sign(np.diff(np.searchsorted(ordered, 0.5 * (c[:, 1:] + c[:, :-1])), axis=0))
+            below_vp = below_midpoints(ascending)
+            moved, step = np.sign(below_v2 - below), np.sign(below_vp - below_v2)
             if ((step == 0) | (step == moved)).all():
                 cycle.append(trial)
                 continue
-        cycle, bound = cycle[2:], 0.5 * bound
+        cycle, bound, below = cycle[2:], 0.5 * bound, below_v2
     if shift >= config.tolerance:
         warnings.warn(
             ConvergenceWarning(
@@ -230,12 +236,9 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
             stacklevel=2,
         )
 
-    counts = np.bincount(assignments, minlength=k)
-    if np.any(counts == 0):
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise ClusteringError(
-            f"cluster {empty} has no hard-assigned members; reseed and retry"
-        )
+    sizes = np.bincount(assignments, minlength=k)
+    if not sizes.all():
+        raise ClusteringError(f"cluster {np.argmin(sizes)} has no hard-assigned members; reseed and retry")
     return centers, assignments
 
 
@@ -539,15 +542,11 @@ def build_space(data, k: int, config: FcmConfig = FcmConfig()) -> PatternSpace:
     """
     values = np.asarray(data, dtype=float).ravel()
     centers, assignments = fcm_cluster(values, k, config)
-    order = np.argsort(centers, kind="stable")
-    classes = []
-    for rank, idx in enumerate(order, start=1):
-        members = values[assignments == idx]
-        classes.append(
-            PatternClass(
-                id=rank,
-                interval=Interval(members.min(), members.max()),
-                center=float(centers[idx]),
-            )
-        )
-    return PatternSpace(classes)
+    # every cluster has members, so the stable sort by cluster lays them out in k non-empty runs
+    grouped = np.argsort(assignments, kind="stable")
+    runs, members = np.searchsorted(assignments[grouped], np.arange(k)), values[grouped]
+    lows, highs = np.minimum.reduceat(members, runs), np.maximum.reduceat(members, runs)
+    return PatternSpace(
+        PatternClass(id=rank, interval=Interval(lows[idx], highs[idx]), center=float(centers[idx]))
+        for rank, idx in enumerate(np.argsort(centers, kind="stable"), start=1)
+    )

@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from iarx.errors import ClusteringError, ConvergenceWarning, DataError
 from iarx.intervals import Interval, hausdorff_distance
 from iarx import pattern_space
-from iarx.data_io import zero_mean_normalize
+from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.pipeline import _encode, fit_model, forecast_series
 from iarx.pattern_space import (
     FcmConfig,
@@ -101,6 +104,19 @@ def test_classes_tile_an_evenly_spread_series():
     assert ivs[-1].upper == data.max()
 
 
+@pytest.mark.parametrize("k", [1, 16, 26, 36])
+def test_class_spans_are_the_extremes_of_their_members(default_result, k):
+    # each class spans min..max of the hard members of its cluster, the
+    # clusters taken in ascending center order
+    data = default_result.data
+    centers, assign = fcm_cluster(data, k)
+    space = build_space(data, k)
+    for cls, idx in zip(space.classes, np.argsort(centers, kind="stable")):
+        members = data[assign == idx]
+        assert cls.interval == Interval(members.min(), members.max())
+        assert cls.center == centers[idx]
+
+
 def test_assignments_match_membership_argmax():
     # recompute fuzzy memberships directly from the returned centers
     data = np.arange(1.0, 101.0)
@@ -173,21 +189,60 @@ def test_reformulated_objective_is_the_textbook_objective(default_result, fuzzin
         assert got == pytest.approx(textbook_objective(data, centers, fuzziness), rel=1e-12, abs=0.0)
 
 
-def test_reformulated_objective_never_rises(default_result, monkeypatch):
-    # record R for every center set of a default run: the first is the seed
-    # centers, the last the returned ones, and no step goes up
-    seen = []
+def record_objectives(monkeypatch, module):
+    """The list that R of every center set ``module.fcm_cluster`` measures is appended to."""
+    seen, reformulate = [], module._reformulate
 
     def recording(d2, fuzziness):
-        scale, objective = _reformulate(d2, fuzziness)
+        scale, objective = reformulate(d2, fuzziness)
         seen.append(objective)
         return scale, objective
 
-    monkeypatch.setattr(pattern_space, "_reformulate", recording)
+    monkeypatch.setattr(module, "_reformulate", recording)
+    return seen
+
+
+def test_reformulated_objective_never_rises(default_result, monkeypatch):
+    # record R for every center set of a default run: the first is the seed
+    # centers, the last the returned ones, and no step goes up
+    seen = record_objectives(monkeypatch, pattern_space)
     fcm_cluster(default_result.data, 26)
     assert len(seen) > 10
     assert np.all(np.diff(seen) <= 0.0)
     assert seen[-1] < seen[0]
+
+
+def test_fcm_is_bit_identical_to_the_oracle(monkeypatch):
+    # the pass was rewritten for speed alone: on the sweep's class counts, raw
+    # and z-scored, it measures the same R on every center set (so it takes
+    # the same passes) and returns the same centers and assignments, bit for bit
+    seen = record_objectives(monkeypatch, pattern_space)
+    want_seen = record_objectives(monkeypatch, oracles)
+    for seed in (1, 2, 3):
+        data = synthesize(default_synthetic_spec(seed)).data
+        for series in (data, zero_mean_normalize(data)[0]):
+            for k in range(16, 37):
+                seen.clear()
+                want_seen.clear()
+                centers, assign = fcm_cluster(series, k)
+                want_centers, want_assign = oracles.fcm_cluster(series, k)
+                assert seen == want_seen, (seed, k)
+                assert centers.tobytes() == want_centers.tobytes(), (seed, k)
+                assert assign.dtype == want_assign.dtype and np.array_equal(assign, want_assign), (seed, k)
+
+
+def test_fcm_peak_memory_holds_no_second_distance_array():
+    # one k x N work array serves every pass; the hard assignments take their
+    # argmin a block of columns at a time, so the peak stays below two k x N
+    # arrays at the length of the long benchmark series
+    k, data = 26, synthesize(replace(default_synthetic_spec(), length=17_280)).data
+    tracemalloc.start()
+    try:
+        fcm_cluster(data, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * k * data.size * data.itemsize
 
 
 def test_iteration_cap_warns_with_the_details():
