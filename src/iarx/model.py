@@ -175,12 +175,14 @@ def predict_bounds(params: IarxParams, x, x_abs) -> tuple[np.ndarray, np.ndarray
     shapes = sorted({np.shape(col) for col in (*x, *x_abs)})
     if len(x) != width or len(x_abs) != width or len(shapes) != 1 or len(shapes[0]) != 1:
         raise ValueError(f"need {width} equal-length 1-D columns each, got {len(x)}, {len(x_abs)}: {shapes}")
-    rows = shapes[0][0]
-    center = np.full(rows, params.A[0])
-    radius = np.full(rows, params.C[0])
-    term = np.empty(rows)
+    term = np.empty(shapes[0][0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, c, col, col_abs in zip(params.A[1:], params.C[1:], x, x_abs):
+        # addition commutes, so the first product plus the intercept is the intercept plus it
+        center = np.multiply(params.A[1], x[0])
+        center += params.A[0]
+        radius = np.multiply(params.C[1], x_abs[0])
+        radius += params.C[0]
+        for a, c, col, col_abs in zip(params.A[2:], params.C[2:], x[1:], x_abs[1:]):
             center += np.multiply(a, col, out=term)
             radius += np.multiply(c, col_abs, out=term)
         np.add(center, radius, out=term)

@@ -15,9 +15,11 @@ degenerate interval ``[x, x]``, the nearest class is a step function of
 ``x``; a cell holds it where it is proven nearest for every float of the
 cell, so a series is encoded with one cell computation and one lookup per
 sample, and the other samples go to ``classify_bounds``. That measures an
-interval against the three classes of the window of the cell that holds
-its lower bound, and against every class where a certificate cannot rule
-the others out; either way the ids are those of a full scan.
+interval against the last two of the three classes of the window of the
+cell that holds its lower bound, against all three where a certificate
+cannot rule the others out, and against every class where the certificate
+of the whole window cannot either; either way the ids are those of a full
+scan.
 """
 
 from __future__ import annotations
@@ -76,9 +78,12 @@ class FcmConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Pick k distinct data values: a seeded start, then greedy farthest points."""
-    distinct = np.unique(values)
+def _farthest_point_init(ordered: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Pick k distinct values of the sorted series ``ordered``: a seeded start, then greedy farthest points."""
+    keep = np.empty(ordered.size, dtype=bool)  # the first of each run of equal values, as np.unique keeps
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    distinct = ordered[keep]
     if distinct.size < k:
         raise ClusteringError(f"cannot seed {k} clusters from {distinct.size} distinct value(s)")
     centers = np.empty(k)
@@ -165,7 +170,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
 
     prev_objective = shift = np.inf
     iteration, bound, a = 0, 1.0, 0.0
-    cycle = [_farthest_point_init(values, k, rng)]  # V0, V1, V2, then Vp on trial
+    cycle = [_farthest_point_init(ordered, k, rng)]  # V0, V1, V2, then Vp on trial
     below = below_midpoints(np.sort(cycle[0]))  # of V0, carried from cycle to cycle
     while True:
         centers = cycle[-1]
@@ -265,8 +270,10 @@ class _GridTable:
     lower bound lies in the cell: the id of the first (``first``), their
     upper bounds (``window_uppers``, one row per offset), and their lower
     bounds between the class lower bounds just outside them
-    (``window_lowers``; infinite past the first or the last class). As
-    ``classify_bounds`` certifies each answer, no window needs a code.
+    (``window_lowers``; infinite past the first or the last class).
+    :meth:`nearest` searches a run of them that ends the window, the last
+    two classes or all of it. As ``classify_bounds`` certifies each answer,
+    no window needs a code.
 
     Encoding. The distance of ``[x, x]`` to class ``j`` rounds to
     ``max(fl(x - L_j), fl(U_j - x))``. When the class bounds ``L`` and ``U``
@@ -335,6 +342,31 @@ class _GridTable:
         cell -= self.origin
         cell *= self.scale
         return cell.astype(np.intp)
+
+    def nearest(self, lower, upper, cell, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, certified)``: the class nearest each interval among offsets ``start ..``
+        of its cell's window (first strict minimum), and where no other class can be nearer."""
+        # every cell is in range, so mode="clip" changes no index and lets take fill a buffer
+        ids = np.full(lower.size, start, dtype=np.intp)
+        best, dist, other = np.empty_like(lower), np.empty_like(lower), np.empty_like(lower)
+        for i in range(start, self.window_uppers.shape[0]):
+            d = best if i == start else dist
+            np.subtract(lower, self.window_lowers[i + 1].take(cell, out=d, mode="clip"), out=d)
+            np.abs(d, out=d)
+            np.subtract(upper, self.window_uppers[i].take(cell, out=other, mode="clip"), out=other)
+            np.abs(other, out=other)
+            np.maximum(d, other, out=d)
+            if i > start:
+                np.copyto(ids, i, where=dist < best)
+                np.minimum(best, dist, out=best)
+        ids += self.first.take(cell)
+        self.window_lowers[start].take(cell, out=dist, mode="clip")
+        self.window_lowers[-1].take(cell, out=other, mode="clip")
+        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
+        with np.errstate(invalid="ignore"):
+            certified = np.subtract(lower, dist, out=dist) > best
+            certified &= np.subtract(other, lower, out=other) >= best
+        return ids, certified
 
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(index, stray)``: the 0-based nearest class of each ``[x, x]``, and the
@@ -413,22 +445,27 @@ class PatternSpace:
         """Ids of the classes Hausdorff-nearest to the intervals ``[lower[i], upper[i]]``.
 
         The distance to a class is ``max(|lower - class lower|, |upper -
-        class upper|)``; ties resolve to the lowest id. Returns a 1-based
-        integer array with the shape of ``lower``.
+        class upper|)``; ties resolve to the lowest id. The bounds are
+        flattened, so the 1-based ids form a 1-D array of ``lower.size``:
+        shape ``(6,)`` for bounds of shape ``(2, 3)``, ``(1,)`` for scalars.
 
-        Each interval is measured against the ``_WINDOW`` classes
-        ``j - 1 .. j + 1`` (shifted inside ``1 .. cpms`` at either end),
-        where ``j`` is the last class whose lower bound does not exceed the
-        midpoint of the cell of the space's grid that holds the interval's
-        lower bound (see :class:`_GridTable`), keeping the first strict
-        minimum ``best``. Because the lower bounds do not decrease and
-        rounded subtraction is monotone, every class left of the window is
-        farther than ``best`` when ``lower`` minus the last lower bound
-        before the window exceeds ``best``, and no class right of it is
-        nearer when the first lower bound after the window minus ``lower``
-        is at least ``best``. Intervals that fail either test (overlapping
-        or nested classes, wide intervals, non-finite bounds) are measured
-        against every class, so the ids are always those of a full scan.
+        The window of an interval is the ``_WINDOW`` classes ``j - 1 .. j +
+        1`` (shifted inside ``1 .. cpms`` at either end), where ``j`` is the
+        last class whose lower bound does not exceed the midpoint of the grid
+        cell that holds the interval's lower bound (see :class:`_GridTable`).
+        A stage keeps the first strict minimum ``best`` over a run of the
+        window. As the lower bounds do not decrease and rounded subtraction
+        is monotone, no class left of the run is as near when ``lower``
+        minus the last lower bound before it exceeds ``best``, nor right of
+        it nearer when the first lower bound after it minus ``lower`` is at
+        least ``best``. The first stage runs over the last two classes of
+        the window, which win on the pipeline's paths, and the whole window
+        takes the intervals it leaves. That certifies every interval the
+        first stage does, with the same id (its bound before the run is no
+        higher, its ``best`` no larger), so it leaves only what a one-stage
+        window search leaves (overlapping or nested classes, wide intervals,
+        non-finite bounds), and those are measured against every class: the
+        ids are always those of a full scan.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
@@ -436,29 +473,12 @@ class PatternSpace:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
         grid = self._grid
         cell = grid._cells(lower)
-        best = np.empty_like(lower)
-        dist = np.empty_like(lower)
-        other = np.empty_like(lower)
-        offset = np.zeros(lower.size, dtype=np.int8)
-        closer = np.empty(lower.size, dtype=bool)
-        for i, (class_lowers, class_uppers) in enumerate(zip(grid.window_lowers[1:-1], grid.window_uppers)):
-            d = best if i == 0 else dist
-            np.subtract(lower, class_lowers.take(cell), out=d)
-            np.abs(d, out=d)
-            np.subtract(upper, class_uppers.take(cell), out=other)
-            np.abs(other, out=other)
-            np.maximum(d, other, out=d)
-            if i:
-                np.less(dist, best, out=closer)
-                np.maximum(offset, closer.view(np.int8) * np.int8(i), out=offset)
-                np.minimum(best, dist, out=best)
-        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
-        with np.errstate(invalid="ignore"):
-            certified = np.subtract(lower, grid.window_lowers[0].take(cell), out=dist) > best
-            certified &= np.subtract(grid.window_lowers[-1].take(cell), lower, out=other) >= best
-        ids = grid.first.take(cell)
-        ids += offset
+        width = grid.window_uppers.shape[0]
+        ids, certified = grid.nearest(lower, upper, cell, max(width - 2, 0))
         stray = np.flatnonzero(~certified)
+        if stray.size and width > 2:
+            ids[stray], certified = grid.nearest(lower[stray], upper[stray], cell[stray], 0)
+            stray = stray[~certified]
         if stray.size:
             ids[stray] = self._scan(lower[stray], upper[stray]) + 1
         return ids

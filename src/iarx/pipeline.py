@@ -110,14 +110,14 @@ class ForecastTrace:
 
     def __post_init__(self):
         sizes = set()
-        for field in fields(self):
-            dtype = np.int64 if field.name in ("k", "class_id") else np.float64
+        for name in _TRACE_COLUMNS:
+            dtype = np.int64 if name in ("k", "class_id") else np.float64
             # A read-only view: the caller's array keeps its own flags.
-            col = np.asarray(getattr(self, field.name), dtype=dtype).view()
+            col = np.asarray(getattr(self, name), dtype=dtype).view()
             if col.ndim != 1:
-                raise ValueError(f"trace column {field.name} must be one-dimensional")
+                raise ValueError(f"trace column {name} must be one-dimensional")
             col.setflags(write=False)
-            object.__setattr__(self, field.name, col)
+            object.__setattr__(self, name, col)
             sizes.add(col.size)
         if len(sizes) != 1:
             raise ValueError(f"trace columns differ in length: {sorted(sizes)}")
@@ -126,7 +126,7 @@ class ForecastTrace:
         return self.k.size
 
     def _columns(self) -> list[np.ndarray]:
-        return [getattr(self, field.name) for field in fields(self)]
+        return [getattr(self, name) for name in _TRACE_COLUMNS]
 
     def _rows(self):
         """The steps as tuples of Python numbers, in column order."""
@@ -150,11 +150,14 @@ class ForecastTrace:
             record.final.upper,
             record.class_id,
         )
-        for field, value in zip(fields(self), values):
-            col = getattr(self, field.name).copy()
+        for name, value in zip(_TRACE_COLUMNS, values):
+            col = getattr(self, name).copy()
             col[index] = value
             col.setflags(write=False)
-            object.__setattr__(self, field.name, col)
+            object.__setattr__(self, name, col)
+
+
+_TRACE_COLUMNS = tuple(field.name for field in fields(ForecastTrace))
 
 
 def _record(k, al, au, pl, pu, fl, fu, cid) -> ForecastRecord:
@@ -308,15 +311,15 @@ def forecast_series(
             f"[{float(prelim_lower[row])!r}, {float(prelim_upper[row])!r}]"
         )
     class_id = space.classify_bounds(prelim_lower, prelim_upper)
-    actual = idx[kmin:]
+    actual, final = idx[kmin:], class_id - 1
     return ForecastTrace(
         k=np.arange(start, end),
-        actual_lower=lowers[actual],
-        actual_upper=uppers[actual],
+        actual_lower=lowers.take(actual),
+        actual_upper=uppers.take(actual),
         prelim_lower=prelim_lower,
         prelim_upper=prelim_upper,
-        final_lower=lowers[class_id - 1],
-        final_upper=uppers[class_id - 1],
+        final_lower=lowers.take(final),
+        final_upper=uppers.take(final),
         class_id=class_id,
     )
 
@@ -325,15 +328,18 @@ def rmse_from_records(trace: ForecastTrace) -> RmseReport:
     """Bound-wise RMSEs of preliminary and final forecasts against the actuals."""
     if len(trace) == 0:
         raise DataError("cannot score an empty forecast trace")
+    squares = np.empty(len(trace))
 
-    def rmse(errors: np.ndarray) -> float:
-        return float(np.sqrt(np.mean(errors**2)))
+    def rmse(actual: np.ndarray, forecast: np.ndarray) -> float:
+        np.subtract(actual, forecast, out=squares)
+        np.multiply(squares, squares, out=squares)
+        return float(np.sqrt(np.add.reduce(squares) / squares.size))  # the sum and the division of np.mean
 
     return RmseReport(
-        prelim_upper=rmse(trace.actual_upper - trace.prelim_upper),
-        prelim_lower=rmse(trace.actual_lower - trace.prelim_lower),
-        final_upper=rmse(trace.actual_upper - trace.final_upper),
-        final_lower=rmse(trace.actual_lower - trace.final_lower),
+        prelim_upper=rmse(trace.actual_upper, trace.prelim_upper),
+        prelim_lower=rmse(trace.actual_lower, trace.prelim_lower),
+        final_upper=rmse(trace.actual_upper, trace.final_upper),
+        final_lower=rmse(trace.actual_lower, trace.final_lower),
     )
 
 

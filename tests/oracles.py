@@ -10,7 +10,10 @@ the column-row broadcast for ``c - x``, a zero test of every column minimum
 on every pass, fresh center differences for the shift and the SQUAREM step,
 re-sorted centers in the SQUAREM guard and one argmin over the whole k x N
 array for the hard assignments. The rewrite must return the same centers and
-assignments bit for bit, after the same objective values.
+assignments bit for bit, after the same objective values. ``_farthest_point_init``
+is the seeding as it stood before it read the distinct values from the
+sorted series that ``fcm_cluster`` keeps, through ``np.unique`` of its own
+copy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,21 @@ import warnings
 import numpy as np
 
 from iarx.errors import ClusteringError, ConvergenceWarning, DataError
-from iarx.pattern_space import FcmConfig, _farthest_point_init
+from iarx.pattern_space import FcmConfig
+
+
+def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Pick k distinct data values: a seeded start, then greedy farthest points."""
+    distinct = np.unique(values)
+    if distinct.size < k:
+        raise ClusteringError(f"cannot seed {k} clusters from {distinct.size} distinct value(s)")
+    centers = np.empty(k)
+    centers[0] = distinct[rng.integers(distinct.size)]
+    min_dist = np.abs(distinct - centers[0])
+    for i in range(1, k):
+        centers[i] = distinct[min_dist.argmax()]
+        np.minimum(min_dist, np.abs(distinct - centers[i]), out=min_dist)
+    return centers
 
 
 def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:

@@ -49,7 +49,7 @@ def textbook_fcm(values, k, config):
     """
     values = np.asarray(values, dtype=float)
     m = config.fuzziness
-    centers = _farthest_point_init(values, k, np.random.default_rng(config.seed))
+    centers = _farthest_point_init(np.sort(values), k, np.random.default_rng(config.seed))
     for _ in range(config.max_iterations):
         weights = textbook_memberships(values, centers, m) ** m
         new_centers = (weights @ values) / weights.sum(axis=1)
@@ -231,6 +231,20 @@ def test_fcm_is_bit_identical_to_the_oracle(monkeypatch):
                 assert assign.dtype == want_assign.dtype and np.array_equal(assign, want_assign), (seed, k)
 
 
+def test_seeding_reads_the_oracles_distinct_values_from_the_sorted_series():
+    # the first of each run of equal sorted values is what np.unique keeps,
+    # repeated values and zeros of either sign included
+    rng = np.random.default_rng(4)
+    for data in (np.round(rng.normal(size=500), 1), np.array([2.0, -0.0, 1.0, 0.0, 1.0]), rng.normal(size=300)):
+        for k in [k for k in (1, 2, 3, 17) if k <= np.unique(data).size]:
+            for seed in range(4):
+                want = oracles._farthest_point_init(data, k, np.random.default_rng(seed))
+                got = _farthest_point_init(np.sort(data), k, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes(), (k, seed)
+    with pytest.raises(ClusteringError, match=r"^cannot seed 4 clusters from 3 distinct value\(s\)$"):
+        _farthest_point_init(np.array([-0.0, 0.0, 1.0, 1.0, 2.0]), 4, np.random.default_rng(0))
+
+
 def test_fcm_peak_memory_holds_no_second_distance_array():
     # one k x N work array serves every pass; the hard assignments take their
     # argmin a block of columns at a time, so the peak stays below two k x N
@@ -331,6 +345,16 @@ def test_classify_tie_goes_to_lowest_id():
     d2 = hausdorff_distance(probe, space.classes[1].interval)
     assert d1 == d2
     assert space.classify_bounds(probe.lower, probe.upper).tolist() == [1]
+
+
+def test_classify_bounds_flattens_its_input():
+    space = PatternSpace(
+        PatternClass(id=j + 1, interval=Interval(lo, lo + 1.0), center=lo + 0.5) for j, lo in enumerate((0.0, 2.0, 4.0))
+    )
+    lower = np.array([[0.0, 2.0, 4.0], [4.0, 2.0, 0.0]])
+    ids = space.classify_bounds(lower, lower + 1.0)
+    assert ids.shape == (6,) and ids.tolist() == [1, 2, 3, 3, 2, 1]
+    assert space.classify_bounds(2.0, 3.0).shape == (1,)
 
 
 def test_classify_bounds_matches_the_full_distance_argmin(default_model, default_result):
@@ -487,6 +511,48 @@ def test_window_does_not_need_the_encoding_codes(monkeypatch):
     monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
     assert space.classify_bounds(space.lowers, space.uppers).tolist() == [1, 2, 3, 4, 5, 6]
     np.testing.assert_array_equal(_encode(space, x)[0] + 1, expected)
+
+
+def test_first_stage_leaves_almost_no_snap_to_the_whole_window(default_model, default_result, monkeypatch):
+    # coverage guard, so that a grid or window change cannot switch the fast
+    # path off unseen: the two classes of the first stage certify all but at
+    # most 0.1 % of the rows of the default forecast and of every z-scored
+    # default sweep model; measured, they certify all 18 942 of them
+    nearest = pattern_space._GridTable.nearest
+    rows = {"snapped": 0, "whole window": 0}
+
+    def spy(self, lower, upper, cell, start):
+        rows["snapped" if start else "whole window"] += lower.size
+        return nearest(self, lower, upper, cell, start)
+
+    monkeypatch.setattr(pattern_space._GridTable, "nearest", spy)
+    forecast_series(default_model, default_result.data, default_result.u)
+    data, u = zero_mean_normalize(default_result.data)[0], zero_mean_normalize(default_result.u)[0]
+    for cpms in range(16, 37):
+        forecast_series(fit_model(data, u, cpms, n=3, m=1), data, u)
+    assert rows["snapped"] >= 22 * 861
+    assert rows["whole window"] <= 0.001 * rows["snapped"], rows
+
+
+def test_second_stage_settles_what_the_first_leaves(monkeypatch):
+    # [1.1, 3.9] is nearest the wide first class [0, 4] (distance 1.1); its
+    # window is classes 1..3, so the first stage measures only [1, 1.5] and
+    # [2, 2.5] (best 1.4, not below 1.1 = lower - L_1), cannot certify, and
+    # the whole window settles the row without the full scan
+    bounds = [(0.0, 4.0), (1.0, 1.5), (2.0, 2.5), (5.0, 6.0), (7.0, 8.0)]
+    # classification reads the bounds only; any strictly ascending centers do
+    space = PatternSpace(
+        PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j)) for j, (lo, up) in enumerate(bounds)
+    )
+    grid = space._grid
+    lower, upper = np.array([1.1, 1.05, 1.3]), np.array([3.9, 3.95, 3.99])
+    ids, certified = grid.nearest(lower, upper, grid._cells(lower), 1)
+    assert not certified.any()
+    assert ids.tolist() == [3, 3, 3]
+    monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
+    got = space.classify_bounds(lower, upper)
+    np.testing.assert_array_equal(got, full_scan_ids(space, lower, upper))
+    assert got.tolist() == [1, 1, 1]
 
 
 @pytest.fixture(scope="module")

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+import iarx
 from iarx import intervals, pipeline
 from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.errors import ConvergenceWarning, DataError, SimulationError
@@ -496,3 +501,25 @@ def test_pipeline_rerun_bitwise_identical(default_report):
     model = fit_model(res.data, res.u, cpms=26, n=3, m=1)
     report = evaluate(model, res.data, res.u)
     assert report == default_report
+
+
+def test_fit_and_evaluate_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma (through np.ma.is_masked), about 11 ms of
+    # every CLI process that clusters; the seeding reads the distinct values
+    # from the sorted series instead, and nothing else on the path needs it
+    code = (
+        "import sys, numpy; loaded = 'numpy.ma' in sys.modules\n"
+        "from iarx.data_io import default_synthetic_spec, synthesize\n"
+        "from iarx.pipeline import evaluate, fit_model\n"
+        "res = synthesize(default_synthetic_spec())\n"
+        "evaluate(fit_model(res.data, res.u, cpms=26, n=3, m=1), res.data, res.u)\n"
+        "print(loaded, 'numpy.ma' in sys.modules)\n"
+    )
+    src = Path(iarx.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, after = proc.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert after == "False"
