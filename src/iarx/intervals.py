@@ -89,24 +89,6 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval({self._lower!r}, {self._upper!r})"
 
-    # Operator sugar; the module-level functions are the primary spelling.
-    def __add__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return sub(self, other)
-
-    def __mul__(self, factor):
-        if isinstance(factor, (int, float)):
-            return scale(factor, self)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
 
 def add(d: Interval, q: Interval) -> Interval:
     """Interval sum: bounds add component-wise.

@@ -15,11 +15,9 @@ degenerate interval ``[x, x]``, the nearest class is a step function of
 ``x``; a cell holds it where it is proven nearest for every float of the
 cell, so a series is encoded with one cell computation and one lookup per
 sample, and the other samples go to ``classify_bounds``. That measures an
-interval against the last two of the three classes of the window of the
-cell that holds its lower bound, against all three where a certificate
-cannot rule the others out, and against every class where the certificate
-of the whole window cannot either; either way the ids are those of a full
-scan.
+interval against the pair of classes of the cell that holds its lower
+bound, and against every class where a certificate cannot rule the others
+out; either way the ids are those of a full scan.
 """
 
 from __future__ import annotations
@@ -35,18 +33,14 @@ from .intervals import Interval
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
 
-# classify_bounds measures each interval against this many neighbouring
-# classes, the window of the grid cell that holds its lower bound.
-_WINDOW = 3
-
-# The full scan, which settles the intervals a window cannot certify, measures
+# The full scan, which settles the intervals a pair cannot certify, measures
 # this many (interval, class) distances at a time, so its work arrays stay
 # cache-sized however many intervals reach it.
 _BLOCK_PAIRS = 1 << 16
 
 # A space keeps one uniform grid over its class extent with this many cells
 # per class (see _GridTable), and reads a sample's class and an interval's
-# window from it. At 64 cells about 3 % of the samples of the default series
+# pair from it. At 64 cells about 3 % of the samples of the default series
 # land in a cell that a class boundary crosses and need one more comparison,
 # at 16 cells 12 %; the build of a finer grid costs more in every space.
 _GRID_CELLS = 64
@@ -257,7 +251,7 @@ class PatternClass:
 
 
 class _GridTable:
-    """One uniform grid over the class extent: per cell, an encoding code and a snap window.
+    """One uniform grid over the class extent: per cell, an encoding code and a snap pair.
 
     The grid spans ``[origin, top]``, the class extent ``[L_1, U_k]`` widened
     by two cells at either end, and maps ``x`` to the cell ``int((clip(x) -
@@ -265,15 +259,14 @@ class _GridTable:
     the last cell. The map is monotone in ``x``. A zero or non-finite span
     leaves a single cell.
 
-    Window. Per cell the table keeps the classes that
-    :meth:`PatternSpace.classify_bounds` tries first for an interval whose
-    lower bound lies in the cell: the id of the first (``first``), their
-    upper bounds (``window_uppers``, one row per offset), and their lower
-    bounds between the class lower bounds just outside them
-    (``window_lowers``; infinite past the first or the last class).
-    :meth:`nearest` searches a run of them that ends the window, the last
-    two classes or all of it. As ``classify_bounds`` certifies each answer,
-    no window needs a code.
+    Pair. Per cell the table keeps the two classes ``j, j + 1`` that
+    :meth:`PatternSpace.classify_bounds` measures for an interval whose
+    lower bound lies in the cell, ``j`` the last class whose lower bound does
+    not exceed the cell's midpoint, clipped to ``1 .. k - 1``: ``first``
+    holds ``j``, ``window_uppers`` their upper bounds, one row each, and
+    ``window_lowers`` their lower bounds between the class lower bounds just
+    outside them (infinite past the first or the last class). As
+    ``classify_bounds`` certifies each answer, no pair needs a code.
 
     Encoding. The distance of ``[x, x]`` to class ``j`` rounds to
     ``max(fl(x - L_j), fl(U_j - x))``. When the class bounds ``L`` and ``U``
@@ -312,12 +305,11 @@ class _GridTable:
             origin = top = scale = 0.0
         self.origin, self.top, self.scale = origin, top, scale
         size = int((top - origin) * scale) + 1  # the map of top, as _cells computes it
-        width = min(_WINDOW, k)
         midpoints = origin + (np.arange(size) + 0.5) * (span / cells)
-        start = np.searchsorted(lowers, midpoints, side="right") - width // 2
-        self.first = np.clip(start, 1, k - width + 1)
-        # the window's class ids; window_lowers adds the lower bound before and after it as rows
-        rows = self.first + np.arange(-1, width + 1)[:, None]
+        # a one-class space has no pair and reads none of these rows
+        self.first = np.clip(np.searchsorted(lowers, midpoints, side="right"), 1, k - 1)
+        # the pair's class ids; window_lowers adds the lower bound before and after it as rows
+        rows = self.first + np.arange(-1, 3)[:, None]
         self.window_lowers = np.concatenate(([-np.inf], lowers, [np.inf]))[rows]
         self.window_uppers = uppers[rows[1:-1] - 1]
         rounding = 2.0 * _EPS * (abs(origin) + abs(top)) + _TINY
@@ -343,25 +335,22 @@ class _GridTable:
         cell *= self.scale
         return cell.astype(np.intp)
 
-    def nearest(self, lower, upper, cell, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, certified)``: the class nearest each interval among offsets ``start ..``
-        of its cell's window (first strict minimum), and where no other class can be nearer."""
+    def nearest(self, lower, upper, cell) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, certified)``: the class of its cell's pair nearest each interval (the
+        first on a tie), and where no other class can be nearer."""
         # every cell is in range, so mode="clip" changes no index and lets take fill a buffer
-        ids = np.full(lower.size, start, dtype=np.intp)
         best, dist, other = np.empty_like(lower), np.empty_like(lower), np.empty_like(lower)
-        for i in range(start, self.window_uppers.shape[0]):
-            d = best if i == start else dist
+        for i, d in enumerate((best, dist)):
             np.subtract(lower, self.window_lowers[i + 1].take(cell, out=d, mode="clip"), out=d)
             np.abs(d, out=d)
             np.subtract(upper, self.window_uppers[i].take(cell, out=other, mode="clip"), out=other)
             np.abs(other, out=other)
             np.maximum(d, other, out=d)
-            if i > start:
-                np.copyto(ids, i, where=dist < best)
-                np.minimum(best, dist, out=best)
-        ids += self.first.take(cell)
-        self.window_lowers[start].take(cell, out=dist, mode="clip")
-        self.window_lowers[-1].take(cell, out=other, mode="clip")
+        ids = self.first.take(cell)
+        ids += dist < best
+        np.minimum(best, dist, out=best)
+        self.window_lowers[0].take(cell, out=dist, mode="clip")
+        self.window_lowers[3].take(cell, out=other, mode="clip")
         # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
         with np.errstate(invalid="ignore"):
             certified = np.subtract(lower, dist, out=dist) > best
@@ -449,36 +438,27 @@ class PatternSpace:
         flattened, so the 1-based ids form a 1-D array of ``lower.size``:
         shape ``(6,)`` for bounds of shape ``(2, 3)``, ``(1,)`` for scalars.
 
-        The window of an interval is the ``_WINDOW`` classes ``j - 1 .. j +
-        1`` (shifted inside ``1 .. cpms`` at either end), where ``j`` is the
-        last class whose lower bound does not exceed the midpoint of the grid
-        cell that holds the interval's lower bound (see :class:`_GridTable`).
-        A stage keeps the first strict minimum ``best`` over a run of the
-        window. As the lower bounds do not decrease and rounded subtraction
-        is monotone, no class left of the run is as near when ``lower``
-        minus the last lower bound before it exceeds ``best``, nor right of
-        it nearer when the first lower bound after it minus ``lower`` is at
-        least ``best``. The first stage runs over the last two classes of
-        the window, which win on the pipeline's paths, and the whole window
-        takes the intervals it leaves. That certifies every interval the
-        first stage does, with the same id (its bound before the run is no
-        higher, its ``best`` no larger), so it leaves only what a one-stage
-        window search leaves (overlapping or nested classes, wide intervals,
-        non-finite bounds), and those are measured against every class: the
-        ids are always those of a full scan.
+        An interval is measured against the pair of classes ``j, j + 1``,
+        where ``j`` is the last class whose lower bound does not exceed the
+        midpoint of the grid cell that holds the interval's lower bound,
+        clipped to ``1 .. cpms - 1`` (see :class:`_GridTable`); ``best`` is
+        the nearer of the two distances, the first on a tie. As the lower
+        bounds do not decrease and rounded subtraction is monotone, no class
+        left of the pair is as near when ``lower - L_{j-1}`` exceeds
+        ``best``, nor right of it nearer when ``L_{j+2} - lower`` is at least
+        ``best``. The intervals this leaves (overlapping or nested classes,
+        wide intervals, non-finite bounds) are measured against every class,
+        so the ids are always those of a full scan. A one-class space has no
+        pair and answers 1 for every interval.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
         if lower.size != upper.size:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
-        grid = self._grid
-        cell = grid._cells(lower)
-        width = grid.window_uppers.shape[0]
-        ids, certified = grid.nearest(lower, upper, cell, max(width - 2, 0))
+        if self.cpms == 1:
+            return np.ones(lower.size, dtype=np.intp)
+        ids, certified = self._grid.nearest(lower, upper, self._grid._cells(lower))
         stray = np.flatnonzero(~certified)
-        if stray.size and width > 2:
-            ids[stray], certified = grid.nearest(lower[stray], upper[stray], cell[stray], 0)
-            stray = stray[~certified]
         if stray.size:
             ids[stray] = self._scan(lower[stray], upper[stray]) + 1
         return ids

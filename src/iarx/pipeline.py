@@ -15,6 +15,7 @@ perturbation study, plus the fixed CSV writers used by the command line.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -204,6 +205,11 @@ class RobustnessResult:
 
 
 def _check_shape(cpms: int, n: int, m: int) -> None:
+    for name, value in (("cpms", cpms), ("n", n), ("m", m)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if cpms < 2:
         raise ValueError(f"cpms must be >= 2, got {cpms}")
     if n < 1 or m < 0:
@@ -217,7 +223,7 @@ def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
     comparison between two classes for cells that a breakpoint between them
     crosses; it leaves a sample only where it cannot prove the class (beyond
     the grid, NaN, spaces whose class bounds do not both strictly increase),
-    and those samples go through ``classify_bounds``, which reads its window
+    and those samples go through ``classify_bounds``, which reads its pair
     from the cell of the same grid. The ids equal a full scan's. Returns the
     0-based class index of every sample with that class's center ``(L + U)
     / 2`` and radius ``(U - L) / 2``.
@@ -358,7 +364,7 @@ def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig = FcmConfig(
     error (for example, more classes than distinct data values) records its
     error message and the sweep moves on.
     """
-    cpms_values = [int(cpms) for cpms in cpms_values]
+    cpms_values = list(cpms_values)
     for cpms in cpms_values:
         _check_shape(cpms, n, m)
     cells = []

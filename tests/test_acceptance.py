@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-from scipy import stats
 
 from iarx.cli import main
 from iarx.data_io import SyntheticSpec, WhiteNoiseInput, default_synthetic_spec, synthesize
@@ -238,6 +237,29 @@ def test_perturbation_digestion_and_limit(default_model, default_result):
     )
 
 
+def average_ranks(values):
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, group, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of the last value of each group of equal values
+    return (last - 0.5 * (counts - 1))[group]
+
+
+def spearman_rho(x, y):
+    """Spearman's rank correlation: Pearson's r of the average ranks."""
+    return np.corrcoef(average_ranks(x), average_ranks(y))[1, 0]
+
+
+def test_spearman_rho_gives_tied_values_their_mean_rank():
+    # the sweep trend below reads its rho from these helpers; tied values
+    # share the mean of the ranks they span, as in scipy's spearmanr
+    assert average_ranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
+    assert average_ranks([3, 1, 3, 3]).tolist() == [3.0, 1.0, 3.0, 3.0]
+    assert average_ranks([5.0]).tolist() == [1.0]
+    assert spearman_rho([1, 2, 3, 4], [8, 6, 4, 2]) == -1.0
+    # ranks [1, 2, 3, 4] against [1, 2.5, 2.5, 4]: r = 4.5 / sqrt(5 * 4.5) = sqrt(0.9)
+    assert abs(spearman_rho([1, 2, 3, 4], [1, 2, 2, 3]) - np.sqrt(0.9)) <= 1e-15
+
+
 def test_class_count_sweep_shows_downward_rmse_trend(default_result, monkeypatch):
     """Final RMSEs trend downward as the class count grows from 16 to 36.
 
@@ -254,8 +276,8 @@ def test_class_count_sweep_shows_downward_rmse_trend(default_result, monkeypatch
     elapsed = time.perf_counter() - start
     assert all(cell.error is None for cell in cells)
     cpms = [cell.cpms for cell in cells]
-    rho_upper = stats.spearmanr(cpms, [cell.report.final_upper for cell in cells]).statistic
-    rho_lower = stats.spearmanr(cpms, [cell.report.final_lower for cell in cells]).statistic
+    rho_upper = spearman_rho(cpms, [cell.report.final_upper for cell in cells])
+    rho_lower = spearman_rho(cpms, [cell.report.final_lower for cell in cells])
     assert rho_upper < -0.3
     assert rho_lower < -0.3
     assert elapsed < 60.0

@@ -61,8 +61,6 @@ def test_add_sub_closed_forms():
     q = Interval(0.5, 1.0)
     assert add(d, q) == Interval(1.5, 4.0)
     assert sub(d, q) == Interval(0.0, 2.5)
-    assert d + q == add(d, q)
-    assert d - q == sub(d, q)
 
 
 def test_sub_uses_opposite_bounds_randomized():
@@ -70,11 +68,11 @@ def test_sub_uses_opposite_bounds_randomized():
     for _ in range(2000):
         a = Interval(*sorted(rng.uniform(-10, 10, size=2)))
         b = Interval(*sorted(rng.uniform(-10, 10, size=2)))
-        s = a - b
+        s = sub(a, b)
         assert s.lower == a.lower - b.upper
         assert s.upper == a.upper - b.lower
-        # width is additive under both + and -
-        assert abs((a + b).width - (a.width + b.width)) <= 1e-12 * max(1.0, s.width)
+        # width is additive under both add and sub
+        assert abs(add(a, b).width - (a.width + b.width)) <= 1e-12 * max(1.0, s.width)
         assert abs(s.width - (a.width + b.width)) <= 1e-12 * max(1.0, s.width)
 
 
@@ -83,8 +81,7 @@ def test_scale_sign_cases():
     assert scale(2.0, iv) == Interval(2.0, 6.0)
     assert scale(-2.0, iv) == Interval(-6.0, -2.0)  # bounds swap
     assert scale(0.0, iv) == Interval(0.0, 0.0)
-    assert 2.0 * iv == scale(2.0, iv)
-    assert iv * -1.0 == Interval(-3.0, -1.0)
+    assert scale(-1.0, iv) == Interval(-3.0, -1.0)
 
 
 def test_hausdorff_closed_form_and_axioms():

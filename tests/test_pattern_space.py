@@ -453,6 +453,13 @@ def test_classify_bounds_matches_the_full_scan_on_random_spaces(layout):
             np.testing.assert_array_equal(
                 space.classify_bounds(lower, upper), full_scan_ids(space, lower, upper), err_msg=f"cpms {cpms}"
             )
+    # a one-class space has no pair to search; drawn last, so that no space above changes
+    space = random_space(rng, 1, layout)
+    lower = np.concatenate((rng.uniform(-5.0, 5.0, 50), [-inf, inf, nan, 0.0]))
+    upper = np.concatenate((lower[:50] + rng.uniform(0.0, 5.0, 50), [inf, inf, 0.0, nan]))
+    got = space.classify_bounds(lower, upper)
+    np.testing.assert_array_equal(got, full_scan_ids(space, lower, upper))
+    assert got.tolist() == [1] * lower.size
 
 
 def test_classify_bounds_falls_back_to_the_full_scan_outside_the_window(monkeypatch):
@@ -496,10 +503,10 @@ def test_window_certifies_every_interval_of_every_z_scored_sweep_model(default_r
         forecast_series(fit_model(data, u, cpms, n=3, m=1), data, u)
 
 
-def test_window_does_not_need_the_encoding_codes(monkeypatch):
+def test_classification_without_encoding_codes_matches_the_full_scan():
     # a repeated lower bound leaves every cell of the grid without an
-    # encoding code, but its windows still certify the class intervals and
-    # every sample, so neither search reaches the full scan
+    # encoding code, so every sample goes through the pair search and its
+    # fallback, and both still give the full scan's ids
     bounds = [(0, 1), (0, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
     space = PatternSpace(
         PatternClass(id=j + 1, interval=Interval(lo, up), center=0.5 * (lo + up))
@@ -508,37 +515,14 @@ def test_window_does_not_need_the_encoding_codes(monkeypatch):
     assert (space._grid.code < -space.cpms).all()
     x = np.linspace(-1.0, 11.0, 97)
     expected = full_scan_ids(space, x, x)
-    monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
     assert space.classify_bounds(space.lowers, space.uppers).tolist() == [1, 2, 3, 4, 5, 6]
     np.testing.assert_array_equal(_encode(space, x)[0] + 1, expected)
 
 
-def test_first_stage_leaves_almost_no_snap_to_the_whole_window(default_model, default_result, monkeypatch):
-    # coverage guard, so that a grid or window change cannot switch the fast
-    # path off unseen: the two classes of the first stage certify all but at
-    # most 0.1 % of the rows of the default forecast and of every z-scored
-    # default sweep model; measured, they certify all 18 942 of them
-    nearest = pattern_space._GridTable.nearest
-    rows = {"snapped": 0, "whole window": 0}
-
-    def spy(self, lower, upper, cell, start):
-        rows["snapped" if start else "whole window"] += lower.size
-        return nearest(self, lower, upper, cell, start)
-
-    monkeypatch.setattr(pattern_space._GridTable, "nearest", spy)
-    forecast_series(default_model, default_result.data, default_result.u)
-    data, u = zero_mean_normalize(default_result.data)[0], zero_mean_normalize(default_result.u)[0]
-    for cpms in range(16, 37):
-        forecast_series(fit_model(data, u, cpms, n=3, m=1), data, u)
-    assert rows["snapped"] >= 22 * 861
-    assert rows["whole window"] <= 0.001 * rows["snapped"], rows
-
-
-def test_second_stage_settles_what_the_first_leaves(monkeypatch):
+def test_full_scan_settles_what_the_pair_leaves():
     # [1.1, 3.9] is nearest the wide first class [0, 4] (distance 1.1); its
-    # window is classes 1..3, so the first stage measures only [1, 1.5] and
-    # [2, 2.5] (best 1.4, not below 1.1 = lower - L_1), cannot certify, and
-    # the whole window settles the row without the full scan
+    # pair is classes 2 and 3, [1, 1.5] and [2, 2.5] (best 1.4, not below
+    # 1.1 = lower - L_1), which cannot certify it, so the full scan settles it
     bounds = [(0.0, 4.0), (1.0, 1.5), (2.0, 2.5), (5.0, 6.0), (7.0, 8.0)]
     # classification reads the bounds only; any strictly ascending centers do
     space = PatternSpace(
@@ -546,10 +530,9 @@ def test_second_stage_settles_what_the_first_leaves(monkeypatch):
     )
     grid = space._grid
     lower, upper = np.array([1.1, 1.05, 1.3]), np.array([3.9, 3.95, 3.99])
-    ids, certified = grid.nearest(lower, upper, grid._cells(lower), 1)
+    ids, certified = grid.nearest(lower, upper, grid._cells(lower))
     assert not certified.any()
     assert ids.tolist() == [3, 3, 3]
-    monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
     got = space.classify_bounds(lower, upper)
     np.testing.assert_array_equal(got, full_scan_ids(space, lower, upper))
     assert got.tolist() == [1, 1, 1]

@@ -76,6 +76,8 @@ def test_fit_model_validation():
     u = np.cos(np.linspace(0.0, 20.0, 200))
     with pytest.raises(ValueError):
         fit_model(data, u, cpms=1, n=3, m=1)
+    with pytest.raises(ValueError, match=r"^cpms must be an integer, got 16\.9$"):
+        fit_model(data, u, cpms=16.9, n=3, m=1)
     with pytest.raises(DataError):
         fit_model(data, u[:-1], cpms=8, n=3, m=1)
     with pytest.raises(DataError, match=r"^need at least cpms = 8 samples, got 5$"):
@@ -440,6 +442,10 @@ def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
         sweep_cpms(data, u, [16, 18], n=0, m=1)
     with pytest.raises(ValueError, match="cpms must be >= 2, got 1"):
         sweep_cpms(data, u, [16, 1], n=3, m=1)
+    with pytest.raises(ValueError, match=r"^cpms must be an integer, got 16\.9$"):
+        sweep_cpms(data, u, [16.9], n=3, m=1)
+    with pytest.raises(ValueError, match=r"^cpms must be an integer, got '17'$"):
+        sweep_cpms(data, u, ["17"], n=3, m=1)
 
 
 def test_sweep_keeps_failed_cells():
@@ -448,7 +454,7 @@ def test_sweep_keeps_failed_cells():
     rng = np.random.default_rng(0)
     data = np.asarray(rng.integers(0, 9, size=400), dtype=float)
     u = rng.normal(size=400)
-    cells = sweep_cpms(data, u, [4, 50], n=2, m=1)
+    cells = sweep_cpms(data, u, [np.int64(4), 50], n=2, m=1)  # a numpy integer is a class count too
     assert cells[0].error is None and cells[0].report is not None
     assert cells[1].report is None
     assert "distinct" in cells[1].error
