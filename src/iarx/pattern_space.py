@@ -9,20 +9,21 @@ cardinality of the space.
 Classification of an interval is nearest-neighbor under the Hausdorff
 distance, and the space keeps its class bounds as read-only arrays, so an
 interval taken from them by class id is bit-identical to that class's
-interval. The space keeps one uniform grid over its class extent
-(``_GridTable``), and both searches read it. For a single value ``x``, the
-degenerate interval ``[x, x]``, the nearest class is a step function of
-``x``; a cell holds it where it is proven nearest for every float of the
-cell, so a series is encoded with one cell computation and one lookup per
-sample, and the other samples go to ``classify_bounds``. That measures an
-interval against the pair of classes of the cell that holds its lower
-bound, and against every class where a certificate cannot rule the others
-out; either way the ids are those of a full scan.
+interval. The space keeps one uniform grid over its class extent, and
+both searches read it. For a single value ``x``, the degenerate interval
+``[x, x]``, the nearest class is a step function of ``x``; a cell holds it
+where it is proven nearest for every float of the cell, so
+``classify_points`` encodes a series with one cell computation and one
+lookup per sample, and sends the other samples to ``classify_bounds``.
+That measures an interval against the pair of classes of the cell that
+holds its lower bound, and against every class where a certificate cannot
+rule the others out; either way the ids are those of a full scan.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_sp
 _BLOCK_PAIRS = 1 << 16
 
 # A space keeps one uniform grid over its class extent with this many cells
-# per class (see _GridTable), and reads a sample's class and an interval's
+# per class (see PatternSpace), and reads a sample's class and an interval's
 # pair from it. At 64 cells about 3 % of the samples of the default series
 # land in a cell that a class boundary crosses and need one more comparison,
 # at 16 cells 12 %; the build of a finer grid costs more in every space.
@@ -148,6 +149,10 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         raise ClusteringError("cannot cluster an empty series")
     if not np.isfinite(values).all():
         raise DataError(f"data sample {np.flatnonzero(~np.isfinite(values))[0]} is not finite")
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"cluster count must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if k > values.size:
@@ -250,22 +255,28 @@ class PatternClass:
     center: float
 
 
-class _GridTable:
-    """One uniform grid over the class extent: per cell, an encoding code and a snap pair.
+class PatternSpace:
+    """An ordered collection of pattern classes over a scalar series.
 
-    The grid spans ``[origin, top]``, the class extent ``[L_1, U_k]`` widened
-    by two cells at either end, and maps ``x`` to the cell ``int((clip(x) -
-    origin) * scale)``; NaN and values beyond the grid land in the first or
-    the last cell. The map is monotone in ``x``. A zero or non-finite span
-    leaves a single cell.
+    Classes are sorted by strictly ascending cluster center with ids
+    ``1..cpms``; their interval lower bounds must be non-decreasing in the
+    same order. Construction validates both, whether the classes come from
+    clustering or from a serialized file.
 
-    Pair. Per cell the table keeps the two classes ``j, j + 1`` that
-    :meth:`PatternSpace.classify_bounds` measures for an interval whose
-    lower bound lies in the cell, ``j`` the last class whose lower bound does
-    not exceed the cell's midpoint, clipped to ``1 .. k - 1``: ``first``
-    holds ``j``, ``window_uppers`` their upper bounds, one row each, and
-    ``window_lowers`` their lower bounds between the class lower bounds just
-    outside them (infinite past the first or the last class). As
+    Grid. The space keeps one uniform grid over its class extent, with an
+    encoding code and a snap pair per cell. The grid spans ``[_origin,
+    _top]``, the class extent ``[L_1, U_k]`` widened by two cells at either
+    end, and maps ``x`` to the cell ``int((clip(x) - _origin) * _scale)``;
+    NaN and values beyond the grid land in the first or the last cell. The
+    map is monotone in ``x``. A zero or non-finite span leaves a single cell.
+
+    Pair. Per cell the space keeps the two classes ``j, j + 1`` that
+    :meth:`classify_bounds` measures for an interval whose lower bound lies
+    in the cell, ``j`` the last class whose lower bound does not exceed the
+    cell's midpoint, clipped to ``1 .. k - 1``: ``_first`` holds ``j``,
+    ``_window_uppers`` their upper bounds, one row each, and
+    ``_window_lowers`` their lower bounds between the class lower bounds
+    just outside them (infinite past the first or the last class). As
     ``classify_bounds`` certifies each answer, no pair needs a code.
 
     Encoding. The distance of ``[x, x]`` to class ``j`` rounds to
@@ -274,9 +285,9 @@ class _GridTable:
     on ``(t_{j-1}, t_j]``, where ``t_j = (L_j + U_{j+1}) / 2``, and any other
     class is farther by at least ``min(2 |x - t|, s)``, with ``t`` the
     breakpoint next to the nearest class on that class's side and ``s`` the
-    least step of ``L`` or ``U``. For ``x`` in ``[origin, top]`` the two
+    least step of ``L`` or ``U``. For ``x`` in ``[_origin, _top]`` the two
     rounded distances of a comparison err by less than ``E = 2 eps
-    (|origin| + |top|)`` together; ``E`` also adds the least normal float,
+    (|_origin| + |_top|)`` together; ``E`` also adds the least normal float,
     which bounds the error of halving a subnormal ``t_j``. So where every
     step exceeds ``2 E``, the rounded argmin (ties to the lowest id) is the
     exact one at every ``x`` at least ``2 E`` from every breakpoint; where
@@ -285,103 +296,14 @@ class _GridTable:
     that can hold a value within ``2 E`` of ``t_j`` run from the cell of
     ``t_j - 2 E`` to that of ``t_j + 2 E``, computed by the same map. With
     ``b`` the breakpoints wholly below a cell and ``r`` those that reach it,
-    ``code`` holds ``b - k r``: the 0-based class ``b`` when ``r = 0``; ``b
+    ``_code`` holds ``b - k r``: the 0-based class ``b`` when ``r = 0``; ``b
     - k``, in ``[-k, -1]``, when ``t_b`` alone reaches it; and less than
     ``-k`` for cells that two breakpoints reach, the first and the last
     cell, and every cell of a space with a step of ``2 E`` or less.
     """
 
-    __slots__ = ("origin", "top", "scale", "code", "lowers", "uppers", "first", "window_lowers", "window_uppers")
-
-    def __init__(self, lowers: np.ndarray, uppers: np.ndarray):
-        self.lowers, self.uppers = lowers, uppers
-        k = lowers.size
-        cells = _GRID_CELLS * k
-        span = float(uppers[-1] - lowers[0])
-        pad = 2.0 * span / cells
-        origin, top = float(lowers[0]) - pad, float(uppers[-1]) + pad
-        scale = cells / span if span > 0.0 else 0.0
-        if not (0.0 < scale < np.inf and top - origin < np.inf):  # a zero or non-finite span: one cell
-            origin = top = scale = 0.0
-        self.origin, self.top, self.scale = origin, top, scale
-        size = int((top - origin) * scale) + 1  # the map of top, as _cells computes it
-        midpoints = origin + (np.arange(size) + 0.5) * (span / cells)
-        # a one-class space has no pair and reads none of these rows
-        self.first = np.clip(np.searchsorted(lowers, midpoints, side="right"), 1, k - 1)
-        # the pair's class ids; window_lowers adds the lower bound before and after it as rows
-        rows = self.first + np.arange(-1, 3)[:, None]
-        self.window_lowers = np.concatenate(([-np.inf], lowers, [np.inf]))[rows]
-        self.window_uppers = uppers[rows[1:-1] - 1]
-        rounding = 2.0 * _EPS * (abs(origin) + abs(top)) + _TINY
-        steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
-        if not (scale and (steps > 2.0 * rounding).all()):
-            self.code = np.full(size, -2 * k, dtype=np.intp)
-            return
-        breaks = 0.5 * (lowers[:-1] + uppers[1:])
-        low, high = self._cells(np.add.outer((-2.0 * rounding, 2.0 * rounding), breaks))
-        # a breakpoint reaches the cells low .. high; b counts those with high
-        # below a cell and r + b those with low not above it, so b - k r =
-        # (k + 1) b - k (r + b) is one running sum over the cells
-        ended = np.bincount(high + 1, minlength=size)[:size]
-        code = np.add.accumulate((k + 1) * ended - k * np.bincount(low, minlength=size))
-        code[0] = code[-1] = -2 * k
-        self.code = code
-
-    def _cells(self, x: np.ndarray) -> np.ndarray:
-        # fmax/fmin send NaN to the first cell, so the cast never sees it
-        cell = np.fmax(x, self.origin)
-        np.fmin(cell, self.top, out=cell)
-        cell -= self.origin
-        cell *= self.scale
-        return cell.astype(np.intp)
-
-    def nearest(self, lower, upper, cell) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, certified)``: the class of its cell's pair nearest each interval (the
-        first on a tie), and where no other class can be nearer."""
-        # every cell is in range, so mode="clip" changes no index and lets take fill a buffer
-        best, dist, other = np.empty_like(lower), np.empty_like(lower), np.empty_like(lower)
-        for i, d in enumerate((best, dist)):
-            np.subtract(lower, self.window_lowers[i + 1].take(cell, out=d, mode="clip"), out=d)
-            np.abs(d, out=d)
-            np.subtract(upper, self.window_uppers[i].take(cell, out=other, mode="clip"), out=other)
-            np.abs(other, out=other)
-            np.maximum(d, other, out=d)
-        ids = self.first.take(cell)
-        ids += dist < best
-        np.minimum(best, dist, out=best)
-        self.window_lowers[0].take(cell, out=dist, mode="clip")
-        self.window_lowers[3].take(cell, out=other, mode="clip")
-        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
-        with np.errstate(invalid="ignore"):
-            certified = np.subtract(lower, dist, out=dist) > best
-            certified &= np.subtract(other, lower, out=other) >= best
-        return ids, certified
-
-    def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, stray)``: the 0-based nearest class of each ``[x, x]``, and the
-        positions the table cannot settle, whose index is negative."""
-        index = self.code.take(self._cells(x))
-        stray = np.flatnonzero(index < 0)
-        if stray.size:
-            j = index[stray] + self.lowers.size
-            split = j >= 0
-            at, j = stray[split], j[split]
-            point = x[at]
-            index[at] = j + (point - self.lowers.take(j) > self.uppers.take(j + 1) - point)
-            stray = stray[~split]
-        return index, stray
-
-
-class PatternSpace:
-    """An ordered collection of pattern classes over a scalar series.
-
-    Classes are sorted by strictly ascending cluster center with ids
-    ``1..cpms``; their interval lower bounds must be non-decreasing in the
-    same order. Construction validates both, whether the classes come from
-    clustering or from a serialized file.
-    """
-
-    __slots__ = ("_classes", "_lowers", "_uppers", "_grid")
+    __slots__ = ("_classes", "_lowers", "_uppers", "_origin", "_top", "_scale", "_code", "_first",
+                 "_window_lowers", "_window_uppers")
 
     def __init__(self, classes):
         classes = tuple(classes)
@@ -401,15 +323,45 @@ class PatternSpace:
                 f"class interval lower bounds must be non-decreasing, got {lowers}"
             )
         self._classes = classes
-        self._lowers = np.array(lowers)
-        self._uppers = np.array([cls.interval.upper for cls in classes])
-        top = float(self._uppers.max())
+        self._lowers = lowers = np.array(lowers)
+        self._uppers = uppers = np.array([cls.interval.upper for cls in classes])
+        bottom, top = float(lowers[0]), float(uppers.max())
         with np.errstate(over="ignore"):  # the grid spans the extent and the encoding halves L + U
-            if not (top - lowers[0] < np.inf and np.isfinite(self._lowers + self._uppers).all()):
-                raise ClusteringError(f"class bounds from {lowers[0]!r} to {top!r} overflow a float")
-        self._lowers.setflags(write=False)
-        self._uppers.setflags(write=False)
-        self._grid = _GridTable(self._lowers, self._uppers)
+            if not (top - bottom < np.inf and np.isfinite(lowers + uppers).all()):
+                raise ClusteringError(f"class bounds from {bottom!r} to {top!r} overflow a float")
+        lowers.setflags(write=False)
+        uppers.setflags(write=False)
+        k = lowers.size
+        cells = _GRID_CELLS * k
+        span = float(uppers[-1] - lowers[0])
+        pad = 2.0 * span / cells
+        origin, top = float(lowers[0]) - pad, float(uppers[-1]) + pad
+        scale = cells / span if span > 0.0 else 0.0
+        if not (0.0 < scale < np.inf and top - origin < np.inf):  # a zero or non-finite span: one cell
+            origin = top = scale = 0.0
+        self._origin, self._top, self._scale = origin, top, scale
+        size = int((top - origin) * scale) + 1  # the map of top, as _cells computes it
+        midpoints = origin + (np.arange(size) + 0.5) * (span / cells)
+        # a one-class space has no pair and reads none of these rows
+        self._first = np.clip(np.searchsorted(lowers, midpoints, side="right"), 1, k - 1)
+        # the pair's class ids; _window_lowers adds the lower bound before and after it as rows
+        rows = self._first + np.arange(-1, 3)[:, None]
+        self._window_lowers = np.concatenate(([-np.inf], lowers, [np.inf]))[rows]
+        self._window_uppers = uppers[rows[1:-1] - 1]
+        rounding = 2.0 * _EPS * (abs(origin) + abs(top)) + _TINY
+        steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
+        if not (scale and (steps > 2.0 * rounding).all()):
+            self._code = np.full(size, -2 * k, dtype=np.intp)
+            return
+        breaks = 0.5 * (lowers[:-1] + uppers[1:])
+        low, high = self._cells(np.add.outer((-2.0 * rounding, 2.0 * rounding), breaks))
+        # a breakpoint reaches the cells low .. high; b counts those with high
+        # below a cell and r + b those with low not above it, so b - k r =
+        # (k + 1) b - k (r + b) is one running sum over the cells
+        ended = np.bincount(high + 1, minlength=size)[:size]
+        code = np.add.accumulate((k + 1) * ended - k * np.bincount(low, minlength=size))
+        code[0] = code[-1] = -2 * k
+        self._code = code
 
     @property
     def classes(self) -> tuple[PatternClass, ...]:
@@ -430,6 +382,27 @@ class PatternSpace:
         """Upper bounds of the class intervals in id order (read-only)."""
         return self._uppers
 
+    def classify_points(self, x) -> np.ndarray:
+        """Ids of the classes Hausdorff-nearest to the degenerate intervals ``[x[i], x[i]]``.
+
+        The ids of ``classify_bounds(x, x)``, flattened alike: a sample's class
+        is read from the code of its grid cell, with one comparison of two
+        classes where a single breakpoint reaches the cell, and the samples no
+        code settles go to :meth:`classify_bounds`.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        index = self._code.take(self._cells(x))
+        stray = np.flatnonzero(index < 0)
+        j = index[stray] + self._lowers.size
+        split = j >= 0
+        at, j = stray[split], j[split]
+        point = x[at]
+        index[at] = j + (point - self._lowers.take(j) > self._uppers.take(j + 1) - point)
+        stray = stray[~split]
+        if stray.size:
+            index[stray] = self.classify_bounds(x[stray], x[stray]) - 1
+        return index + 1
+
     def classify_bounds(self, lower, upper) -> np.ndarray:
         """Ids of the classes Hausdorff-nearest to the intervals ``[lower[i], upper[i]]``.
 
@@ -441,7 +414,7 @@ class PatternSpace:
         An interval is measured against the pair of classes ``j, j + 1``,
         where ``j`` is the last class whose lower bound does not exceed the
         midpoint of the grid cell that holds the interval's lower bound,
-        clipped to ``1 .. cpms - 1`` (see :class:`_GridTable`); ``best`` is
+        clipped to ``1 .. cpms - 1`` (see the class docstring); ``best`` is
         the nearer of the two distances, the first on a tie. As the lower
         bounds do not decrease and rounded subtraction is monotone, no class
         left of the pair is as near when ``lower - L_{j-1}`` exceeds
@@ -457,11 +430,42 @@ class PatternSpace:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
         if self.cpms == 1:
             return np.ones(lower.size, dtype=np.intp)
-        ids, certified = self._grid.nearest(lower, upper, self._grid._cells(lower))
+        ids, certified = self._nearest_pair(lower, upper)
         stray = np.flatnonzero(~certified)
         if stray.size:
             ids[stray] = self._scan(lower[stray], upper[stray]) + 1
         return ids
+
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        # fmax/fmin send NaN to the first cell, so the cast never sees it
+        cell = np.fmax(x, self._origin)
+        np.fmin(cell, self._top, out=cell)
+        cell -= self._origin
+        cell *= self._scale
+        return cell.astype(np.intp)
+
+    def _nearest_pair(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, certified)``: the class of its cell's pair nearest each interval (the
+        first on a tie), and where no other class can be nearer."""
+        cell = self._cells(lower)
+        # every cell is in range, so mode="clip" changes no index and lets take fill a buffer
+        best, dist, other = np.empty_like(lower), np.empty_like(lower), np.empty_like(lower)
+        for i, d in enumerate((best, dist)):
+            np.subtract(lower, self._window_lowers[i + 1].take(cell, out=d, mode="clip"), out=d)
+            np.abs(d, out=d)
+            np.subtract(upper, self._window_uppers[i].take(cell, out=other, mode="clip"), out=other)
+            np.abs(other, out=other)
+            np.maximum(d, other, out=d)
+        ids = self._first.take(cell)
+        ids += dist < best
+        np.minimum(best, dist, out=best)
+        self._window_lowers[0].take(cell, out=dist, mode="clip")
+        self._window_lowers[3].take(cell, out=other, mode="clip")
+        # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
+        with np.errstate(invalid="ignore"):
+            certified = np.subtract(lower, dist, out=dist) > best
+            certified &= np.subtract(other, lower, out=other) >= best
+        return ids, certified
 
     def _scan(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """0-based index of the nearest class of every interval, measured against all classes."""

@@ -219,18 +219,12 @@ def _check_shape(cpms: int, n: int, m: int) -> None:
 def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode each sample as the class nearest its degenerate interval ``[x, x]``.
 
-    The space's one grid gives each sample's class from its cell, with one
-    comparison between two classes for cells that a breakpoint between them
-    crosses; it leaves a sample only where it cannot prove the class (beyond
-    the grid, NaN, spaces whose class bounds do not both strictly increase),
-    and those samples go through ``classify_bounds``, which reads its pair
-    from the cell of the same grid. The ids equal a full scan's. Returns the
+    The class comes from :meth:`PatternSpace.classify_points`. Returns the
     0-based class index of every sample with that class's center ``(L + U)
     / 2`` and radius ``(U - L) / 2``.
     """
-    idx, stray = space._grid.encode(data)
-    if stray.size:
-        idx[stray] = space.classify_bounds(data[stray], data[stray]) - 1
+    idx = space.classify_points(data)
+    idx -= 1
     lowers, uppers = space.lowers, space.uppers
     return idx, (0.5 * (lowers + uppers)).take(idx), (0.5 * (uppers - lowers)).take(idx)
 
@@ -277,12 +271,11 @@ def forecast_series(
     Each step is predicted from the encoded actuals, never from earlier
     forecasts. The default range scores every step with a full lag window,
     i.e. ``max(n, m) .. len(data) - 1``. All steps are computed at once: the
-    series is encoded as class ids by :func:`_encode` (a lookup in the
-    space's grid per sample; ``classify_bounds`` settles the samples the
-    grid cannot), the lag columns are gathered from the class centers and
-    radii, the preliminaries come from :func:`~iarx.model.predict_bounds`
-    and are classified together in the windows of the same grid's cells,
-    and the finals are the bounds of the winning classes. The first
+    series is encoded as class ids by :meth:`PatternSpace.classify_points`,
+    the lag columns are gathered from the class centers and radii, the
+    preliminaries come from :func:`~iarx.model.predict_bounds` and are
+    classified together by :meth:`PatternSpace.classify_bounds`, and the
+    finals are the bounds of the winning classes. The first
     non-finite sample of ``data`` or ``u`` in ``[start - max(n, m), end)``
     raises ``DataError``, the first non-finite preliminary
     ``SimulationError``.
@@ -331,22 +324,32 @@ def forecast_series(
 
 
 def rmse_from_records(trace: ForecastTrace) -> RmseReport:
-    """Bound-wise RMSEs of preliminary and final forecasts against the actuals."""
+    """Bound-wise RMSEs of preliminary and final forecasts against the actuals.
+
+    An RMSE that is not finite raises ``SimulationError`` naming its channel
+    and the first step whose squared error is not finite, if one is.
+    """
     if len(trace) == 0:
         raise DataError("cannot score an empty forecast trace")
     squares = np.empty(len(trace))
 
-    def rmse(actual: np.ndarray, forecast: np.ndarray) -> float:
+    def rmse(name: str, actual: np.ndarray, forecast: np.ndarray) -> float:
         np.subtract(actual, forecast, out=squares)
         np.multiply(squares, squares, out=squares)
-        return float(np.sqrt(np.add.reduce(squares) / squares.size))  # the sum and the division of np.mean
+        value = float(np.sqrt(np.add.reduce(squares) / squares.size))  # the sum and the division of np.mean
+        if not value < np.inf:
+            bad = np.flatnonzero(~np.isfinite(squares))
+            source = f"the squared error at step {trace.k[bad[0]]}" if bad.size else "the sum of the squared errors"
+            raise SimulationError(f"{name} RMSE is not finite, from {source}")
+        return value
 
-    return RmseReport(
-        prelim_upper=rmse(trace.actual_upper, trace.prelim_upper),
-        prelim_lower=rmse(trace.actual_lower, trace.prelim_lower),
-        final_upper=rmse(trace.actual_upper, trace.final_upper),
-        final_lower=rmse(trace.actual_lower, trace.final_lower),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return RmseReport(
+            prelim_upper=rmse("prelim_upper", trace.actual_upper, trace.prelim_upper),
+            prelim_lower=rmse("prelim_lower", trace.actual_lower, trace.prelim_lower),
+            final_upper=rmse("final_upper", trace.actual_upper, trace.final_upper),
+            final_lower=rmse("final_lower", trace.actual_lower, trace.final_lower),
+        )
 
 
 def evaluate(

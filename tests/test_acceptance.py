@@ -24,7 +24,7 @@ from iarx.model import (
     solve_qp_nonneg,
 )
 from iarx.pattern_space import PatternSpace
-from iarx.pipeline import fit_model, forecast_series, robustness_experiment, sweep_cpms
+from iarx.pipeline import evaluate, fit_model, forecast_series, robustness_experiment, sweep_cpms
 
 # Frozen fixtures for the robustness criterion: the small magnitude moves the
 # preliminary RMSEs by > 1e-4 yet every step keeps its final class; the large
@@ -283,6 +283,28 @@ def test_class_count_sweep_shows_downward_rmse_trend(default_result, monkeypatch
     assert elapsed < 60.0
     print(
         f"[PASS] sweep trend: Spearman upper {rho_upper:.3f}, lower {rho_lower:.3f} "
+        f"over cpms 16..36 ({elapsed:.2f}s)"
+    )
+
+
+def test_class_count_trend_holds_out_of_sample(default_result):
+    """Final RMSEs on held-out steps trend downward as the class count grows.
+
+    Each model is fitted on the first 576 samples of the raw default series
+    and scored on steps 576 onward. The series is not z-scored, so no
+    statistic of the held-out part reaches the fit.
+    """
+    data, u, split = default_result.data, default_result.u, 576
+    start = time.perf_counter()
+    cpms = list(range(16, 37))
+    reports = [evaluate(fit_model(data[:split], u[:split], k, n=3, m=1), data, u, start=split) for k in cpms]
+    elapsed = time.perf_counter() - start
+    rho_upper = spearman_rho(cpms, [report.final_upper for report in reports])
+    rho_lower = spearman_rho(cpms, [report.final_lower for report in reports])
+    assert rho_upper < -0.3
+    assert rho_lower < -0.3
+    print(
+        f"[PASS] held-out sweep trend: Spearman upper {rho_upper:.3f}, lower {rho_lower:.3f} "
         f"over cpms 16..36 ({elapsed:.2f}s)"
     )
 

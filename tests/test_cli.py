@@ -217,21 +217,29 @@ def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
 
 def test_non_finite_forecast_exits_1(workspace, tmp_path):
     # a loaded model whose forecasts overflow is a numerical failure: exit 1
-    # with one error line, no numpy warning and no traceback
+    # with one error line, no numpy warning and no traceback; so is one whose
+    # forecasts stay finite while their squared errors overflow
     data_dir, fit_dir = workspace
-    model_dir = tmp_path / "model"
-    model_dir.mkdir()
-    (model_dir / "space.json").write_bytes((fit_dir / "space.json").read_bytes())
-    doc = json.loads((fit_dir / "model.json").read_text(encoding="utf-8"))
-    doc["A"] = [1e308] + [0.0] * (len(doc["A"]) - 1)
-    doc["C"] = [1e308] + [0.0] * (len(doc["C"]) - 1)
-    (model_dir / "model.json").write_text(json.dumps(doc), encoding="utf-8")
-    common = ["--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--model-dir", str(model_dir)]
-    for command in ("eval", "robust"):
-        proc = _run_cli([command, *common, "--out", str(tmp_path / command)])
-        assert proc.returncode == 1, proc.stderr
-        assert proc.stderr == "error: forecast at step 3 is not finite: [0.0, inf]\n"
-        assert not (tmp_path / command).exists()
+    fitted = json.loads((fit_dir / "model.json").read_text(encoding="utf-8"))
+    overflowing = {key: [1e308] + [0.0] * (len(fitted[key]) - 1) for key in ("A", "C")}
+    overflowing = {**fitted, **overflowing}
+    huge = {**fitted, "A": [fitted["A"][0], 4.8e299, *fitted["A"][2:]]}
+    cases = [
+        ("overflow", overflowing, "error: forecast at step 3 is not finite: [0.0, inf]\n"),
+        ("huge", huge, "error: prelim_upper RMSE is not finite, from the squared error at step 3\n"),
+    ]
+    for name, doc, message in cases:
+        model_dir = tmp_path / name
+        model_dir.mkdir()
+        (model_dir / "space.json").write_bytes((fit_dir / "space.json").read_bytes())
+        (model_dir / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+        common = ["--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--model-dir", str(model_dir)]
+        for command in ("eval", "robust"):
+            out = tmp_path / f"{name}-{command}"
+            proc = _run_cli([command, *common, "--out", str(out)])
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr == message
+            assert not out.exists()
 
 
 _MODEL = {"n": 1, "m": 0, "A": [0.5, 0.5], "C": [0, 1]}

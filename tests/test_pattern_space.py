@@ -11,7 +11,7 @@ from iarx.errors import ClusteringError, ConvergenceWarning, DataError
 from iarx.intervals import Interval, hausdorff_distance
 from iarx import pattern_space
 from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
-from iarx.pipeline import _encode, fit_model, forecast_series
+from iarx.pipeline import fit_model, forecast_series
 from iarx.pattern_space import (
     FcmConfig,
     PatternClass,
@@ -63,6 +63,11 @@ def textbook_fcm(values, k, config):
 def test_config_validation():
     with pytest.raises(ValueError, match="cluster count must be >= 1, got 0"):
         fcm_cluster([0.0, 1.0], 0)
+    for cluster in (fcm_cluster, build_space):
+        for k in (2.5, "2"):
+            with pytest.raises(ValueError, match=f"cluster count must be an integer, got {k!r}$"):
+                cluster([1.0, 2.0, 3.0, 4.0], k)
+    assert build_space([1.0, 2.0, 3.0, 4.0], np.int64(2)).cpms == 2  # a numpy integer is a count
     with pytest.raises(ValueError):
         FcmConfig(fuzziness=1.0)
     with pytest.raises(ValueError, match="finite"):
@@ -512,11 +517,11 @@ def test_classification_without_encoding_codes_matches_the_full_scan():
         PatternClass(id=j + 1, interval=Interval(lo, up), center=0.5 * (lo + up))
         for j, (lo, up) in enumerate(bounds)
     )
-    assert (space._grid.code < -space.cpms).all()
+    assert (space._code < -space.cpms).all()
     x = np.linspace(-1.0, 11.0, 97)
     expected = full_scan_ids(space, x, x)
     assert space.classify_bounds(space.lowers, space.uppers).tolist() == [1, 2, 3, 4, 5, 6]
-    np.testing.assert_array_equal(_encode(space, x)[0] + 1, expected)
+    np.testing.assert_array_equal(space.classify_points(x), expected)
 
 
 def test_full_scan_settles_what_the_pair_leaves():
@@ -528,9 +533,8 @@ def test_full_scan_settles_what_the_pair_leaves():
     space = PatternSpace(
         PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j)) for j, (lo, up) in enumerate(bounds)
     )
-    grid = space._grid
     lower, upper = np.array([1.1, 1.05, 1.3]), np.array([3.9, 3.95, 3.99])
-    ids, certified = grid.nearest(lower, upper, grid._cells(lower))
+    ids, certified = space._nearest_pair(lower, upper)
     assert not certified.any()
     assert ids.tolist() == [3, 3, 3]
     got = space.classify_bounds(lower, upper)
@@ -554,9 +558,8 @@ def point_probes(space, neighbours=2):
     sweep across the grid; and huge, infinite and NaN values.
     """
     lowers, uppers = space.lowers, space.uppers
-    table = space._grid
     span = uppers.max() - lowers.min()
-    ends = np.array([table.origin, table.top, lowers.min() - span, uppers.max() + span])
+    ends = np.array([space._origin, space._top, lowers.min() - span, uppers.max() + span])
     exact = np.concatenate((lowers, uppers, 0.5 * (lowers[:-1] + uppers[1:]), ends))
     probes = [exact]
     down = up = exact
@@ -586,8 +589,9 @@ def two_class_space(rng):
 
 
 def test_encoding_matches_the_full_scan(sweep_spaces):
-    # the grid table, its two-class cells and the classify_bounds fallback
-    # together give the full scan's id for every scalar, on random spaces of
+    # the encoding table, its two-class cells and the classify_bounds
+    # fallback together give the full scan's id for every scalar, and
+    # classify_points answers as classify_bounds(x, x), on random spaces of
     # every layout (overlapping and wide ones have no table and fall back
     # whole), on the spaces of the default sweep, raw and z-scored, and at
     # the 64 floats either side of a breakpoint on a cell edge
@@ -598,28 +602,37 @@ def test_encoding_matches_the_full_scan(sweep_spaces):
     cases += [(two_class_space(rng), 64) for _ in range(50)]
     for space, neighbours in cases:
         x = point_probes(space, neighbours)
-        np.testing.assert_array_equal(
-            _encode(space, x)[0] + 1, full_scan_ids(space, x, x), err_msg=repr(space.to_json())
-        )
+        got = space.classify_points(x)
+        np.testing.assert_array_equal(got, full_scan_ids(space, x, x), err_msg=repr(space.to_json()))
+        np.testing.assert_array_equal(got, space.classify_bounds(x, x), err_msg=repr(space.to_json()))
 
 
 def test_encoding_table_settles_the_default_forecast_and_every_z_scored_sweep_model(
-    default_model, default_result, sweep_spaces
+    default_model, default_result, sweep_spaces, monkeypatch
 ):
     # coverage guard, so that a grid change cannot switch the fast path off
-    # unseen: at 64 cells per class the table reads at least 94.8 % of these
-    # samples straight from their cell (the rest through its two-class
-    # cells) and leaves none to classify_bounds; the bounds, 94 % and 0.1 %,
-    # leave a little room
+    # unseen: at 64 cells per class the encoding table reads at least 94.8 %
+    # of these samples straight from their cell (the rest through its
+    # two-class cells) and leaves none to classify_bounds; the bounds, 94 %
+    # and 0.1 %, leave a little room
+    sent = []
+    classify_bounds = PatternSpace.classify_bounds
+
+    def spy(self, lower, upper):
+        sent.append(np.size(lower))
+        return classify_bounds(self, lower, upper)
+
+    monkeypatch.setattr(PatternSpace, "classify_bounds", spy)
     z_scored = zero_mean_normalize(default_result.data)[0]
     cases = [(default_model.space, default_result.data)]
     cases += [(space, z_scored) for (scaling, _), space in sweep_spaces.items() if scaling == "z-scored"]
     for space, data in cases:
-        table = space._grid
-        direct = np.mean(table.code.take(table._cells(data)) >= 0)
-        _, stray = table.encode(data)
+        direct = np.mean(space._code.take(space._cells(data)) >= 0)
+        sent.clear()
+        space.classify_points(data)
+        stray = sum(sent)
         assert direct >= 0.94, f"cpms {space.cpms}: {direct:.4f} read straight from a cell"
-        assert stray.size <= 0.001 * data.size, f"cpms {space.cpms}: {stray.size} samples left to classify_bounds"
+        assert stray <= 0.001 * data.size, f"cpms {space.cpms}: {stray} samples left to classify_bounds"
 
 
 def test_class_bounds_are_the_stored_intervals():

@@ -357,6 +357,23 @@ def test_rmse_empty_records_rejected():
         rmse_from_records(_trace([]))
 
 
+def test_rmse_that_is_not_finite_raises_simulation_error():
+    # finite errors whose squares overflow, at one step or only in their sum,
+    # give no inf RMSE and no overflow warning; the error names the channel
+    zeros, big = np.zeros(3), np.full(3, 1e154)
+    columns = dict(k=[4, 5, 6], actual_lower=zeros, actual_upper=zeros, final_lower=zeros, final_upper=zeros)
+    cases = [
+        ([0.0, 1e155, 0.0], "prelim_lower RMSE is not finite, from the squared error at step 5"),
+        (big, "prelim_lower RMSE is not finite, from the sum of the squared errors"),
+    ]
+    for prelim_lower, message in cases:
+        trace = ForecastTrace(**columns, prelim_lower=prelim_lower, prelim_upper=zeros, class_id=[1, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=f"^{message}$"):
+                rmse_from_records(trace)
+
+
 def test_evaluate_matches_manual_scoring(default_model, default_result, default_records, default_report):
     assert default_report == rmse_from_records(default_records)
     again = evaluate(default_model, default_result.data, default_result.u)
