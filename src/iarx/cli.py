@@ -163,13 +163,19 @@ def _prepare_series(args) -> tuple[np.ndarray, np.ndarray]:
     condition_names = [name for name in dataset.columns if name != args.input_col]
     if not condition_names:
         raise ConfigError("no operating-condition columns besides the input column")
-    normalized = [zero_mean_normalize(dataset.columns[name])[0] for name in condition_names]
+
+    def normalize(name):
+        try:
+            return zero_mean_normalize(dataset.columns[name])[0]
+        except DataError as exc:
+            raise DataError(f"{args.data}: column {name!r}: {exc}") from None
+
+    normalized = [normalize(name) for name in condition_names]
     if len(normalized) == 1:
         series = normalized[0]
     else:
         series = pca_project(np.column_stack(normalized))
-    u = zero_mean_normalize(dataset.columns[args.input_col])[0]
-    return series, u
+    return series, normalize(args.input_col)
 
 
 def _fcm_config(args) -> FcmConfig:

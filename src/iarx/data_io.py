@@ -96,15 +96,19 @@ def zero_mean_normalize(column) -> tuple[np.ndarray, float, float]:
     """Center a column and divide by its population standard deviation.
 
     Returns ``(normalized, mean, std)`` so the transform can be inverted.
-    A constant column (zero standard deviation) raises ``DataError``.
+    A constant column (zero standard deviation), or finite values so large
+    that their mean or standard deviation overflows, raises ``DataError``.
     """
     values = np.asarray(column, dtype=float).ravel()
     if values.size < 2:
         raise DataError(f"need at least 2 values to normalize, got {values.size}")
     if not np.all(np.isfinite(values)):
         raise DataError("column contains non-finite values")
-    mean = float(values.mean())
-    std = float(values.std())  # population form: divide by N
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std = float(values.std())  # population form: divide by N
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DataError(f"values are too large to normalize: mean {mean!r}, standard deviation {std!r}")
     if std == 0.0:
         raise DataError("column is constant; zero-mean normalization is undefined")
     return (values - mean) / std, mean, std

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, ConvergenceWarning, DataError, json_field
-from .intervals import Interval
+from .intervals import Interval, check_bounds
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
 
@@ -248,7 +248,10 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
 
 @dataclass(frozen=True)
 class PatternClass:
-    """One class of the space: 1-based id, span interval, cluster center."""
+    """One class of the space: 1-based id, span interval, cluster center.
+
+    Only :attr:`PatternSpace.classes` builds these, as a view of the arrays.
+    """
 
     id: int
     interval: Interval
@@ -258,10 +261,13 @@ class PatternClass:
 class PatternSpace:
     """An ordered collection of pattern classes over a scalar series.
 
-    Classes are sorted by strictly ascending cluster center with ids
-    ``1..cpms``; their interval lower bounds must be non-decreasing in the
-    same order. Construction validates both, whether the classes come from
-    clustering or from a serialized file.
+    The space is three read-only arrays of equal length: the lower and upper
+    bounds of the class intervals and the cluster centers, class ``j`` at
+    index ``j - 1``. Construction copies them and checks, whether the
+    classes come from clustering or from a serialized file, that there is at
+    least one class, that every bound is finite with lower <= upper, that
+    the centers are finite and strictly ascend, that the lower bounds do not
+    decrease, and that the class extent does not overflow a float.
 
     Grid. The space keeps one uniform grid over its class extent, with an
     encoding code and a snap pair per cell. The grid spans ``[_origin,
@@ -302,35 +308,37 @@ class PatternSpace:
     cell, and every cell of a space with a step of ``2 E`` or less.
     """
 
-    __slots__ = ("_classes", "_lowers", "_uppers", "_origin", "_top", "_scale", "_code", "_first",
-                 "_window_lowers", "_window_uppers")
+    __slots__ = ("_lowers", "_uppers", "_centers", "_classes", "_origin", "_top", "_scale", "_code",
+                 "_first", "_window_lowers", "_window_uppers")
 
-    def __init__(self, classes):
-        classes = tuple(classes)
-        if not classes:
+    def __init__(self, lowers, uppers, centers):
+        arrays = lowers, uppers, centers = [np.array(a, dtype=float) for a in (lowers, uppers, centers)]
+        if not lowers.shape == uppers.shape == centers.shape == (centers.size,):
+            raise ClusteringError(f"bounds and centers must be 1-D and of one length, got {[a.shape for a in arrays]}")
+        if not centers.size:
             raise ClusteringError("a pattern space needs at least one class")
-        ids = [cls.id for cls in classes]
-        if ids != list(range(1, len(classes) + 1)):
-            raise ClusteringError(f"class ids must run 1..{len(classes)} in order, got {ids}")
-        centers = [cls.center for cls in classes]
-        if not np.all(np.isfinite(centers)):
-            raise ClusteringError(f"class centers must be finite, got {centers}")
-        if any(b <= a for a, b in zip(centers, centers[1:])):
-            raise ClusteringError(f"class centers must strictly ascend, got {centers}")
-        lowers = [cls.interval.lower for cls in classes]
-        if any(b < a for a, b in zip(lowers, lowers[1:])):
+        bad = np.flatnonzero(~(np.isfinite(lowers) & np.isfinite(uppers) & (lowers <= uppers)))
+        if bad.size:
+            j = bad[0]
             raise ClusteringError(
-                f"class interval lower bounds must be non-decreasing, got {lowers}"
+                f"class {j + 1} bounds must be finite with lower <= upper, got [{lowers[j]}, {uppers[j]}]"
             )
-        self._classes = classes
-        self._lowers = lowers = np.array(lowers)
-        self._uppers = uppers = np.array([cls.interval.upper for cls in classes])
+        if not np.isfinite(centers).all():
+            raise ClusteringError(f"class centers must be finite, got {centers.tolist()}")
+        if not (centers[1:] > centers[:-1]).all():
+            raise ClusteringError(f"class centers must strictly ascend, got {centers.tolist()}")
+        if not (lowers[1:] >= lowers[:-1]).all():
+            raise ClusteringError(
+                f"class interval lower bounds must be non-decreasing, got {lowers.tolist()}"
+            )
         bottom, top = float(lowers[0]), float(uppers.max())
         with np.errstate(over="ignore"):  # the grid spans the extent and the encoding halves L + U
             if not (top - bottom < np.inf and np.isfinite(lowers + uppers).all()):
                 raise ClusteringError(f"class bounds from {bottom!r} to {top!r} overflow a float")
-        lowers.setflags(write=False)
-        uppers.setflags(write=False)
+        for a in arrays:
+            a.setflags(write=False)
+        self._lowers, self._uppers, self._centers = arrays
+        self._classes = None
         k = lowers.size
         cells = _GRID_CELLS * k
         span = float(uppers[-1] - lowers[0])
@@ -365,12 +373,17 @@ class PatternSpace:
 
     @property
     def classes(self) -> tuple[PatternClass, ...]:
+        """The classes as objects, built from the arrays on first access."""
+        if self._classes is None:
+            self._classes = tuple(
+                PatternClass(c["id"], Interval(c["lower"], c["upper"]), c["center"]) for c in self.to_json()["classes"]
+            )
         return self._classes
 
     @property
     def cpms(self) -> int:
         """Cardinality of the pattern moving space (the class count)."""
-        return len(self._classes)
+        return self._lowers.size
 
     @property
     def lowers(self) -> np.ndarray:
@@ -381,6 +394,11 @@ class PatternSpace:
     def uppers(self) -> np.ndarray:
         """Upper bounds of the class intervals in id order (read-only)."""
         return self._uppers
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Cluster centers of the classes in id order (read-only)."""
+        return self._centers
 
     def classify_points(self, x) -> np.ndarray:
         """Ids of the classes Hausdorff-nearest to the degenerate intervals ``[x[i], x[i]]``.
@@ -488,7 +506,7 @@ class PatternSpace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternSpace):
             return NotImplemented
-        return self._classes == other._classes
+        return self.to_json() == other.to_json()
 
     def __repr__(self) -> str:
         return f"PatternSpace(cpms={self.cpms})"
@@ -497,13 +515,10 @@ class PatternSpace:
         return {
             "cpms": self.cpms,
             "classes": [
-                {
-                    "id": cls.id,
-                    "lower": cls.interval.lower,
-                    "upper": cls.interval.upper,
-                    "center": cls.center,
-                }
-                for cls in self._classes
+                {"id": j, "lower": lower, "upper": upper, "center": center}
+                for j, (lower, upper, center) in enumerate(
+                    zip(self._lowers.tolist(), self._uppers.tolist(), self._centers.tolist()), start=1
+                )
             ],
         }
 
@@ -511,7 +526,7 @@ class PatternSpace:
     def from_json(cls, doc) -> "PatternSpace":
         """The space of :meth:`to_json` output; a missing or mistyped field, or
         classes that do not form a valid space, is a ``DataError``."""
-        classes = []
+        ids, bounds = [], []
         for position, entry in enumerate(json_field(doc, "classes", list, "pattern space"), start=1):
             what = f"pattern space class {position}"
             class_id, lower, upper, center = (
@@ -519,16 +534,20 @@ class PatternSpace:
                 for key, kind in (("id", int), ("lower", float), ("upper", float), ("center", float))
             )
             try:
-                classes.append(PatternClass(id=class_id, interval=Interval(lower, upper), center=center))
+                check_bounds(lower, upper)
             except ValueError as exc:
                 raise DataError(f"{what}: {exc}") from None
+            ids.append(class_id)
+            bounds.append((lower, upper, center))
         declared = json_field(doc, "cpms", int, "pattern space")
-        if declared != len(classes):
+        if declared != len(ids):
             raise DataError(
-                f"pattern space: declared cpms {declared} does not match the {len(classes)} classes"
+                f"pattern space: declared cpms {declared} does not match the {len(ids)} classes"
             )
+        if ids != list(range(1, len(ids) + 1)):
+            raise DataError(f"pattern space: class ids must run 1..{len(ids)} in order, got {ids}")
         try:
-            return cls(classes)
+            return cls(*np.array(bounds, dtype=float).reshape(-1, 3).T)
         except ClusteringError as exc:
             raise DataError(f"pattern space: {exc}") from None
 
@@ -550,7 +569,5 @@ def build_space(data, k: int, config: FcmConfig = FcmConfig()) -> PatternSpace:
     grouped = np.argsort(assignments, kind="stable")
     runs, members = np.searchsorted(assignments[grouped], np.arange(k)), values[grouped]
     lows, highs = np.minimum.reduceat(members, runs), np.maximum.reduceat(members, runs)
-    return PatternSpace(
-        PatternClass(id=rank, interval=Interval(lows[idx], highs[idx]), center=float(centers[idx]))
-        for rank, idx in enumerate(np.argsort(centers, kind="stable"), start=1)
-    )
+    order = np.argsort(centers, kind="stable")
+    return PatternSpace(lows[order], highs[order], centers[order])

@@ -364,6 +364,12 @@ _BAD_CSV_FILES = [
     ("data.csv", "x,u\n1,2\n3\n", "error: {path}: row 3 has 1 cells, expected 2"),
     ("data.csv", "x,u\n1,2\n1e3x,3\n", "error: {path}: row 3, column 'x': could not parse '1e3x' as a number"),
     ("data.csv", "x,y\n1,2\n3,4\n", "error: input column 'u' not in {path}; available: x, y"),
+    # finite cells whose squares overflow: the standard deviation is not a number to divide by
+    (
+        "data.csv",
+        "x,u\n0,2\n1e300,3\n-1e300,5\n",
+        "error: {path}: column 'x': values are too large to normalize: mean 0.0, standard deviation inf",
+    ),
 ]
 
 

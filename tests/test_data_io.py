@@ -87,6 +87,10 @@ def test_normalize_rejects_constant_and_tiny_columns():
         zero_mean_normalize([4.0])
     with pytest.raises(DataError):
         zero_mean_normalize([1.0, float("nan"), 2.0])
+    # finite values whose squares, or whose sum, overflow: no RuntimeWarning, a DataError
+    for huge in ([1.0, 1e300, 4.0], [1.7e308, 1.7e308, -1.0]):
+        with pytest.raises(DataError, match="^values are too large to normalize"):
+            zero_mean_normalize(huge)
 
 
 def test_pca_recovers_a_planted_direction():

@@ -14,7 +14,6 @@ from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.pipeline import fit_model, forecast_series
 from iarx.pattern_space import (
     FcmConfig,
-    PatternClass,
     PatternSpace,
     _farthest_point_init,
     _reformulate,
@@ -338,12 +337,7 @@ def test_classify_is_hausdorff_argmin(default_model, default_result):
 
 
 def test_classify_tie_goes_to_lowest_id():
-    space = PatternSpace(
-        [
-            PatternClass(id=1, interval=Interval(0.0, 1.0), center=0.5),
-            PatternClass(id=2, interval=Interval(2.0, 3.0), center=2.5),
-        ]
-    )
+    space = PatternSpace([0.0, 2.0], [1.0, 3.0], [0.5, 2.5])
     # equidistant from both classes
     probe = Interval(1.0, 2.0)
     d1 = hausdorff_distance(probe, space.classes[0].interval)
@@ -353,9 +347,8 @@ def test_classify_tie_goes_to_lowest_id():
 
 
 def test_classify_bounds_flattens_its_input():
-    space = PatternSpace(
-        PatternClass(id=j + 1, interval=Interval(lo, lo + 1.0), center=lo + 0.5) for j, lo in enumerate((0.0, 2.0, 4.0))
-    )
+    lowers = np.array([0.0, 2.0, 4.0])
+    space = PatternSpace(lowers, lowers + 1.0, lowers + 0.5)
     lower = np.array([[0.0, 2.0, 4.0], [4.0, 2.0, 0.0]])
     ids = space.classify_bounds(lower, lower + 1.0)
     assert ids.shape == (6,) and ids.tolist() == [1, 2, 3, 3, 2, 1]
@@ -419,10 +412,7 @@ def random_space(rng, cpms, layout):
         if layout == "wide":
             uppers[rng.integers(cpms)] = 2.0 * uppers[-1] + 1.0
     # classification reads the bounds only; any strictly ascending centers do
-    return PatternSpace(
-        PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j))
-        for j, (lo, up) in enumerate(zip(lowers, uppers))
-    )
+    return PatternSpace(lowers, uppers, np.arange(cpms))
 
 
 @pytest.mark.parametrize("layout", ["disjoint", "overlapping", "wide"])
@@ -471,9 +461,8 @@ def test_classify_bounds_falls_back_to_the_full_scan_outside_the_window(monkeypa
     # twelve narrow classes [j, j + 0.1]; the interval [0, 10.1] is at
     # distance max(j, 10 - j) from class j + 1, so its nearest class, id 6,
     # lies further right of its lower bound than the window reaches
-    space = PatternSpace(
-        PatternClass(id=j + 1, interval=Interval(j, j + 0.1), center=j + 0.05) for j in range(12)
-    )
+    lowers = np.arange(12.0)
+    space = PatternSpace(lowers, lowers + 0.1, lowers + 0.05)
     scan = PatternSpace._scan
     scanned = []
 
@@ -512,11 +501,8 @@ def test_classification_without_encoding_codes_matches_the_full_scan():
     # a repeated lower bound leaves every cell of the grid without an
     # encoding code, so every sample goes through the pair search and its
     # fallback, and both still give the full scan's ids
-    bounds = [(0, 1), (0, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
-    space = PatternSpace(
-        PatternClass(id=j + 1, interval=Interval(lo, up), center=0.5 * (lo + up))
-        for j, (lo, up) in enumerate(bounds)
-    )
+    lowers, uppers = np.array([(0, 1), (0, 2), (3, 4), (5, 6), (7, 8), (9, 10)], dtype=float).T
+    space = PatternSpace(lowers, uppers, 0.5 * (lowers + uppers))
     assert (space._code < -space.cpms).all()
     x = np.linspace(-1.0, 11.0, 97)
     expected = full_scan_ids(space, x, x)
@@ -528,11 +514,9 @@ def test_full_scan_settles_what_the_pair_leaves():
     # [1.1, 3.9] is nearest the wide first class [0, 4] (distance 1.1); its
     # pair is classes 2 and 3, [1, 1.5] and [2, 2.5] (best 1.4, not below
     # 1.1 = lower - L_1), which cannot certify it, so the full scan settles it
-    bounds = [(0.0, 4.0), (1.0, 1.5), (2.0, 2.5), (5.0, 6.0), (7.0, 8.0)]
+    lowers, uppers = np.array([(0.0, 4.0), (1.0, 1.5), (2.0, 2.5), (5.0, 6.0), (7.0, 8.0)]).T
     # classification reads the bounds only; any strictly ascending centers do
-    space = PatternSpace(
-        PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j)) for j, (lo, up) in enumerate(bounds)
-    )
+    space = PatternSpace(lowers, uppers, np.arange(5))
     lower, upper = np.array([1.1, 1.05, 1.3]), np.array([3.9, 3.95, 3.99])
     ids, certified = space._nearest_pair(lower, upper)
     assert not certified.any()
@@ -582,10 +566,7 @@ def two_class_space(rng):
     first = -rng.uniform(30.0, 40.0)
     bounds = np.cumsum([first, rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)])
     upper = -first + rng.uniform(-1.0, 1.0)
-    return PatternSpace(
-        PatternClass(id=j + 1, interval=Interval(lo, up), center=float(j))
-        for j, (lo, up) in enumerate([(bounds[0], bounds[1]), (bounds[2], upper)])
-    )
+    return PatternSpace([bounds[0], bounds[2]], [bounds[1], upper], [0.0, 1.0])
 
 
 def test_encoding_matches_the_full_scan(sweep_spaces):
@@ -639,24 +620,41 @@ def test_class_bounds_are_the_stored_intervals():
     space = build_space([0.0, 0.0, 10.0, 10.0], 2)
     assert space.lowers.tolist() == [cls.interval.lower for cls in space.classes]
     assert space.uppers.tolist() == [cls.interval.upper for cls in space.classes]
-    with pytest.raises(ValueError):
-        space.lowers[0] = 5.0
+    assert space.centers.tolist() == [cls.center for cls in space.classes]
+    assert [cls.id for cls in space.classes] == [1, 2]
+    assert space.classes is space.classes  # built once, on first access
+    for bounds in (space.lowers, space.uppers, space.centers):
+        with pytest.raises(ValueError):
+            bounds[0] = 5.0
+
+
+def test_constructor_copies_its_arrays():
+    lowers, uppers, centers = np.array([0.0, 2.0]), np.array([1.0, 3.0]), np.array([0.5, 2.5])
+    space = PatternSpace(lowers, uppers, centers)
+    lowers[0] = uppers[0] = centers[0] = -1.0
+    assert space.lowers.tolist() == [0.0, 2.0] and space.uppers.tolist() == [1.0, 3.0]
+    assert space.centers.tolist() == [0.5, 2.5]
+    assert lowers.flags.writeable
 
 
 def test_constructor_rejects_malformed_spaces():
-    good = PatternClass(id=1, interval=Interval(0.0, 1.0), center=0.5)
-    with pytest.raises(ClusteringError):
-        PatternSpace([])
-    with pytest.raises(ClusteringError):  # ids must run 1..k
-        PatternSpace([PatternClass(id=2, interval=Interval(0.0, 1.0), center=0.5)])
-    with pytest.raises(ClusteringError):  # centers must strictly ascend
-        PatternSpace(
-            [good, PatternClass(id=2, interval=Interval(0.0, 1.0), center=0.5)]
-        )
-    with pytest.raises(ClusteringError):  # lower bounds must be non-decreasing
-        PatternSpace(
-            [good, PatternClass(id=2, interval=Interval(-1.0, 2.0), center=0.6)]
-        )
+    with pytest.raises(ClusteringError, match="^a pattern space needs at least one class$"):
+        PatternSpace([], [], [])
+    with pytest.raises(ClusteringError, match=r"^bounds and centers must be 1-D and of one length, got "):
+        PatternSpace([0.0, 2.0], [1.0], [0.5, 2.5])
+    with pytest.raises(ClusteringError, match=r"^bounds and centers must be 1-D and of one length, got "):
+        PatternSpace([[0.0]], [[1.0]], [[0.5]])
+    with pytest.raises(ClusteringError, match=r"^class centers must strictly ascend, got \[0.5, 0.5\]$"):
+        PatternSpace([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ClusteringError, match=r"^class centers must be finite, got \[0.5, nan\]$"):
+        PatternSpace([0.0, 0.0], [1.0, 1.0], [0.5, np.nan])
+    decreasing = r"^class interval lower bounds must be non-decreasing, got \[0\.0, -1\.0\]$"
+    with pytest.raises(ClusteringError, match=decreasing):
+        PatternSpace([0.0, -1.0], [1.0, 2.0], [0.5, 0.6])
+    # every bound finite, and lower <= upper in every class
+    for lower, upper in ((2.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ClusteringError, match=r"^class 2 bounds must be finite with lower <= upper, got \["):
+            PatternSpace([-1.0, lower], [0.0, upper], [0.0, 1.0])
 
     # the grid spans the extent, max U - L_1, and the encoding halves each
     # L_j + U_j, so neither may overflow; the check raises no numpy warning
@@ -665,9 +663,16 @@ def test_constructor_rejects_malformed_spaces():
         [(-1e308, 0.0), (-0.5e308, 1e308), (0.0, 0.0)],  # an upper bound beyond U_k
         [(0.0, 0.0), (1e308, 1.5e308)],
     ):
-        classes = [PatternClass(id=j, interval=Interval(*b), center=float(j)) for j, b in enumerate(bounds, start=1)]
+        lowers, uppers = np.array(bounds).T
         with pytest.raises(ClusteringError, match=r"^class bounds from .* overflow a float$"):
-            PatternSpace(classes)
+            PatternSpace(lowers, uppers, np.arange(1.0, len(bounds) + 1))
+
+
+def test_from_json_checks_class_ids(default_model):
+    doc = default_model.space.to_json()
+    doc["classes"][3]["id"] = 3
+    with pytest.raises(DataError, match=r"^pattern space: class ids must run 1..26 in order, got \[1, 2, 3, 3, 5, "):
+        PatternSpace.from_json(doc)
 
 
 def test_json_round_trip_is_bit_exact(default_model, tmp_path):

@@ -223,9 +223,8 @@ def test_encoding_is_the_nearest_class_center_and_radius(default_model, default_
     assert _same_bits(radii, [iv.radius for iv in dx])
 
 
-def test_evaluate_constructs_no_intervals(default_model, monkeypatch):
-    # Forecasting a long series allocates columns, never one Interval per step.
-    res = synthesize(replace(default_synthetic_spec(), length=17_280))
+def _count_intervals(monkeypatch) -> list:
+    """A list that grows by one with every Interval constructed from here on."""
     calls = []
     init = intervals.Interval.__init__
 
@@ -234,10 +233,33 @@ def test_evaluate_constructs_no_intervals(default_model, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(intervals.Interval, "__init__", counted)
+    return calls
+
+
+def test_evaluate_constructs_no_intervals(default_model, monkeypatch):
+    # Forecasting a long series allocates columns, never one Interval per step.
+    res = synthesize(replace(default_synthetic_spec(), length=17_280))
+    calls = _count_intervals(monkeypatch)
     report = evaluate(default_model, res.data, res.u)
     monkeypatch.undo()
     assert len(calls) == 0
     assert np.all(np.isfinite(report.as_row()))
+
+
+def test_fit_sweep_and_robustness_construct_no_class_objects(default_result, monkeypatch):
+    # The pattern space is three arrays: fitting, saving and loading it,
+    # forecasting on it, sweeping and perturbing build no Interval, and so
+    # no PatternClass, which holds one.
+    data, u = default_result.data, default_result.u
+    calls = _count_intervals(monkeypatch)
+    model = fit_model(data, u, cpms=26, n=3, m=1)
+    assert type(model.space).from_json(model.space.to_json()) == model.space
+    evaluate(model, data, u)
+    cells = sweep_cpms(data, u, range(16, 18), n=3, m=1)
+    robustness_experiment(model, data, u, magnitude=0.05, seed=0)
+    assert [cell.error for cell in cells] == [None, None]
+    assert len(calls) == 0
+    assert len(model.space.classes) == 26 and len(calls) == 26  # the class view builds them on first use
 
 
 def test_non_finite_forecast_is_simulation_error(default_model, default_result, monkeypatch):
