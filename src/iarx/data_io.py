@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SimulationError, json_field, json_floats
+from .errors import DataError, SimulationError, integer, json_field, json_floats
 from .model import IarxParams
 
 __all__ = [
@@ -53,7 +53,7 @@ def load_csv(path) -> RawDataset:
     cell in file order, and a file with fewer than 2 rows, is a
     ``DataError`` naming the file as well.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -180,8 +180,7 @@ class StepScheduleInput:
             raise ValueError("step schedule needs at least one level")
         if not np.all(np.isfinite(self.levels)):
             raise ValueError(f"step levels must be finite, got {list(self.levels)}")
-        if self.period < 1:
-            raise ValueError(f"step period must be >= 1, got {self.period}")
+        object.__setattr__(self, "period", integer(self.period, "step period", 1))
 
     def generate(self, length: int, rng: np.random.Generator) -> np.ndarray:
         return np.resize(np.repeat(self.levels, self.period), length)
@@ -215,6 +214,7 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "length", integer(self.length, "length"))
         width = 1 + self.true_params.n + self.true_params.m
         if self.length < 10 * width:
             raise ValueError(
@@ -224,8 +224,7 @@ class SyntheticSpec:
             raise ValueError(
                 f"noise levels must be finite and >= 0, got {self.noise_center!r}, {self.noise_radius!r}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
     def to_json(self) -> dict:
         return {

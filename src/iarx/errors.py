@@ -11,6 +11,8 @@ and the second to exit code 2.
 stops at its iteration cap still returns its last iterate.
 """
 
+import operator
+
 __all__ = [
     "IarxError",
     "DataError",
@@ -19,6 +21,7 @@ __all__ = [
     "IdentificationError",
     "SimulationError",
     "ConvergenceWarning",
+    "integer",
     "json_value",
     "json_floats",
     "json_field",
@@ -78,6 +81,20 @@ def json_value(value, kind):
             except OverflowError:
                 raise ValueError(f"{value!r} is out of range for a float") from None
     raise TypeError(f"expected {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def integer(value, name: str, minimum: int | None = None) -> int:
+    """The integer setting ``name`` as an ``int``, or a ``ValueError`` naming it.
+
+    A Python or numpy integer passes (:func:`operator.index`), unless it is below ``minimum``.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 def json_floats(values) -> list[float]:

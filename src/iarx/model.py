@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, json_field, json_floats
+from .errors import IdentificationError, integer, json_field, json_floats
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = [
@@ -72,10 +72,8 @@ class IarxParams:
     C: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"autoregressive order n must be >= 1, got {self.n}")
-        if self.m < 0:
-            raise ValueError(f"input order m must be >= 0, got {self.m}")
+        object.__setattr__(self, "n", integer(self.n, "autoregressive order n", 1))
+        object.__setattr__(self, "m", integer(self.m, "input order m", 0))
         width = 1 + self.n + self.m
         a = _frozen_array(self.A, "A")
         c = _frozen_array(self.C, "C")
@@ -218,10 +216,7 @@ def _design_matrices(centers, radii, inputs, n: int, m: int):
     interval series. Returns ``(X, y_center, X_abs, y_radius)`` with one row
     per scored step ``k = max(n, m) .. len(centers) - 1``.
     """
-    if n < 1:
-        raise ValueError(f"autoregressive order n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"input order m must be >= 0, got {m}")
+    n, m = integer(n, "autoregressive order n", 1), integer(m, "input order m", 0)
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     total = centers.size

@@ -23,13 +23,12 @@ rule the others out; either way the ids are those of a full scan.
 from __future__ import annotations
 
 import json
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, ConvergenceWarning, DataError, json_field
+from .errors import ClusteringError, ConvergenceWarning, DataError, integer, json_field
 from .intervals import Interval, check_bounds
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
@@ -67,10 +66,8 @@ class FcmConfig:
             raise ValueError(f"fuzziness must exceed 1 and be finite, got {self.fuzziness!r}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations", 1))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
 
 def _farthest_point_init(ordered: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -149,12 +146,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         raise ClusteringError("cannot cluster an empty series")
     if not np.isfinite(values).all():
         raise DataError(f"data sample {np.flatnonzero(~np.isfinite(values))[0]} is not finite")
-    try:
-        operator.index(k)
-    except TypeError:
-        raise ValueError(f"cluster count must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError(f"cluster count must be >= 1, got {k}")
+    k = integer(k, "cluster count", 1)
     if k > values.size:
         raise DataError(f"cluster count {k} exceeds the {values.size} data point(s)")
 
@@ -279,11 +271,11 @@ class PatternSpace:
     Pair. Per cell the space keeps the two classes ``j, j + 1`` that
     :meth:`classify_bounds` measures for an interval whose lower bound lies
     in the cell, ``j`` the last class whose lower bound does not exceed the
-    cell's midpoint, clipped to ``1 .. k - 1``: ``_first`` holds ``j``,
-    ``_window_uppers`` their upper bounds, one row each, and
-    ``_window_lowers`` their lower bounds between the class lower bounds
-    just outside them (infinite past the first or the last class). As
-    ``classify_bounds`` certifies each answer, no pair needs a code.
+    cell's midpoint, clipped to ``1 .. k - 1``: ``_first`` holds ``j - 1``.
+    The search reads ``U_j, U_{j+1}`` from ``uppers`` and ``L_{j-1} ..
+    L_{j+2}`` from ``_padded = [-inf, L_1 .. L_k, +inf]``, whose interior
+    is ``lowers``. As ``classify_bounds`` certifies each answer, no pair
+    needs a code.
 
     Encoding. The distance of ``[x, x]`` to class ``j`` rounds to
     ``max(fl(x - L_j), fl(U_j - x))``. When the class bounds ``L`` and ``U``
@@ -308,8 +300,7 @@ class PatternSpace:
     cell, and every cell of a space with a step of ``2 E`` or less.
     """
 
-    __slots__ = ("_lowers", "_uppers", "_centers", "_classes", "_origin", "_top", "_scale", "_code",
-                 "_first", "_window_lowers", "_window_uppers")
+    __slots__ = ("_lowers", "_padded", "_uppers", "_centers", "_classes", "_origin", "_top", "_scale", "_code", "_first")
 
     def __init__(self, lowers, uppers, centers):
         arrays = lowers, uppers, centers = [np.array(a, dtype=float) for a in (lowers, uppers, centers)]
@@ -335,9 +326,10 @@ class PatternSpace:
         with np.errstate(over="ignore"):  # the grid spans the extent and the encoding halves L + U
             if not (top - bottom < np.inf and np.isfinite(lowers + uppers).all()):
                 raise ClusteringError(f"class bounds from {bottom!r} to {top!r} overflow a float")
-        for a in arrays:
+        self._padded = np.concatenate(([-np.inf], lowers, [np.inf]))
+        for a in (self._padded, uppers, centers):
             a.setflags(write=False)
-        self._lowers, self._uppers, self._centers = arrays
+        self._lowers, self._uppers, self._centers = self._padded[1:-1], uppers, centers
         self._classes = None
         k = lowers.size
         cells = _GRID_CELLS * k
@@ -350,12 +342,8 @@ class PatternSpace:
         self._origin, self._top, self._scale = origin, top, scale
         size = int((top - origin) * scale) + 1  # the map of top, as _cells computes it
         midpoints = origin + (np.arange(size) + 0.5) * (span / cells)
-        # a one-class space has no pair and reads none of these rows
-        self._first = np.clip(np.searchsorted(lowers, midpoints, side="right"), 1, k - 1)
-        # the pair's class ids; _window_lowers adds the lower bound before and after it as rows
-        rows = self._first + np.arange(-1, 3)[:, None]
-        self._window_lowers = np.concatenate(([-np.inf], lowers, [np.inf]))[rows]
-        self._window_uppers = uppers[rows[1:-1] - 1]
+        # a one-class space has no pair and reads none of these
+        self._first = np.clip(np.searchsorted(lowers, midpoints, side="right"), 1, k - 1) - 1
         rounding = 2.0 * _EPS * (abs(origin) + abs(top)) + _TINY
         steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
         if not (scale and (steps > 2.0 * rounding).all()):
@@ -465,25 +453,27 @@ class PatternSpace:
     def _nearest_pair(self, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, certified)``: the class of its cell's pair nearest each interval (the
         first on a tie), and where no other class can be nearer."""
-        cell = self._cells(lower)
-        # every cell is in range, so mode="clip" changes no index and lets take fill a buffer
+        first = self._first.take(self._cells(lower))  # j - 1, so _padded[o:] gives L_{j-1+o}
+        padded, uppers = self._padded, self._uppers
+        # every index is in range, so mode="clip" changes none and lets take fill a buffer
         best, dist, other = np.empty_like(lower), np.empty_like(lower), np.empty_like(lower)
-        for i, d in enumerate((best, dist)):
-            np.subtract(lower, self._window_lowers[i + 1].take(cell, out=d, mode="clip"), out=d)
+        for o, d in enumerate((best, dist)):
+            np.subtract(lower, padded[o + 1 :].take(first, out=d, mode="clip"), out=d)
             np.abs(d, out=d)
-            np.subtract(upper, self._window_uppers[i].take(cell, out=other, mode="clip"), out=other)
+            np.subtract(upper, uppers[o:].take(first, out=other, mode="clip"), out=other)
             np.abs(other, out=other)
             np.maximum(d, other, out=d)
-        ids = self._first.take(cell)
-        ids += dist < best
+        second = dist < best
         np.minimum(best, dist, out=best)
-        self._window_lowers[0].take(cell, out=dist, mode="clip")
-        self._window_lowers[3].take(cell, out=other, mode="clip")
+        padded.take(first, out=dist, mode="clip")
+        padded[3:].take(first, out=other, mode="clip")
         # An infinite bound meets an infinite sentinel as NaN, which certifies nothing.
         with np.errstate(invalid="ignore"):
             certified = np.subtract(lower, dist, out=dist) > best
             certified &= np.subtract(other, lower, out=other) >= best
-        return ids, certified
+        first += 1  # the id of class j
+        first += second
+        return first, certified
 
     def _scan(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """0-based index of the nearest class of every interval, measured against all classes."""

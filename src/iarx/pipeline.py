@@ -15,12 +15,11 @@ perturbation study, plus the fixed CSV writers used by the command line.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError, IarxError, SimulationError
+from .errors import DataError, IarxError, SimulationError, integer
 from .intervals import Interval
 from .model import IarxParams, fit, lag_columns, predict_bounds
 from .pattern_space import FcmConfig, PatternSpace, build_space
@@ -205,13 +204,8 @@ class RobustnessResult:
 
 
 def _check_shape(cpms: int, n: int, m: int) -> None:
-    for name, value in (("cpms", cpms), ("n", n), ("m", m)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if cpms < 2:
-        raise ValueError(f"cpms must be >= 2, got {cpms}")
+    integer(cpms, "cpms", 2)
+    n, m = integer(n, "n"), integer(m, "m")
     if n < 1 or m < 0:
         raise ValueError(f"orders must be n >= 1 and m >= 0, got n={n}, m={m}")
 
@@ -275,18 +269,19 @@ def forecast_series(
     the lag columns are gathered from the class centers and radii, the
     preliminaries come from :func:`~iarx.model.predict_bounds` and are
     classified together by :meth:`PatternSpace.classify_bounds`, and the
-    finals are the bounds of the winning classes. The first
-    non-finite sample of ``data`` or ``u`` in ``[start - max(n, m), end)``
-    raises ``DataError``, the first non-finite preliminary
-    ``SimulationError``.
+    finals are the bounds of the winning classes. A ``start`` or ``end``
+    that is not an integer raises ``ValueError``, a range outside the
+    series or empty ``DataError``. The first non-finite sample of ``data``
+    or ``u`` in ``[start - max(n, m), end)`` raises ``DataError``, the
+    first non-finite preliminary ``SimulationError``.
     """
     data = np.asarray(data, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     if data.size != u.size:
         raise DataError(f"data length {data.size} does not match input length {u.size}")
     kmin = max(model.n, model.m)
-    start = kmin if start is None else start
-    end = data.size if end is None else end
+    start = kmin if start is None else integer(start, "start")
+    end = data.size if end is None else integer(end, "end")
     if start < kmin:
         raise DataError(f"start {start} is inside the lag warm-up (first valid step is {kmin})")
     if end > data.size:
@@ -387,13 +382,12 @@ def perturb_radius_params(radius_coeffs, magnitude: float, seed: int) -> np.ndar
 
     Offsets are one-sided so the perturbed coefficients stay nonnegative.
     Deterministic for a fixed seed; magnitude zero returns the input unchanged.
-    A magnitude that is negative or not finite, or a negative seed, raises
-    ``ValueError``.
+    A magnitude that is negative or not finite, or a seed that is not an
+    integer >= 0, raises ``ValueError``.
     """
     if not 0.0 <= magnitude < np.inf:
         raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = integer(seed, "seed", 0)
     coeffs = np.asarray(radius_coeffs, dtype=float).ravel()
     rng = np.random.default_rng(seed)
     return coeffs + rng.uniform(0.0, magnitude, size=coeffs.size)

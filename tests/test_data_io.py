@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,12 @@ from iarx.model import IarxParams, lag_columns
 
 def test_load_csv_round_trip(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("x,u\n1.5,0.25\n-2.0,0.5\n")
-    ds = load_csv(path)
-    np.testing.assert_array_equal(ds.columns["x"], [1.5, -2.0])
-    np.testing.assert_array_equal(ds.columns["u"], [0.25, 0.5])
+    for bom in ("", "\ufeff"):  # a byte-order mark is not part of the first name
+        path.write_text(bom + "x,u\n1.5,0.25\n-2.0,0.5\n", encoding="utf-8")
+        ds = load_csv(path)
+        assert list(ds.columns) == ["x", "u"]
+        np.testing.assert_array_equal(ds.columns["x"], [1.5, -2.0])
+        np.testing.assert_array_equal(ds.columns["u"], [0.25, 0.5])
 
 
 def test_load_csv_diagnostics(tmp_path):
@@ -130,6 +133,9 @@ def test_input_process_validation():
         StepScheduleInput(levels=(), period=10)
     with pytest.raises(ValueError):
         StepScheduleInput(levels=(1.0,), period=0)
+    with pytest.raises(ValueError, match=r"^step period must be an integer, got 2\.5$"):
+        StepScheduleInput(levels=(1.0,), period=2.5)
+    assert type(StepScheduleInput(levels=(1.0,), period=np.int64(2)).period) is int
 
 
 def test_step_schedule_tiles_levels():
@@ -147,6 +153,12 @@ def test_spec_validation_and_round_trip():
     assert again == spec
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         replace(spec, seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        replace(spec, seed=1.5)
+    with pytest.raises(ValueError, match=r"^length must be an integer, got 900\.0$"):
+        replace(spec, length=900.0)
+    numpy_sized = replace(spec, length=np.int64(900), seed=np.int64(4))
+    assert json.loads(json.dumps(numpy_sized.to_json())) == replace(spec, length=900, seed=4).to_json()
 
     with pytest.raises(ValueError):
         SyntheticSpec(

@@ -56,6 +56,14 @@ def test_params_validation():
         IarxParams(n=1, m=0, A=[1.0, 2.0], C=[0.1, -0.1])  # negative C entry
     with pytest.raises(ValueError):
         IarxParams(n=1, m=0, A=[1.0, float("nan")], C=[0.1, 0.1])
+    with pytest.raises(ValueError, match=r"^autoregressive order n must be an integer, got 1\.5$"):
+        IarxParams(n=1.5, m=0, A=[1.0, 2.0], C=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^input order m must be an integer, got 0\.5$"):
+        IarxParams(n=1, m=0.5, A=[1.0, 2.0], C=[0.0, 0.0])
+    p = IarxParams(n=np.int64(1), m=np.int64(0), A=[1.0, 2.0], C=[0.0, 0.0])
+    assert (type(p.n), type(p.m)) == (int, int)
+    with pytest.raises(ValueError, match=r"^autoregressive order n must be an integer, got 1\.5$"):
+        model.fit(np.zeros(20), np.zeros(20), np.zeros(20), 1.5, 0)  # the design matrices check too
 
 
 def test_params_equality_and_json_round_trip():

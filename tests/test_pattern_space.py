@@ -77,8 +77,14 @@ def test_config_validation():
         FcmConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         FcmConfig(max_iterations=0)
+    with pytest.raises(ValueError, match=r"^max_iterations must be an integer, got 5\.5$"):
+        FcmConfig(max_iterations=5.5)
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1$"):
         FcmConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        FcmConfig(seed=1.5)
+    config = FcmConfig(max_iterations=np.int64(5), seed=np.int64(1))
+    assert (type(config.max_iterations), type(config.seed)) == (int, int)
 
 
 def test_two_well_separated_clumps():

@@ -78,6 +78,10 @@ def test_fit_model_validation():
         fit_model(data, u, cpms=1, n=3, m=1)
     with pytest.raises(ValueError, match=r"^cpms must be an integer, got 16\.9$"):
         fit_model(data, u, cpms=16.9, n=3, m=1)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.5$"):
+        fit_model(data, u, cpms=8, n=3.5, m=1)
+    with pytest.raises(ValueError, match=r"^m must be an integer, got 1\.5$"):
+        fit_model(data, u, cpms=8, n=3, m=1.5)
     with pytest.raises(DataError):
         fit_model(data, u[:-1], cpms=8, n=3, m=1)
     with pytest.raises(DataError, match=r"^need at least cpms = 8 samples, got 5$"):
@@ -97,6 +101,18 @@ def test_fit_model_validation():
 )
 def test_forecast_range_is_checked(default_model, default_result, start, end, message):
     with pytest.raises(DataError, match=message):
+        forecast_series(default_model, default_result.data, default_result.u, start=start, end=end)
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (3.5, None, r"^start must be an integer, got 3\.5$"),
+        (None, 100.0, r"^end must be an integer, got 100\.0$"),
+    ],
+)
+def test_forecast_range_must_be_integers(default_model, default_result, start, end, message):
+    with pytest.raises(ValueError, match=message):
         forecast_series(default_model, default_result.data, default_result.u, start=start, end=end)
 
 
@@ -415,6 +431,8 @@ def test_perturb_radius_params_properties():
         perturb_radius_params(coeffs, -0.1, seed=0)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         perturb_radius_params(coeffs, 0.02, seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        perturb_radius_params(coeffs, 0.02, seed=1.5)
 
 
 def test_robustness_zero_magnitude_is_identity(default_model, default_result):
@@ -485,6 +503,10 @@ def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
         sweep_cpms(data, u, [16.9], n=3, m=1)
     with pytest.raises(ValueError, match=r"^cpms must be an integer, got '17'$"):
         sweep_cpms(data, u, ["17"], n=3, m=1)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        sweep_cpms(data, u, [16], n=2.5, m=1)
+    with pytest.raises(ValueError, match=r"^m must be an integer, got 0\.5$"):
+        sweep_cpms(data, u, [16], n=3, m=0.5)
 
 
 def test_sweep_keeps_failed_cells():
