@@ -3,7 +3,8 @@
 All outputs land under ``--out`` with fixed filenames; a command creates
 ``--out`` only after its computation succeeds. Exit codes: 0 on success, 1
 on numerical/identification failures, 2 on configuration or I/O problems,
-a setting outside its domain (a library ``ValueError``) included.
+a setting outside its domain (a library ``ValueError``) and a size too
+large to allocate (a ``MemoryError``) included.
 
 Each setting is declared once, as an argparse flag with its type and
 default (``--help`` prints them). For ``fit``, ``eval``, ``sweep`` and
@@ -363,6 +364,9 @@ def main(argv=None) -> int:
         return 1
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size the input asks for; numpy's message names it, Python's is empty
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

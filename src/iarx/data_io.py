@@ -183,7 +183,9 @@ class StepScheduleInput:
         object.__setattr__(self, "period", integer(self.period, "step period", 1))
 
     def generate(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        return np.resize(np.repeat(self.levels, self.period), length)
+        # a gather allocates one sample per step whatever the period; the cap keeps the division in int64
+        steps = np.arange(length) // min(self.period, length)
+        return np.asarray(self.levels)[steps % len(self.levels)]
 
     def to_json(self) -> dict:
         return {"kind": "steps", "levels": list(self.levels), "period": self.period}

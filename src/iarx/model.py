@@ -11,13 +11,12 @@ and is kept as an independent cross-check.
 
 Identification splits along the same seam: ordinary least squares for the
 center coefficients ``A`` and nonnegative least squares for the radius
-coefficients ``C``. The radius problem is also exposed as the equivalent
-quadratic program ``min C'HC - C'B  s.t.  C >= 0`` with
-``H = sum x_abs x_abs'`` and ``B = 2 sum y_r x_abs``; the two objectives
-differ only by the constant ``sum y_r**2``, so their minimizers coincide.
-Both solvers here are self-contained: an active-set method on the
-regression form and a coordinate-descent method on the QP form, kept as
-independent routes for cross-checking.
+coefficients ``C``, solved by the self-contained active-set method of
+``nnls``. The radius problem is equivalent to the quadratic program
+``min C'HC - C'B  s.t.  C >= 0`` with ``H = sum x_abs x_abs'`` and
+``B = 2 sum y_r x_abs``; the two objectives differ only by the constant
+``sum y_r**2``, so their minimizers coincide, and ``_nnls_radius`` checks
+the answer of ``nnls`` against the KKT conditions of that program.
 """
 
 from __future__ import annotations
@@ -29,23 +28,10 @@ import numpy as np
 from .errors import IdentificationError, integer, json_field, json_floats
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
-__all__ = [
-    "IarxParams",
-    "QpProblem",
-    "lag_columns",
-    "predict_bounds",
-    "predict_compositional",
-    "fit",
-    "assemble_qp",
-    "nnls",
-    "solve_qp_nonneg",
-]
+__all__ = ["IarxParams", "lag_columns", "predict_bounds", "predict_compositional", "fit", "nnls"]
 
 # KKT slack for the radius fit: 1e-8 scaled by the linear term of the QP.
 KKT_RTOL = 1e-8
-
-# Sweep cap of the coordinate-descent QP solver.
-QP_MAX_SWEEPS = 200_000
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -112,33 +98,6 @@ class IarxParams:
             return cls(n=n, m=m, A=a, C=c)
         except ValueError as exc:  # still a ValueError, so a spec that nests these names its field too
             raise ValueError(f"{what}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class QpProblem:
-    """Quadratic program data ``min C'HC - C'B`` with ``C >= 0``."""
-
-    H: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        h = np.array(self.H, dtype=float, copy=True)
-        b = _frozen_array(self.B, "B")
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"H must be square, got shape {h.shape}")
-        if h.shape[0] != b.size:
-            raise ValueError(f"H is {h.shape[0]}x{h.shape[0]} but B has length {b.size}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("H must be finite")
-        if not np.array_equal(h, h.T):
-            raise ValueError("H must be exactly symmetric")
-        h.setflags(write=False)
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "B", b)
-
-    def objective(self, c) -> float:
-        c = np.asarray(c, dtype=float)
-        return float(c @ self.H @ c - c @ self.B)
 
 
 def lag_columns(centers, radii, inputs, n: int, m: int, start: int, stop: int):
@@ -258,17 +217,6 @@ def _qp_terms(x_abs: np.ndarray, y_r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return h, b
 
 
-def assemble_qp(centers, radii, inputs, n: int, m: int) -> QpProblem:
-    """Quadratic-program data of the radius problem: ``H = sum x_abs x_abs'``, ``B = 2 sum y_r x_abs``.
-
-    ``H`` is assembled so that it is exactly symmetric, and it is positive
-    semidefinite by construction.
-    """
-    _, _, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
-    h, b = _qp_terms(x_abs, y_r)
-    return QpProblem(H=h, B=b)
-
-
 def nnls(design, target) -> np.ndarray:
     """Nonnegative least squares ``min ||design @ c - target||**2, c >= 0``.
 
@@ -341,49 +289,6 @@ def nnls(design, target) -> np.ndarray:
                 break
         w = x_mat.T @ (y - x_mat @ coef)
     return coef
-
-
-def solve_qp_nonneg(qp: QpProblem) -> np.ndarray:
-    """Minimize ``c'Hc - c'B`` over ``c >= 0`` by cyclic coordinate descent.
-
-    Each coordinate update is the exact one-dimensional minimizer projected
-    onto the nonnegative half-line. Runs until the KKT residual drops below
-    a tolerance scaled to ``B``; independent of the active-set route in
-    :func:`nnls`, which makes the pair usable as mutual cross-checks.
-    """
-    h = qp.H
-    b = qp.B
-    nvar = b.size
-    diag = np.diag(h).copy()
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    # A PSD matrix with a zero diagonal entry has a zero row/column there:
-    # the objective is linear in that coordinate and bounded only if B <= 0.
-    dead = diag <= 0.0
-    if np.any(dead & (b > tol)):
-        raise IdentificationError("qp is unbounded below along a zero-curvature coordinate")
-
-    c = np.zeros(nvar)
-    grad = -b.copy()  # gradient of the objective, 2Hc - B, at c = 0
-    for sweep in range(1, QP_MAX_SWEEPS + 1):
-        for j in range(nvar):
-            if dead[j]:
-                continue
-            cand = c[j] - grad[j] / (2.0 * diag[j])
-            if cand < 0.0:
-                cand = 0.0
-            delta = cand - c[j]
-            if delta != 0.0:
-                grad += (2.0 * delta) * h[:, j]
-                c[j] = cand
-        if sweep % 64 == 0:
-            grad = 2.0 * (h @ c) - b  # shed accumulated drift
-        residual = np.where(c > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
-        residual[dead] = 0.0
-        if float(residual.max(initial=0.0)) <= tol:
-            return c
-    raise IdentificationError(
-        f"qp coordinate descent did not converge within {QP_MAX_SWEEPS} sweeps"
-    )
 
 
 def _nnls_radius(x_abs: np.ndarray, y_r: np.ndarray) -> np.ndarray:

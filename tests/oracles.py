@@ -1,28 +1,37 @@
 """Reference implementations the tests compare the package against.
 
-These are earlier forms of production code, kept verbatim so that a test can
-hold a rewrite to the exact results of the code it replaced. Nothing in
-``src/iarx`` imports this module.
+Nothing in ``src/iarx`` imports this module. It holds two kinds of oracle.
 
-``fcm_cluster`` and ``_reformulate`` are the fuzzy c-means of
-``iarx.pattern_space`` as it stood before its pass was rewritten for speed:
-the column-row broadcast for ``c - x``, a zero test of every column minimum
-on every pass, fresh center differences for the shift and the SQUAREM step,
-re-sorted centers in the SQUAREM guard and one argmin over the whole k x N
-array for the hard assignments. The rewrite must return the same centers and
-assignments bit for bit, after the same objective values. ``_farthest_point_init``
-is the seeding as it stood before it read the distinct values from the
-sorted series that ``fcm_cluster`` keeps, through ``np.unique`` of its own
-copy.
+``fcm_cluster``, ``_reformulate`` and ``_farthest_point_init`` are earlier
+forms of production code, kept verbatim so that a test can hold a rewrite to
+the exact results of the code it replaced. ``fcm_cluster`` and
+``_reformulate`` are the fuzzy c-means of ``iarx.pattern_space`` as it stood
+before its pass was rewritten for speed: the column-row broadcast for
+``c - x``, a zero test of every column minimum on every pass, fresh center
+differences for the shift and the SQUAREM step, re-sorted centers in the
+SQUAREM guard and one argmin over the whole k x N array for the hard
+assignments. The rewrite must return the same centers and assignments bit
+for bit, after the same objective values. ``_farthest_point_init`` is the
+seeding as it stood before it read the distinct values from the sorted
+series that ``fcm_cluster`` keeps, through ``np.unique`` of its own copy.
+
+``QpProblem``, ``assemble_qp`` and ``solve_qp_nonneg`` are an independent
+route to the radius fit, not an earlier form of it: the quadratic program
+``min C'HC - C'B  s.t.  C >= 0`` that ``iarx.model`` fits by active-set
+nonnegative least squares, solved here by cyclic coordinate descent. The two
+methods share only the design matrices and ``_qp_terms``, so their agreement
+cross-checks ``nnls``.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from iarx.errors import ClusteringError, ConvergenceWarning, DataError
+from iarx.errors import ClusteringError, ConvergenceWarning, DataError, IdentificationError
+from iarx.model import _design_matrices, _frozen_array, _qp_terms
 from iarx.pattern_space import FcmConfig
 
 
@@ -181,3 +190,88 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
             f"cluster {empty} has no hard-assigned members; reseed and retry"
         )
     return centers, assignments
+
+
+# Sweep cap of the coordinate-descent QP solver.
+QP_MAX_SWEEPS = 200_000
+
+
+@dataclass(frozen=True)
+class QpProblem:
+    """Quadratic program data ``min C'HC - C'B`` with ``C >= 0``."""
+
+    H: np.ndarray
+    B: np.ndarray
+
+    def __post_init__(self):
+        h = np.array(self.H, dtype=float, copy=True)
+        b = _frozen_array(self.B, "B")
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"H must be square, got shape {h.shape}")
+        if h.shape[0] != b.size:
+            raise ValueError(f"H is {h.shape[0]}x{h.shape[0]} but B has length {b.size}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("H must be finite")
+        if not np.array_equal(h, h.T):
+            raise ValueError("H must be exactly symmetric")
+        h.setflags(write=False)
+        object.__setattr__(self, "H", h)
+        object.__setattr__(self, "B", b)
+
+    def objective(self, c) -> float:
+        c = np.asarray(c, dtype=float)
+        return float(c @ self.H @ c - c @ self.B)
+
+
+def assemble_qp(centers, radii, inputs, n: int, m: int) -> QpProblem:
+    """Quadratic-program data of the radius problem: ``H = sum x_abs x_abs'``, ``B = 2 sum y_r x_abs``.
+
+    ``H`` is assembled so that it is exactly symmetric, and it is positive
+    semidefinite by construction.
+    """
+    _, _, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
+    h, b = _qp_terms(x_abs, y_r)
+    return QpProblem(H=h, B=b)
+
+
+def solve_qp_nonneg(qp: QpProblem) -> np.ndarray:
+    """Minimize ``c'Hc - c'B`` over ``c >= 0`` by cyclic coordinate descent.
+
+    Each coordinate update is the exact one-dimensional minimizer projected
+    onto the nonnegative half-line. Runs until the KKT residual drops below
+    a tolerance scaled to ``B``; independent of the active-set route in
+    :func:`nnls`, which makes the pair usable as mutual cross-checks.
+    """
+    h = qp.H
+    b = qp.B
+    nvar = b.size
+    diag = np.diag(h).copy()
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    # A PSD matrix with a zero diagonal entry has a zero row/column there:
+    # the objective is linear in that coordinate and bounded only if B <= 0.
+    dead = diag <= 0.0
+    if np.any(dead & (b > tol)):
+        raise IdentificationError("qp is unbounded below along a zero-curvature coordinate")
+
+    c = np.zeros(nvar)
+    grad = -b.copy()  # gradient of the objective, 2Hc - B, at c = 0
+    for sweep in range(1, QP_MAX_SWEEPS + 1):
+        for j in range(nvar):
+            if dead[j]:
+                continue
+            cand = c[j] - grad[j] / (2.0 * diag[j])
+            if cand < 0.0:
+                cand = 0.0
+            delta = cand - c[j]
+            if delta != 0.0:
+                grad += (2.0 * delta) * h[:, j]
+                c[j] = cand
+        if sweep % 64 == 0:
+            grad = 2.0 * (h @ c) - b  # shed accumulated drift
+        residual = np.where(c > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
+        residual[dead] = 0.0
+        if float(residual.max(initial=0.0)) <= tol:
+            return c
+    raise IdentificationError(
+        f"qp coordinate descent did not converge within {QP_MAX_SWEEPS} sweeps"
+    )

@@ -15,16 +15,15 @@ from iarx.intervals import Interval, PairMatrix, add, hausdorff_distance, pair_p
 from iarx.model import (
     IarxParams,
     _design_matrices,
-    assemble_qp,
     fit,
     lag_columns,
     nnls,
     predict_bounds,
     predict_compositional,
-    solve_qp_nonneg,
 )
 from iarx.pattern_space import PatternSpace
 from iarx.pipeline import evaluate, fit_model, forecast_series, robustness_experiment, sweep_cpms
+from oracles import assemble_qp, solve_qp_nonneg
 
 # Frozen fixtures for the robustness criterion: the small magnitude moves the
 # preliminary RMSEs by > 1e-4 yet every step keeps its final class; the large

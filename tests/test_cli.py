@@ -616,6 +616,24 @@ def test_out_of_range_flag_values_exit_2(workspace, tmp_path, capsys, command, f
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_a_size_too_large_to_allocate_exits_2(workspace, tmp_path, capsys, command):
+    # 10**15 samples or class counts is an input no machine can hold: exit 2
+    # with one error line, before anything is written
+    data_dir, _ = workspace
+    if command == "synth":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**default_synthetic_spec().to_json(), "length": 10**15}), encoding="utf-8")
+        args = ["synth", "--config", str(spec)]
+    else:
+        args = ["sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--cpms-range", f"2..{10**15}"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert line.startswith("error: out of memory") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "eval", "sweep", "robust", "synth"])
 def test_help_prints_every_default(capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -142,6 +142,19 @@ def test_step_schedule_tiles_levels():
     sched = StepScheduleInput(levels=(1.0, -1.0), period=3)
     out = sched.generate(8, np.random.default_rng(0))
     np.testing.assert_array_equal(out, [1, 1, 1, -1, -1, -1, 1, 1])
+    # a period past the length holds the first level: 864 samples allocated, not
+    # 3 * 10**12, and a period past int64 still divides
+    levels = (0.5, -1.0, 2.0)
+    rng = np.random.default_rng(0)
+    for period in (10**12, 10**30):
+        out = StepScheduleInput(levels=levels, period=period).generate(864, rng)
+        np.testing.assert_array_equal(out, np.full(864, levels[0]))
+    # bit for bit the repeat-and-cut tiling, the reference wherever it fits in memory
+    for period in range(1, 31):
+        for length in (1, 7, 100, 864):
+            out = StepScheduleInput(levels=levels, period=period).generate(length, rng)
+            tiled = np.resize(np.repeat(levels, period), length)
+            assert out.dtype == tiled.dtype and out.tobytes() == tiled.tobytes(), (period, length)
 
 
 def test_spec_validation_and_round_trip():

@@ -3,8 +3,9 @@
 The center channel is plain least squares on interval centers; the radius
 channel is nonnegative least squares on interval radii and absolute inputs.
 The prediction kernel (center/radius arithmetic) and its oracle (explicit
-interval operations) must agree, and the radius solver is cross-checked against an
-independently written coordinate-descent QP solver.
+interval operations) must agree. The radius solver is cross-checked against
+the coordinate-descent QP solver of ``tests/oracles.py``: an independent
+oracle written for that check, not an earlier form of production code.
 """
 
 import numpy as np
@@ -15,16 +16,14 @@ from iarx.errors import IdentificationError
 from iarx.intervals import Interval
 from iarx.model import (
     IarxParams,
-    QpProblem,
     _design_matrices,
-    assemble_qp,
     fit,
     lag_columns,
     nnls,
     predict_bounds,
     predict_compositional,
-    solve_qp_nonneg,
 )
+from oracles import QpProblem, assemble_qp, solve_qp_nonneg
 
 
 def _series(rng, length):
