@@ -159,6 +159,8 @@ class WhiteNoiseInput:
     def __post_init__(self):
         if not 0.0 <= self.amplitude < np.inf:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude!r}")
+        if self.amplitude > np.finfo(float).max / 2:  # the draws span 2 * amplitude
+            raise ValueError(f"amplitude must be at most half the largest float, got {self.amplitude!r}")
 
     def generate(self, length: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-self.amplitude, self.amplitude, size=length)
@@ -278,7 +280,7 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
     radius channel plus folded Gaussian noise, floored at zero. The scalar
     data stream is the center series. Deterministic for a fixed spec.
     Raises ``SimulationError`` if the center series diverges (unstable
-    generating parameters).
+    generating parameters) or a radius overflows a float.
     """
     params = spec.true_params
     n, m = params.n, params.m
@@ -291,14 +293,14 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
     radii = np.empty(length)
     centers[:kmin] = rng.normal(0.0, 0.5, size=kmin)
     radii[:kmin] = np.abs(rng.normal(0.0, 0.1, size=kmin))
-    noise_c = rng.normal(0.0, 1.0, size=length) * spec.noise_center
-    noise_r = np.abs(rng.normal(0.0, 1.0, size=length)) * spec.noise_radius
 
     width = 1 + n + m
     x = np.empty(width)
     x_abs = np.empty(width)
     x[0] = x_abs[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow surfaces as divergence below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow surfaces at its step below
+        noise_c = rng.normal(0.0, 1.0, size=length) * spec.noise_center
+        noise_r = np.abs(rng.normal(0.0, 1.0, size=length)) * spec.noise_radius
         for k in range(kmin, length):
             for j in range(1, n + 1):
                 x[j] = centers[k - j]
@@ -312,6 +314,11 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
                 raise SimulationError(
                     f"simulated center diverged to {float(centers[k])!r} at step {k}; "
                     "the generating parameters are unstable"
+                )
+            if not radii[k] < np.inf:
+                raise SimulationError(
+                    f"simulated radius overflowed to {float(radii[k])!r} at step {k}; "
+                    "the radius noise or the generating parameters are too large"
                 )
     return SynthesisResult(data=centers, u=u, truth=params, radii=radii)
 

@@ -129,14 +129,15 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     or not at all, and has ``R(Vp) <= R(V1)``; else ``V2`` does. It stops
     once a plain step moves no center by ``config.tolerance`` or more.
 
-    Returns ``(centers, assignments)`` where ``centers`` has shape ``(k,)``
-    and ``assignments`` maps each point to the 0-based cluster of the nearest
-    center (ties to the lowest index); in exact arithmetic that is the
-    cluster of maximal membership for every fuzziness. Raises ``DataError``
-    naming the first non-finite point, or for more clusters than points;
-    ``ClusteringError`` when a cluster ends up with no hard members or no
-    membership mass, so callers may retry with a new seed, or when R rises on
-    any accepted center set, the last included. Warns with
+    Returns ``(centers, counts)``: the ``k`` centers in ascending order and
+    the sizes of their hard clusters, the runs of the sorted series between
+    the midpoints of neighbouring centers (a point on a midpoint joins the
+    upper run); in exact arithmetic a run holds the points nearest its
+    center, the cluster of maximal membership for every fuzziness. Raises
+    ``DataError`` naming the first non-finite point, or for more clusters
+    than points; ``ClusteringError`` when a cluster ends up with no hard
+    members or no membership mass, so callers may retry with a new seed, or
+    when R rises on any accepted center set, the last included. Warns with
     ``ConvergenceWarning`` when ``config.max_iterations`` passes over the k x
     N distances, one per center set measured (a rejected ``Vp`` included),
     run out before convergence; the last centers are still returned.
@@ -168,11 +169,6 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         np.copyto(work, centers[:, None])  # then subtracting x row by row beats a column-row broadcast
         np.subtract(work, values, out=work)
         final = shift < config.tolerance or iteration == config.max_iterations
-        if final:  # argmin down axis 0 copies its operand, so it takes a block of columns at a time
-            np.abs(work, out=work)
-            assignments, width = np.empty(values.size, dtype=np.intp), max(1, _BLOCK_PAIRS // k)
-            for start in range(0, values.size, width):
-                np.argmin(work[:, start : start + width], axis=0, out=assignments[start : start + width])
         scale, objective = _reformulate(np.multiply(work, work, out=work), config.fuzziness)
         if len(cycle) == 4 and not objective <= prev_objective:  # R(Vp) > R(V1)
             cycle, iteration, bound, below = cycle[2:3], iteration + 1, 0.5 * bound, below_v2
@@ -232,10 +228,11 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
             stacklevel=2,
         )
 
-    sizes = np.bincount(assignments, minlength=k)
-    if not sizes.all():
-        raise ClusteringError(f"cluster {np.argmin(sizes)} has no hard-assigned members; reseed and retry")
-    return centers, assignments
+    centers = np.sort(centers)
+    counts = np.diff(below_midpoints(centers), prepend=0, append=values.size)
+    if not counts.all():
+        raise ClusteringError(f"cluster {np.argmin(counts)} has no hard-assigned members; reseed and retry")
+    return centers, counts
 
 
 @dataclass(frozen=True)
@@ -550,14 +547,9 @@ class PatternSpace:
 def build_space(data, k: int, config: FcmConfig = FcmConfig()) -> PatternSpace:
     """Cluster a scalar series into ``k`` classes and assemble the ordered pattern space.
 
-    Each cluster becomes a class spanning ``[min, max]`` of its hard
-    members; classes are reordered by ascending center and renumbered.
+    Class ``j`` spans the ``j``-th run of the sorted series, as ``fcm_cluster`` cuts it.
     """
     values = np.asarray(data, dtype=float).ravel()
-    centers, assignments = fcm_cluster(values, k, config)
-    # every cluster has members, so the stable sort by cluster lays them out in k non-empty runs
-    grouped = np.argsort(assignments, kind="stable")
-    runs, members = np.searchsorted(assignments[grouped], np.arange(k)), values[grouped]
-    lows, highs = np.minimum.reduceat(members, runs), np.maximum.reduceat(members, runs)
-    order = np.argsort(centers, kind="stable")
-    return PatternSpace(lows[order], highs[order], centers[order])
+    centers, counts = fcm_cluster(values, k, config)
+    ordered, ends = np.sort(values), np.cumsum(counts)
+    return PatternSpace(ordered[ends - counts], ordered[ends - 1], centers)

@@ -10,8 +10,9 @@ before its pass was rewritten for speed: the column-row broadcast for
 ``c - x``, a zero test of every column minimum on every pass, fresh center
 differences for the shift and the SQUAREM step, re-sorted centers in the
 SQUAREM guard and one argmin over the whole k x N array for the hard
-assignments. The rewrite must return the same centers and assignments bit
-for bit, after the same objective values. ``_farthest_point_init`` is the
+assignments. The rewrite must return the same centers bit for bit, after
+the same objective values, and cut the same partition, which
+``hard_labels`` reads back per point. ``_farthest_point_init`` is the
 seeding as it stood before it read the distinct values from the sorted
 series that ``fcm_cluster`` keeps, through ``np.unique`` of its own copy.
 
@@ -190,6 +191,15 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
             f"cluster {empty} has no hard-assigned members; reseed and retry"
         )
     return centers, assignments
+
+
+def hard_labels(values, counts) -> np.ndarray:
+    """The 0-based cluster of every point, in ascending center order, from the
+    run sizes ``counts`` of the sorted series that ``iarx.pattern_space.fcm_cluster`` returns."""
+    values = np.asarray(values, dtype=float).ravel()
+    labels = np.empty(values.size, dtype=np.intp)
+    labels[np.argsort(values, kind="stable")] = np.repeat(np.arange(len(counts)), counts)
+    return labels
 
 
 # Sweep cap of the coordinate-descent QP solver.

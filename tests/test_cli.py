@@ -242,6 +242,26 @@ def test_non_finite_forecast_exits_1(workspace, tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("noise_center", "error: simulated center diverged to inf at step 3; the generating parameters are unstable\n"),
+        ("noise_radius", "error: simulated radius overflowed to inf at step 19; "
+                         "the radius noise or the generating parameters are too large\n"),
+    ],
+    ids=["noise_center", "noise_radius"],
+)
+def test_overflowing_noise_exits_1(tmp_path, field, message):
+    # noise draws that overflow a float are a numerical failure of the run:
+    # exit 1 with one error line, no numpy warning and no traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(_spec(**{field: 1e308}), encoding="utf-8")
+    proc = _run_cli(["synth", "--config", str(spec), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == message
+    assert not (tmp_path / "out").exists()
+
+
 _MODEL = {"n": 1, "m": 0, "A": [0.5, 0.5], "C": [0, 1]}
 _CLASS = {"id": 1, "lower": 0, "upper": 1, "center": 0.5}
 _SPEC = default_synthetic_spec().to_json()
@@ -342,6 +362,8 @@ _INVALID_VALUES = [
     ("space.json", _space(id=0), "error: pattern space: class ids must run 1..1 in order, got [0]"),
     ("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1"),
     ("spec.json", _spec(length=10), "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50"),
+    ("spec.json", _spec(input_process={"kind": "white", "amplitude": 9e307}),
+     "error: synthetic spec: field 'input_process' is invalid: amplitude must be at most half the largest float, got 9e+307"),
     ("report.json", '{"cpms": 25}',
      "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes"),
 ]

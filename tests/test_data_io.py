@@ -126,6 +126,12 @@ def test_input_process_validation():
     for amplitude in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
             WhiteNoiseInput(amplitude=amplitude)
+    # the draws span 2 * amplitude, which must not overflow a float
+    half = float(np.finfo(float).max) / 2.0
+    assert np.abs(WhiteNoiseInput(half).generate(100, np.random.default_rng(0))).max() <= half
+    for amplitude in (np.nextafter(half, np.inf), 9e307, float(np.finfo(float).max)):
+        with pytest.raises(ValueError, match=r"^amplitude must be at most half the largest float, got "):
+            WhiteNoiseInput(amplitude=amplitude)
     for level in (float("nan"), float("-inf")):
         with pytest.raises(ValueError, match="step levels must be finite"):
             StepScheduleInput(levels=(1.0, level), period=10)
@@ -239,3 +245,14 @@ def test_overflowing_center_surfaces_as_simulation_error():
     )
     with pytest.raises(SimulationError, match=r"^simulated center diverged to inf at step 1;"):
         synthesize(spec)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("noise_center", r"^simulated center diverged to inf at step 3;"),
+    ("noise_radius", r"^simulated radius overflowed to inf at step 19;"),
+], ids=["noise_center", "noise_radius"])
+def test_overflowing_noise_draws_surface_as_simulation_error(field, message):
+    # |N(0, 1)| * 1e308 overflows for draws beyond 1.8: one SimulationError
+    # naming the step, no numpy warning, and no radius left at inf
+    with pytest.raises(SimulationError, match=message):
+        synthesize(replace(default_synthetic_spec(), **{field: 1e308}))

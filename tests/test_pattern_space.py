@@ -59,6 +59,11 @@ def textbook_fcm(values, k, config):
     return centers, np.argmax(textbook_memberships(values, centers, m), axis=0)
 
 
+def in_center_order(centers, labels):
+    """``labels`` of the clusters of ``centers`` renumbered in ascending center order."""
+    return np.argsort(np.argsort(centers, kind="stable"), kind="stable")[labels]
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="cluster count must be >= 1, got 0"):
         fcm_cluster([0.0, 1.0], 0)
@@ -101,6 +106,17 @@ def test_four_point_split():
     assert space.classes[1].interval == Interval(9.9, 10.0)
 
 
+def test_a_sample_on_a_midpoint_joins_the_upper_class():
+    # the two centers are symmetric about 0.0, so the middle sample sits
+    # exactly on their midpoint, where the sorted series is cut
+    centers, counts = fcm_cluster([-1.0, 0.0, 1.0], 2)
+    assert centers.tolist() == [-0.7956086738434485, 0.7956086738434485]
+    assert 0.5 * (centers[0] + centers[1]) == 0.0
+    assert counts.tolist() == [1, 2]
+    space = build_space([-1.0, 0.0, 1.0], 2)
+    assert [c.interval for c in space.classes] == [Interval(-1.0, -1.0), Interval(0.0, 1.0)]
+
+
 def test_classes_tile_an_evenly_spread_series():
     # hard assignments are nearest-center cells in one dimension, so the
     # class intervals must be disjoint and ordered
@@ -119,9 +135,11 @@ def test_class_spans_are_the_extremes_of_their_members(default_result, k):
     # each class spans min..max of the hard members of its cluster, the
     # clusters taken in ascending center order
     data = default_result.data
-    centers, assign = fcm_cluster(data, k)
+    centers, counts = fcm_cluster(data, k)
+    assign = oracles.hard_labels(data, counts)
     space = build_space(data, k)
-    for cls, idx in zip(space.classes, np.argsort(centers, kind="stable")):
+    assert space.cpms == k and (centers[1:] > centers[:-1]).all()
+    for idx, cls in enumerate(space.classes):
         members = data[assign == idx]
         assert cls.interval == Interval(members.min(), members.max())
         assert cls.center == centers[idx]
@@ -130,7 +148,8 @@ def test_class_spans_are_the_extremes_of_their_members(default_result, k):
 def test_assignments_match_membership_argmax():
     # recompute fuzzy memberships directly from the returned centers
     data = np.arange(1.0, 101.0)
-    centers, assign = fcm_cluster(data, 4)
+    centers, counts = fcm_cluster(data, 4)
+    assign = oracles.hard_labels(data, counts)
     d = np.abs(data[:, None] - centers[None, :])
     d = np.where(d == 0.0, 1e-300, d)
     w = (1.0 / d) ** 2  # fuzziness 2.0 -> exponent 2 / (fuzziness - 1)
@@ -169,9 +188,9 @@ def test_fcm_matches_textbook_bezdek(textbook_runs, fuzziness, k):
     # point they share
     config = FcmConfig(fuzziness=fuzziness, tolerance=1e-12, max_iterations=50_000)
     for series, (want_centers, want_assign), _ in textbook_runs[fuzziness, k]:
-        centers, assign = fcm_cluster(series, k, config)
-        assert np.array_equal(assign, want_assign)
-        np.testing.assert_allclose(centers, want_centers, rtol=0.0, atol=1e-9)
+        centers, counts = fcm_cluster(series, k, config)
+        assert np.array_equal(oracles.hard_labels(series, counts), in_center_order(want_centers, want_assign))
+        np.testing.assert_allclose(centers, np.sort(want_centers), rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
@@ -180,9 +199,9 @@ def test_fcm_at_the_default_tolerance_keeps_the_textbook_partition(textbook_runs
     # at the default settings the accelerated run stops elsewhere on its way
     # to that fixed point, but it hardens to the same clusters, and its
     # objective is no higher than where textbook FCM stops
-    for series, (_, want_assign), (plain_centers, _) in textbook_runs[fuzziness, k]:
-        centers, assign = fcm_cluster(series, k, FcmConfig(fuzziness=fuzziness))
-        assert np.array_equal(assign, want_assign)
+    for series, (want_centers, want_assign), (plain_centers, _) in textbook_runs[fuzziness, k]:
+        centers, counts = fcm_cluster(series, k, FcmConfig(fuzziness=fuzziness))
+        assert np.array_equal(oracles.hard_labels(series, counts), in_center_order(want_centers, want_assign))
         plain = textbook_objective(series, plain_centers, fuzziness)
         assert textbook_objective(series, centers, fuzziness) <= plain * (1.0 + 1e-9)
 
@@ -225,7 +244,8 @@ def test_reformulated_objective_never_rises(default_result, monkeypatch):
 def test_fcm_is_bit_identical_to_the_oracle(monkeypatch):
     # the pass was rewritten for speed alone: on the sweep's class counts, raw
     # and z-scored, it measures the same R on every center set (so it takes
-    # the same passes) and returns the same centers and assignments, bit for bit
+    # the same passes), returns the same centers, bit for bit, in ascending
+    # order, and cuts the same partition at their midpoints
     seen = record_objectives(monkeypatch, pattern_space)
     want_seen = record_objectives(monkeypatch, oracles)
     for seed in (1, 2, 3):
@@ -234,11 +254,12 @@ def test_fcm_is_bit_identical_to_the_oracle(monkeypatch):
             for k in range(16, 37):
                 seen.clear()
                 want_seen.clear()
-                centers, assign = fcm_cluster(series, k)
+                centers, counts = fcm_cluster(series, k)
                 want_centers, want_assign = oracles.fcm_cluster(series, k)
                 assert seen == want_seen, (seed, k)
-                assert centers.tobytes() == want_centers.tobytes(), (seed, k)
-                assert assign.dtype == want_assign.dtype and np.array_equal(assign, want_assign), (seed, k)
+                assert centers.tobytes() == np.sort(want_centers).tobytes(), (seed, k)
+                want = in_center_order(want_centers, want_assign)
+                assert np.array_equal(oracles.hard_labels(series, counts), want), (seed, k)
 
 
 def test_seeding_reads_the_oracles_distinct_values_from_the_sorted_series():
@@ -256,8 +277,8 @@ def test_seeding_reads_the_oracles_distinct_values_from_the_sorted_series():
 
 
 def test_fcm_peak_memory_holds_no_second_distance_array():
-    # one k x N work array serves every pass; the hard assignments take their
-    # argmin a block of columns at a time, so the peak stays below two k x N
+    # one k x N work array serves every pass, and the hard partition is k
+    # counts cut from the sorted series, so the peak stays below two k x N
     # arrays at the length of the long benchmark series
     k, data = 26, synthesize(replace(default_synthetic_spec(), length=17_280)).data
     tracemalloc.start()
@@ -272,12 +293,12 @@ def test_fcm_peak_memory_holds_no_second_distance_array():
 def test_iteration_cap_warns_with_the_details():
     data = np.arange(1.0, 101.0)
     with pytest.warns(ConvergenceWarning) as record:
-        centers, assign = fcm_cluster(data, 4, FcmConfig(max_iterations=2))
+        centers, counts = fcm_cluster(data, 4, FcmConfig(max_iterations=2))
     (warning,) = record
     message = str(warning.message)
     for detail in ("k=4", "2 iterations", "center shift", "tolerance 1e-06"):
         assert detail in message
-    assert centers.shape == (4,) and assign.shape == (100,)
+    assert centers.shape == (4,) and oracles.hard_labels(data, counts).shape == (100,)
 
 
 def test_default_data_converges_at_the_default_class_count(default_result):
