@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     DataError,
     IdentificationError,
     SimulationError,
-    json_value,
+    json_field,
 )
 from .model import IarxParams
 from .pattern_space import FcmConfig, PatternSpace
@@ -71,32 +71,6 @@ SYNTH_TRUTH_FILE = "truth.json"
 _NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError)
 _CONFIG_ERRORS = (ConfigError, DataError, OSError, ValueError)  # ValueError: a range check or bad JSON
 
-_SPEC_KEYS = tuple(field.name for field in fields(SyntheticSpec))
-
-
-def _load_config(path: str, keys) -> dict:
-    """The JSON object in ``path``; it may set only ``keys``."""
-    p = _require_file(path, "config file")
-    doc = _read_json(p)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {p} must hold a JSON object")
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise ConfigError(
-            f"config file {p}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"this command reads {', '.join(keys)}"
-        )
-    return doc
-
-
-def _convert(value, name: str, kind):
-    """``value`` as ``kind`` if it has that JSON type (see ``json_value``)."""
-    try:
-        return json_value(value, kind)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}") from None
-
-
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """``--config`` read against ``parser``'s flags: each key a flag's dest, each value of its type."""
     kinds = {
@@ -104,7 +78,17 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
         for action in parser._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
-    return {key: _convert(value, key, kinds[key]) for key, value in _load_config(path, kinds).items()}
+    p = _require_file(path, "config file")
+    doc = _read_json(p)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {p} must hold a JSON object")
+    unknown = [key for key in doc if key not in kinds]
+    if unknown:
+        raise ConfigError(
+            f"config file {p}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"this command reads {', '.join(kinds)}"
+        )
+    return {key: json_field(doc, key, kinds[key], f"config file {p}") for key in doc}
 
 
 def _read_json(path: Path):
@@ -271,7 +255,7 @@ def cmd_synth(args) -> int:
     if args.config is None:
         spec = default_synthetic_spec()
     else:
-        spec = SyntheticSpec.from_json(_load_config(args.config, _SPEC_KEYS))
+        spec = SyntheticSpec.from_json(_read_json(_require_file(args.config, "config file")))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     result = synthesize(spec)

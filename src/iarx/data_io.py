@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SimulationError, integer, json_field, json_floats
+from .errors import DataError, SimulationError, integer, json_field, json_fields, json_floats
 from .model import IarxParams
 
 __all__ = [
@@ -48,7 +48,8 @@ def load_csv(path) -> RawDataset:
     """Read a headered CSV of numeric columns.
 
     Rows are validated as they stream in: a ragged row or an unparseable
-    cell raises ``DataError`` naming the 1-based file row and the column.
+    cell raises ``DataError`` naming the 1-based file row and the column, a row
+    the ``csv`` reader rejects names the row, and text that is not UTF-8 the file.
     The parsed table is then checked at once: the first ``nan`` or ``inf``
     cell in file order, and a file with fewer than 2 rows, is a
     ``DataError`` naming the file as well.
@@ -56,28 +57,32 @@ def load_csv(path) -> RawDataset:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        names = [name.strip() for name in header]
-        if any(not name for name in names):
-            raise DataError(f"{path}: header row 1 has an empty column name")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: header row 1 has duplicate column names")
-        data: list[list[float]] = [[] for _ in names]
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
-                )
-            for name, series, cell in zip(names, data, row):
-                try:
-                    series.append(float(cell))
-                except ValueError:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            names = [name.strip() for name in header]
+            if any(not name for name in names):
+                raise DataError(f"{path}: header row 1 has an empty column name")
+            if len(set(names)) != len(names):
+                raise DataError(f"{path}: header row 1 has duplicate column names")
+            data: list[list[float]] = [[] for _ in names]
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(names):
                     raise DataError(
-                        f"{path}: row {row_no}, column {name!r}: "
-                        f"could not parse {cell.strip()!r} as a number"
-                    ) from None
+                        f"{path}: row {row_no} has {len(row)} cells, expected {len(names)}"
+                    )
+                for name, series, cell in zip(names, data, row):
+                    try:
+                        series.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {row_no}, column {name!r}: "
+                            f"could not parse {cell.strip()!r} as a number"
+                        ) from None
+        except csv.Error as exc:  # a cell over the field size limit, or a NUL byte on Python 3.10
+            raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
     table = np.array(data, dtype=float)  # one row per column
     bad = ~np.isfinite(table)
     if bad.any():
@@ -197,12 +202,9 @@ def _input_from_json(doc):
     what = "input process"
     kind = json_field(doc, "kind", str, what)
     if kind == "white":
-        return WhiteNoiseInput(amplitude=json_field(doc, "amplitude", float, what))
+        return WhiteNoiseInput(*json_fields(doc, {"kind": str, "amplitude": float}, what)[1:])
     if kind == "steps":
-        return StepScheduleInput(
-            levels=json_field(doc, "levels", json_floats, what),
-            period=json_field(doc, "period", int, what),
-        )
+        return StepScheduleInput(*json_fields(doc, {"kind": str, "levels": json_floats, "period": int}, what)[1:])
     raise DataError(f"unknown input process kind {kind!r}")
 
 
@@ -242,18 +244,14 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, doc) -> "SyntheticSpec":
-        """The spec of :meth:`to_json` output; a missing or mistyped field, or
-        values the constructor rejects, is a ``DataError``."""
+        """The spec of :meth:`to_json` output; a missing, mistyped or unknown
+        field, or values the constructor rejects, is a ``DataError``."""
         what = "synthetic spec"
+        kinds = {"length": int, "true_params": IarxParams.from_json, "noise_center": float,
+                 "noise_radius": float, "input_process": _input_from_json, "seed": int}
+        fields = json_fields(doc, kinds, what)
         try:
-            return cls(
-                length=json_field(doc, "length", int, what),
-                true_params=json_field(doc, "true_params", IarxParams.from_json, what),
-                noise_center=json_field(doc, "noise_center", float, what),
-                noise_radius=json_field(doc, "noise_radius", float, what),
-                input_process=json_field(doc, "input_process", _input_from_json, what),
-                seed=json_field(doc, "seed", int, what),
-            )
+            return cls(*fields)
         except ValueError as exc:  # the fields parsed, but do not make a spec
             raise DataError(f"{what}: {exc}") from None
 

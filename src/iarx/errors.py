@@ -25,6 +25,7 @@ __all__ = [
     "json_value",
     "json_floats",
     "json_field",
+    "json_fields",
 ]
 
 
@@ -121,3 +122,16 @@ def json_field(doc, key: str, kind, what: str):
         return kind(doc[key])
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what}: field {key!r} is invalid: {exc}") from None
+
+
+def json_fields(doc, kinds: dict, what: str) -> list:
+    """The values of the fields of the JSON object ``doc`` that ``kinds`` lists, in its order.
+
+    ``kinds`` maps each key to its kind; each field is read by :func:`json_field`, so each is
+    required. A key of ``doc`` that ``kinds`` does not list raises ``DataError`` naming ``what`` and the key.
+    """
+    values = [json_field(doc, key, kind, what) for key, kind in kinds.items()]
+    unknown = [key for key in doc if key not in kinds]
+    if unknown:
+        raise DataError(f"{what}: unknown field(s) {', '.join(map(repr, unknown))}")
+    return values

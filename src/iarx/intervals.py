@@ -19,24 +19,12 @@ import numpy as np
 __all__ = [
     "Interval",
     "PairMatrix",
-    "check_bounds",
     "add",
     "sub",
     "scale",
     "hausdorff_distance",
     "pair_product",
 ]
-
-
-def check_bounds(lower: float, upper: float) -> tuple[float, float]:
-    """``(lower, upper)`` as floats; ``ValueError`` unless both are finite and ``lower <= upper``."""
-    lower = float(lower)
-    upper = float(upper)
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise ValueError(f"interval bounds must be finite, got [{lower!r}, {upper!r}]")
-    if lower > upper:
-        raise ValueError(f"lower bound {lower!r} exceeds upper bound {upper!r}")
-    return lower, upper
 
 
 class Interval:
@@ -50,7 +38,12 @@ class Interval:
     __slots__ = ("_lower", "_upper")
 
     def __init__(self, lower: float, upper: float):
-        self._lower, self._upper = check_bounds(lower, upper)
+        lower, upper = float(lower), float(upper)
+        if not (math.isfinite(lower) and math.isfinite(upper)):
+            raise ValueError(f"interval bounds must be finite, got [{lower!r}, {upper!r}]")
+        if lower > upper:
+            raise ValueError(f"lower bound {lower!r} exceeds upper bound {upper!r}")
+        self._lower, self._upper = lower, upper
 
     @classmethod
     def from_center_radius(cls, center: float, radius: float) -> "Interval":

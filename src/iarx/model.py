@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, integer, json_field, json_floats
+from .errors import IdentificationError, integer, json_fields, json_floats
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = ["IarxParams", "lag_columns", "predict_bounds", "predict_compositional", "fit", "nnls"]
@@ -87,15 +87,12 @@ class IarxParams:
 
     @classmethod
     def from_json(cls, doc) -> "IarxParams":
-        """Parameters from :meth:`to_json` output; a missing or mistyped field is a ``DataError``,
+        """Parameters from :meth:`to_json` output; a missing, mistyped or unknown field is a ``DataError``,
         and values the constructor rejects are a ``ValueError`` naming the model parameters."""
         what = "model parameters"
-        n, m, a, c = (
-            json_field(doc, key, kind, what)
-            for key, kind in (("n", int), ("m", int), ("A", json_floats), ("C", json_floats))
-        )
+        fields = json_fields(doc, {"n": int, "m": int, "A": json_floats, "C": json_floats}, what)
         try:
-            return cls(n=n, m=m, A=a, C=c)
+            return cls(*fields)
         except ValueError as exc:  # still a ValueError, so a spec that nests these names its field too
             raise ValueError(f"{what}: {exc}") from None
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, ConvergenceWarning, DataError, integer, json_field
-from .intervals import Interval, check_bounds
+from .errors import ClusteringError, ConvergenceWarning, DataError, integer, json_fields
+from .intervals import Interval
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
 
@@ -511,22 +511,16 @@ class PatternSpace:
 
     @classmethod
     def from_json(cls, doc) -> "PatternSpace":
-        """The space of :meth:`to_json` output; a missing or mistyped field, or
-        classes that do not form a valid space, is a ``DataError``."""
+        """The space of :meth:`to_json` output; a missing, mistyped or unknown
+        field, or classes that do not form a valid space, is a ``DataError``."""
+        declared, classes = json_fields(doc, {"cpms": int, "classes": list}, "pattern space")
         ids, bounds = [], []
-        for position, entry in enumerate(json_field(doc, "classes", list, "pattern space"), start=1):
-            what = f"pattern space class {position}"
-            class_id, lower, upper, center = (
-                json_field(entry, key, kind, what)
-                for key, kind in (("id", int), ("lower", float), ("upper", float), ("center", float))
+        for position, entry in enumerate(classes, start=1):
+            class_id, *row = json_fields(
+                entry, {"id": int, "lower": float, "upper": float, "center": float}, f"pattern space class {position}"
             )
-            try:
-                check_bounds(lower, upper)
-            except ValueError as exc:
-                raise DataError(f"{what}: {exc}") from None
             ids.append(class_id)
-            bounds.append((lower, upper, center))
-        declared = json_field(doc, "cpms", int, "pattern space")
+            bounds.append(row)
         if declared != len(ids):
             raise DataError(
                 f"pattern space: declared cpms {declared} does not match the {len(ids)} classes"

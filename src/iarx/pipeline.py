@@ -245,8 +245,6 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) 
     _check_shape(cpms, n, m)
     if data.size != u.size:
         raise DataError(f"data length {data.size} does not match input length {u.size}")
-    if data.size < cpms:
-        raise DataError(f"need at least cpms = {cpms} samples, got {data.size}")
     if data.size < 1 + n + m + max(n, m):
         raise DataError(
             f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}"

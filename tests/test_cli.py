@@ -314,12 +314,12 @@ _NON_FINITE_FIELDS = [
     (
         "space.json",
         _space(lower=float("nan")),
-        "error: pattern space class 1: interval bounds must be finite, got [nan, 1.0]",
+        "error: pattern space: class 1 bounds must be finite with lower <= upper, got [nan, 1.0]",
     ),
     (
         "space.json",
         _space(upper=float("inf")),
-        "error: pattern space class 1: interval bounds must be finite, got [0.0, inf]",
+        "error: pattern space: class 1 bounds must be finite with lower <= upper, got [0.0, inf]",
     ),
     ("space.json", _space(center=float("nan")), "error: pattern space: class centers must be finite, got [nan]"),
     (
@@ -358,7 +358,7 @@ _NON_FINITE_FIELDS = [
 _INVALID_VALUES = [
     ("model.json", json.dumps({**_MODEL, "C": [0, -1]}),
      "error: model parameters: radius coefficients C must be entrywise nonnegative"),
-    ("space.json", _space(lower=2), "error: pattern space class 1: lower bound 2.0 exceeds upper bound 1.0"),
+    ("space.json", _space(lower=2), "error: pattern space: class 1 bounds must be finite with lower <= upper, got [2.0, 1.0]"),
     ("space.json", _space(id=0), "error: pattern space: class ids must run 1..1 in order, got [0]"),
     ("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1"),
     ("spec.json", _spec(length=10), "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50"),
@@ -366,6 +366,20 @@ _INVALID_VALUES = [
      "error: synthetic spec: field 'input_process' is invalid: amplitude must be at most half the largest float, got 9e+307"),
     ("report.json", '{"cpms": 25}',
      "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes"),
+]
+
+# a field that its object does not hold, at every level of the three files
+_UNKNOWN_FIELDS = [
+    ("spec.json", _spec(note="x"), "error: synthetic spec: unknown field(s) 'note'"),
+    ("spec.json", _spec(true_params={**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'"),
+    ("spec.json", _spec(input_process={"kind": "white", "amplitude": 1.0, "period": 24}),
+     "error: input process: unknown field(s) 'period'"),
+    ("spec.json", _spec(input_process={**_SPEC["input_process"], "amplitude": 1.0, "phase": 0}),
+     "error: input process: unknown field(s) 'amplitude', 'phase'"),
+    ("model.json", json.dumps({**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'"),
+    ("space.json", json.dumps({"cpms": 1, "classes": [_CLASS], "note": "x"}),
+     "error: pattern space: unknown field(s) 'note'"),
+    ("space.json", _space(note="x"), "error: pattern space class 1: unknown field(s) 'note'"),
 ]
 
 # text that is not JSON, in every JSON file a command reads; config.json is an eval --config file
@@ -392,6 +406,10 @@ _BAD_CSV_FILES = [
         "x,u\n0,2\n1e300,3\n-1e300,5\n",
         "error: {path}: column 'x': values are too large to normalize: mean 0.0, standard deviation inf",
     ),
+    # a cell over the CSV reader's field size limit, and a byte that is not UTF-8
+    pytest.param("data.csv", 'x,u\n1,2\n3,4\n"' + "1" * 200_000 + '",5\n',
+                 "error: {path}: row 4: field larger than field limit (131072)", id="data.csv-over-long-cell"),
+    ("data.csv", b"x,u\n1,2\n\xff,3\n", "error: {path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
 ]
 
 
@@ -461,13 +479,14 @@ _BAD_CSV_FILES = [
         *_MISSING_AND_MISTYPED_FIELDS,
         *_NON_FINITE_FIELDS,
         *_INVALID_VALUES,
+        *_UNKNOWN_FIELDS,
         *_BAD_CSV_FILES,
         *_BAD_JSON_FILES,
     ],
 )
 def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, content, message):
     # a model, pattern-space, report, spec, config or data file that does not
-    # parse, or has a missing, mistyped or non-finite field, is an input
+    # parse, or has a missing, mistyped, unknown or non-finite field, is an input
     # problem: exit 2 with one error line naming it, no traceback and no --out
     # directory; ``{path}`` is the bad file and ``{dir}`` the model directory
     data_dir, fit_dir = workspace
@@ -475,7 +494,7 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, con
     model_dir.mkdir()
     for name in ("model.json", "space.json"):
         (model_dir / name).write_bytes((fit_dir / name).read_bytes())
-    (model_dir / bad_file).write_text(content, encoding="utf-8")
+    (model_dir / bad_file).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
     if bad_file == "spec.json":
         args = ["synth", "--config", str(model_dir / bad_file)]
     else:
@@ -599,7 +618,7 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
     assert main(args) == 2
     (line,) = capsys.readouterr().err.splitlines()
     (key,) = config
-    assert line.startswith(f"error: {key} must be of type ")
+    assert line.startswith(f"error: config file {cfg}: field {key!r} is invalid: expected ")
     assert not (tmp_path / "out").exists()
 
 
@@ -694,7 +713,7 @@ def test_truth_file_without_class_count_round_trips(tmp_path):
     proc = _run_cli(["synth", "--config", str(old), "--out", str(tmp_path / "c")])
     assert proc.returncode == 2, proc.stderr
     (line,) = proc.stderr.splitlines()
-    assert line.startswith(f"error: config file {old}: unknown key(s) 'class_count'; ")
+    assert line == "error: synthetic spec: unknown field(s) 'class_count'"
     assert not (tmp_path / "c").exists()
 
 

@@ -84,8 +84,8 @@ def test_fit_model_validation():
         fit_model(data, u, cpms=8, n=3, m=1.5)
     with pytest.raises(DataError):
         fit_model(data, u[:-1], cpms=8, n=3, m=1)
-    with pytest.raises(DataError, match=r"^need at least cpms = 8 samples, got 5$"):
-        fit_model(data[:5], u[:5], cpms=8, n=3, m=1)
+    with pytest.raises(DataError, match=r"^cluster count 8 exceeds the 5 data point\(s\)$"):
+        fit_model(data[:5], u[:5], cpms=8, n=1, m=0)
     with pytest.raises(DataError, match=r"^need at least 8 samples to fit orders n=3, m=1$"):
         fit_model(data[:7], u[:7], cpms=2, n=3, m=1)
 
