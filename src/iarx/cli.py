@@ -40,6 +40,7 @@ from .errors import (
     IdentificationError,
     SimulationError,
     json_field,
+    read_json,
 )
 from .model import IarxParams
 from .pattern_space import FcmConfig, PatternSpace
@@ -79,7 +80,7 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
         if action.option_strings and action.dest not in ("help", "config")
     }
     p = _require_file(path, "config file")
-    doc = _read_json(p)
+    doc = read_json(p)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
     unknown = [key for key in doc if key not in kinds]
@@ -89,15 +90,6 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
             f"this command reads {', '.join(kinds)}"
         )
     return {key: json_field(doc, key, kinds[key], f"config file {p}") for key in doc}
-
-
-def _read_json(path: Path):
-    """The JSON document in ``path``; text that does not parse is an input error naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or not UTF-8
-            raise DataError(f"{path}: {exc}") from None
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -147,7 +139,7 @@ def _prepare_series(args) -> tuple[np.ndarray, np.ndarray]:
         )
     condition_names = [name for name in dataset.columns if name != args.input_col]
     if not condition_names:
-        raise ConfigError("no operating-condition columns besides the input column")
+        raise ConfigError(f"{args.data}: no operating-condition columns besides the input column")
 
     def normalize(name):
         try:
@@ -177,16 +169,18 @@ def _load_model_dir(model_dir: str) -> MovingPatternModel:
     base = Path(model_dir)
     model_path = _require_file(base / MODEL_FILE, "model file")
     space_path = _require_file(base / SPACE_FILE, "pattern space file")
-    params = IarxParams.from_json(_read_json(model_path))
-    space = PatternSpace.from_json(_read_json(space_path))
+    params = IarxParams.from_json(read_json(model_path))
+    space = PatternSpace.from_json(read_json(space_path))
     report_path = base / REPORT_FILE
     if report_path.is_file():
-        report = _read_json(report_path)
-        if isinstance(report, dict) and report.get("cpms", space.cpms) != space.cpms:
-            raise ConfigError(
-                f"model dir {base} is inconsistent: fit report says cpms={report['cpms']} "
-                f"but the pattern space has {space.cpms} classes"
-            )
+        report = read_json(report_path)
+        if isinstance(report, dict) and "cpms" in report:
+            cpms = json_field(report, "cpms", int, f"fit report {report_path}")
+            if cpms != space.cpms:
+                raise ConfigError(
+                    f"model dir {base} is inconsistent: fit report says cpms={cpms} "
+                    f"but the pattern space has {space.cpms} classes"
+                )
     return MovingPatternModel(space=space, params=params)
 
 
@@ -255,7 +249,7 @@ def cmd_synth(args) -> int:
     if args.config is None:
         spec = default_synthetic_spec()
     else:
-        spec = SyntheticSpec.from_json(_read_json(_require_file(args.config, "config file")))
+        spec = SyntheticSpec.from_json(read_json(_require_file(args.config, "config file")))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     result = synthesize(spec)

@@ -11,6 +11,7 @@ and the second to exit code 2.
 stops at its iteration cap still returns its last iterate.
 """
 
+import json
 import operator
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "SimulationError",
     "ConvergenceWarning",
     "integer",
+    "read_json",
     "json_value",
     "json_floats",
     "json_field",
@@ -59,6 +61,15 @@ class SimulationError(IarxError):
 
 class ConvergenceWarning(UserWarning):
     """An iterative solver stopped at its iteration cap before converging."""
+
+
+def read_json(path):
+    """The JSON document in the file ``path``; text that does not parse is a ``DataError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or not UTF-8
+            raise DataError(f"{path}: {exc}") from None
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "an array"}

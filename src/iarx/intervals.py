@@ -4,10 +4,9 @@ Bounds are the canonical stored representation; ``center`` and ``radius``
 are derived on demand, so the two views cannot drift apart. Intervals are
 immutable and every operation is a pure function, safe to share freely.
 
-Beyond sums, differences and scalar products, the module provides the
-Hausdorff distance between two intervals and ``pair_product``: the product
-of one interval with a matrix of (center, radius) coefficient row pairs,
-the elementary step of the interval ARX predictor.
+Beyond sums and scalar products, the module provides ``pair_product``:
+the product of one interval with a matrix of (center, radius) coefficient
+row pairs, the elementary step of the interval ARX predictor.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ __all__ = [
     "Interval",
     "PairMatrix",
     "add",
-    "sub",
     "scale",
-    "hausdorff_distance",
     "pair_product",
 ]
 
@@ -72,10 +69,6 @@ class Interval:
         """Half-width ``(upper - lower) / 2``; always >= 0."""
         return 0.5 * (self._upper - self._lower)
 
-    @property
-    def width(self) -> float:
-        return self._upper - self._lower
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
@@ -96,16 +89,6 @@ def add(d: Interval, q: Interval) -> Interval:
     return Interval(d.lower + q.lower, d.upper + q.upper)
 
 
-def sub(d: Interval, q: Interval) -> Interval:
-    """Interval difference ``d - q``: ``[d.lower - q.upper, d.upper - q.lower]``.
-
-    Equivalently, centers subtract while radii still add; subtraction never
-    shrinks uncertainty, and ``sub(d, d)`` is symmetric about zero rather
-    than the degenerate ``[0, 0]``.
-    """
-    return Interval(d.lower - q.upper, d.upper - q.lower)
-
-
 def scale(factor: float, d: Interval) -> Interval:
     """Scalar product ``factor * d``; bounds swap when the factor is negative.
 
@@ -120,16 +103,6 @@ def scale(factor: float, d: Interval) -> Interval:
     if factor > 0.0:
         return Interval(factor * d.lower, factor * d.upper)
     return Interval(factor * d.upper, factor * d.lower)
-
-
-def hausdorff_distance(d: Interval, q: Interval) -> float:
-    """Hausdorff distance between two closed intervals.
-
-    For intervals this reduces to the larger of the two endpoint gaps:
-    ``max(|d.lower - q.lower|, |d.upper - q.upper|)``. It is a true metric:
-    zero exactly on equal intervals, symmetric, and triangle-inequal.
-    """
-    return max(abs(d.lower - q.lower), abs(d.upper - q.upper))
 
 
 class PairMatrix:

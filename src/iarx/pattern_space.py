@@ -22,13 +22,12 @@ rule the others out; either way the ids are those of a full scan.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, ConvergenceWarning, DataError, integer, json_fields
+from .errors import ClusteringError, ConvergenceWarning, DataError, integer, json_fields, read_json
 from .intervals import Interval
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
@@ -534,8 +533,7 @@ class PatternSpace:
 
     @classmethod
     def load(cls, path) -> "PatternSpace":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def build_space(data, k: int, config: FcmConfig = FcmConfig()) -> PatternSpace:

@@ -1,6 +1,6 @@
 """Reference implementations the tests compare the package against.
 
-Nothing in ``src/iarx`` imports this module. It holds two kinds of oracle.
+Nothing in ``src/iarx`` imports this module. It holds three kinds of oracle.
 
 ``fcm_cluster``, ``_reformulate`` and ``_farthest_point_init`` are earlier
 forms of production code, kept verbatim so that a test can hold a rewrite to
@@ -22,6 +22,11 @@ route to the radius fit, not an earlier form of it: the quadratic program
 nonnegative least squares, solved here by cyclic coordinate descent. The two
 methods share only the design matrices and ``_qp_terms``, so their agreement
 cross-checks ``nnls``.
+
+``sub`` and ``hausdorff_distance`` are reference formulas that the package no
+longer ships: interval subtraction, and the Hausdorff distance between two
+intervals taken one pair at a time, which ``PatternSpace`` classification
+must minimize.
 """
 
 from __future__ import annotations
@@ -32,8 +37,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from iarx.errors import ClusteringError, ConvergenceWarning, DataError, IdentificationError
+from iarx.intervals import Interval
 from iarx.model import _design_matrices, _frozen_array, _qp_terms
 from iarx.pattern_space import FcmConfig
+
+
+def sub(d: Interval, q: Interval) -> Interval:
+    """Interval difference ``d - q``: ``[d.lower - q.upper, d.upper - q.lower]``; radii add."""
+    return Interval(d.lower - q.upper, d.upper - q.lower)
+
+
+def hausdorff_distance(d: Interval, q: Interval) -> float:
+    """Hausdorff distance between two closed intervals: the larger of the two endpoint gaps."""
+    return max(abs(d.lower - q.lower), abs(d.upper - q.upper))
 
 
 def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

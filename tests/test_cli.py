@@ -215,6 +215,18 @@ def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
     assert row.startswith("22,") and "" not in row.split(",")
 
 
+def test_sweep_keeps_the_row_of_a_failed_cell(workspace, tmp_path, capsys):
+    # the staircase input as the data series has 19 distinct levels, so the
+    # 20-class cell fails: its error goes to stderr and its row stays, empty
+    data_dir, _ = workspace
+    args = ["sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "x", "--cpms-range", "19..20"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "cpms=20 failed: cannot seed 20 clusters from 19 distinct value(s)\n"
+    rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["19", "20"]
+    assert "" not in rows[0].split(",") and rows[1] == "20,,,,"
+
+
 def test_non_finite_forecast_exits_1(workspace, tmp_path):
     # a loaded model whose forecasts overflow is a numerical failure: exit 1
     # with one error line, no numpy warning and no traceback; so is one whose
@@ -287,186 +299,259 @@ def _spec(**fields) -> str:
 
 # every field of model.json, space.json and a spec (truth.json) missing, then of the wrong JSON type
 _MISSING_AND_MISTYPED_FIELDS = [
-    *[("model.json", json.dumps(_without(_MODEL, key)), f"error: model parameters: missing field {key!r}")
-      for key in _MODEL],
-    *[("space.json", json.dumps(_without({"cpms": 1, "classes": [_CLASS]}, key)),
-       f"error: pattern space: missing field {key!r}") for key in ("cpms", "classes")],
-    *[("space.json", json.dumps({"cpms": 1, "classes": [_without(_CLASS, key)]}),
-       f"error: pattern space class 1: missing field {key!r}") for key in _CLASS],
-    *[("spec.json", json.dumps(_without(_SPEC, key)), f"error: synthetic spec: missing field {key!r}")
-      for key in _SPEC],
-    *[("model.json", json.dumps({**_MODEL, key: _MISTYPED[key][0]}),
-       f"error: model parameters: field {key!r} is invalid: {_MISTYPED[key][1]}") for key in _MODEL],
-    *[("space.json", json.dumps({"cpms": 1, "classes": [_CLASS], key: _MISTYPED[key][0]}),
-       f"error: pattern space: field {key!r} is invalid: {_MISTYPED[key][1]}") for key in ("cpms", "classes")],
-    *[("space.json", _space(**{key: _MISTYPED[key][0]}),
-       f"error: pattern space class 1: field {key!r} is invalid: {_MISTYPED[key][1]}") for key in _CLASS],
-    *[("spec.json", _spec(**{key: _MISTYPED[key][0]}),
-       f"error: synthetic spec: field {key!r} is invalid: {_MISTYPED[key][1]}")
-      for key in ("length", "noise_center", "noise_radius", "seed")],
-    ("spec.json", _spec(true_params=[]), "error: model parameters: expected a JSON object, got list"),
-    ("spec.json", _spec(input_process="steps"), "error: input process: expected a JSON object, got str"),
+    *[pytest.param("model.json", json.dumps(_without(_MODEL, key)), f"error: model parameters: missing field {key!r}",
+                   id=f"model.json-missing-{key}") for key in _MODEL],
+    *[pytest.param("space.json", json.dumps(_without({"cpms": 1, "classes": [_CLASS]}, key)),
+                   f"error: pattern space: missing field {key!r}", id=f"space.json-missing-{key}")
+      for key in ("cpms", "classes")],
+    *[pytest.param("space.json", json.dumps({"cpms": 1, "classes": [_without(_CLASS, key)]}),
+                   f"error: pattern space class 1: missing field {key!r}", id=f"space.json-class-missing-{key}")
+      for key in _CLASS],
+    *[pytest.param("spec.json", json.dumps(_without(_SPEC, key)), f"error: synthetic spec: missing field {key!r}",
+                   id=f"spec.json-missing-{key}") for key in _SPEC],
+    *[pytest.param("model.json", json.dumps({**_MODEL, key: _MISTYPED[key][0]}),
+                   f"error: model parameters: field {key!r} is invalid: {_MISTYPED[key][1]}",
+                   id=f"model.json-mistyped-{key}") for key in _MODEL],
+    *[pytest.param("space.json", json.dumps({"cpms": 1, "classes": [_CLASS], key: _MISTYPED[key][0]}),
+                   f"error: pattern space: field {key!r} is invalid: {_MISTYPED[key][1]}",
+                   id=f"space.json-mistyped-{key}") for key in ("cpms", "classes")],
+    *[pytest.param("space.json", _space(**{key: _MISTYPED[key][0]}),
+                   f"error: pattern space class 1: field {key!r} is invalid: {_MISTYPED[key][1]}",
+                   id=f"space.json-class-mistyped-{key}") for key in _CLASS],
+    *[pytest.param("spec.json", _spec(**{key: _MISTYPED[key][0]}),
+                   f"error: synthetic spec: field {key!r} is invalid: {_MISTYPED[key][1]}",
+                   id=f"spec.json-mistyped-{key}") for key in ("length", "noise_center", "noise_radius", "seed")],
+    pytest.param("spec.json", _spec(true_params=[]), "error: model parameters: expected a JSON object, got list",
+                 id="spec.json-true_params-array"),
+    pytest.param("spec.json", _spec(input_process="steps"), "error: input process: expected a JSON object, got str",
+                 id="spec.json-input_process-string"),
 ]
 
 _NON_FINITE_FIELDS = [
-    ("model.json", json.dumps({**_MODEL, "A": [0.5, float("nan")]}), "error: model parameters: A must be finite"),
-    ("model.json", json.dumps({**_MODEL, "C": [0, float("inf")]}), "error: model parameters: C must be finite"),
-    (
+    pytest.param("model.json", json.dumps({**_MODEL, "A": [0.5, float("nan")]}),
+                 "error: model parameters: A must be finite", id="model.json-A-nan"),
+    pytest.param("model.json", json.dumps({**_MODEL, "C": [0, float("inf")]}),
+                 "error: model parameters: C must be finite", id="model.json-C-inf"),
+    pytest.param(
         "space.json",
         _space(lower=float("nan")),
         "error: pattern space: class 1 bounds must be finite with lower <= upper, got [nan, 1.0]",
+        id="space.json-lower-nan",
     ),
-    (
+    pytest.param(
         "space.json",
         _space(upper=float("inf")),
         "error: pattern space: class 1 bounds must be finite with lower <= upper, got [0.0, inf]",
+        id="space.json-upper-inf",
     ),
-    ("space.json", _space(center=float("nan")), "error: pattern space: class centers must be finite, got [nan]"),
-    (
+    pytest.param("space.json", _space(center=float("nan")),
+                 "error: pattern space: class centers must be finite, got [nan]", id="space.json-center-nan"),
+    pytest.param(
         "space.json",
         json.dumps({"cpms": 2, "classes": [_CLASS, {"id": 2, "lower": 1, "upper": 2, "center": float("inf")}]}),
         "error: pattern space: class centers must be finite, got [0.5, inf]",
+        id="space.json-center-inf",
     ),
-    (
+    pytest.param(
         "spec.json",
         _spec(noise_center=float("nan")),
         "error: synthetic spec: noise levels must be finite and >= 0, got nan, 0.25",
+        id="spec.json-noise_center-nan",
     ),
-    (
+    pytest.param(
         "spec.json",
         _spec(noise_radius=float("inf")),
         "error: synthetic spec: noise levels must be finite and >= 0, got 0.6, inf",
+        id="spec.json-noise_radius-inf",
     ),
-    (
+    pytest.param(
         "spec.json",
         _spec(input_process={"kind": "steps", "levels": [1, float("nan")], "period": 24}),
         "error: synthetic spec: field 'input_process' is invalid: step levels must be finite, got [1.0, nan]",
+        id="spec.json-levels-nan",
     ),
-    (
+    pytest.param(
         "spec.json",
         _spec(input_process={"kind": "white", "amplitude": float("inf")}),
         "error: synthetic spec: field 'input_process' is invalid: amplitude must be finite and >= 0, got inf",
+        id="spec.json-amplitude-inf",
     ),
-    (
+    pytest.param(
         "spec.json",
         _spec(true_params={**_SPEC["true_params"], "A": [float("nan")] * 5}),
         "error: synthetic spec: field 'true_params' is invalid: model parameters: A must be finite",
+        id="spec.json-true_params-A-nan",
     ),
 ]
 
 # fields that parse but do not make a valid object, or disagree with another file
 _INVALID_VALUES = [
-    ("model.json", json.dumps({**_MODEL, "C": [0, -1]}),
-     "error: model parameters: radius coefficients C must be entrywise nonnegative"),
-    ("space.json", _space(lower=2), "error: pattern space: class 1 bounds must be finite with lower <= upper, got [2.0, 1.0]"),
-    ("space.json", _space(id=0), "error: pattern space: class ids must run 1..1 in order, got [0]"),
-    ("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1"),
-    ("spec.json", _spec(length=10), "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50"),
-    ("spec.json", _spec(input_process={"kind": "white", "amplitude": 9e307}),
-     "error: synthetic spec: field 'input_process' is invalid: amplitude must be at most half the largest float, got 9e+307"),
-    ("report.json", '{"cpms": 25}',
-     "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes"),
+    pytest.param("model.json", json.dumps({**_MODEL, "C": [0, -1]}),
+                 "error: model parameters: radius coefficients C must be entrywise nonnegative",
+                 id="model.json-C-negative"),
+    pytest.param("space.json", _space(lower=2),
+                 "error: pattern space: class 1 bounds must be finite with lower <= upper, got [2.0, 1.0]",
+                 id="space.json-lower-above-upper"),
+    pytest.param("space.json", _space(id=0), "error: pattern space: class ids must run 1..1 in order, got [0]",
+                 id="space.json-id-0"),
+    # a valid space with one class: a model needs two
+    pytest.param("space.json", _space(), "error: model needs cpms >= 2, got 1", id="space.json-one-class"),
+    pytest.param("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1",
+                 id="spec.json-seed-negative"),
+    pytest.param("spec.json", _spec(length=10),
+                 "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50",
+                 id="spec.json-length-too-short"),
+    # a JSON integer too large for a float
+    pytest.param("spec.json", _spec(noise_center=10**400),
+                 f"error: synthetic spec: field 'noise_center' is invalid: {10**400} is out of range for a float",
+                 id="spec.json-noise_center-1e400"),
+    pytest.param("spec.json", _spec(input_process={"kind": "white", "amplitude": 9e307}),
+                 "error: synthetic spec: field 'input_process' is invalid: "
+                 "amplitude must be at most half the largest float, got 9e+307",
+                 id="spec.json-amplitude-9e307"),
+    pytest.param("report.json", '{"cpms": 25}',
+                 "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes",
+                 id="report.json-cpms-25"),
+    pytest.param("report.json", '{"cpms": "26"}',
+                 "error: fit report {path}: field 'cpms' is invalid: expected an integer, got '26'",
+                 id="report.json-cpms-string"),
+    pytest.param("report.json", '{"cpms": true}',
+                 "error: fit report {path}: field 'cpms' is invalid: expected an integer, got True",
+                 id="report.json-cpms-bool"),
 ]
 
 # a field that its object does not hold, at every level of the three files
 _UNKNOWN_FIELDS = [
-    ("spec.json", _spec(note="x"), "error: synthetic spec: unknown field(s) 'note'"),
-    ("spec.json", _spec(true_params={**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'"),
-    ("spec.json", _spec(input_process={"kind": "white", "amplitude": 1.0, "period": 24}),
-     "error: input process: unknown field(s) 'period'"),
-    ("spec.json", _spec(input_process={**_SPEC["input_process"], "amplitude": 1.0, "phase": 0}),
-     "error: input process: unknown field(s) 'amplitude', 'phase'"),
-    ("model.json", json.dumps({**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'"),
-    ("space.json", json.dumps({"cpms": 1, "classes": [_CLASS], "note": "x"}),
-     "error: pattern space: unknown field(s) 'note'"),
-    ("space.json", _space(note="x"), "error: pattern space class 1: unknown field(s) 'note'"),
+    pytest.param("spec.json", _spec(note="x"), "error: synthetic spec: unknown field(s) 'note'",
+                 id="spec.json-unknown-note"),
+    pytest.param("spec.json", _spec(true_params={**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'",
+                 id="spec.json-true_params-unknown-D"),
+    pytest.param("spec.json", _spec(input_process={"kind": "white", "amplitude": 1.0, "period": 24}),
+                 "error: input process: unknown field(s) 'period'", id="spec.json-input_process-unknown-period"),
+    pytest.param("spec.json", _spec(input_process={**_SPEC["input_process"], "amplitude": 1.0, "phase": 0}),
+                 "error: input process: unknown field(s) 'amplitude', 'phase'",
+                 id="spec.json-input_process-unknown-amplitude-phase"),
+    pytest.param("model.json", json.dumps({**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'",
+                 id="model.json-unknown-D"),
+    pytest.param("space.json", json.dumps({"cpms": 1, "classes": [_CLASS], "note": "x"}),
+                 "error: pattern space: unknown field(s) 'note'", id="space.json-unknown-note"),
+    pytest.param("space.json", _space(note="x"), "error: pattern space class 1: unknown field(s) 'note'",
+                 id="space.json-class-unknown-note"),
 ]
 
 # text that is not JSON, in every JSON file a command reads; config.json is an eval --config file
 _BAD_JSON_FILES = [
-    (name, "{\n", "error: {path}: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)")
+    pytest.param(name, "{\n",
+                 "error: {path}: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)",
+                 id=f"{name}-unclosed-object")
     for name in ("model.json", "space.json", "report.json", "spec.json", "config.json")
 ] + [
-    ("model.json", "", "error: {path}: Expecting value: line 1 column 1 (char 0)"),
-    ("space.json", "[" * 100_000,
-     "error: {path}: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    pytest.param("model.json", "", "error: {path}: Expecting value: line 1 column 1 (char 0)", id="model.json-empty"),
+    pytest.param("space.json", "[" * 100_000,
+                 "error: {path}: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+                 id="space.json-deep-nesting"),
 ]
 
 _BAD_CSV_FILES = [
-    ("data.csv", "", "error: {path}: file is empty"),
-    ("data.csv", "x,u\n", "error: {path}: dataset needs at least 2 rows, got 0"),
-    ("data.csv", "x,u\n1,2\nnan,3\n4,5\n", "error: {path}: row 3, column 'x': nan is not a finite number"),
-    ("data.csv", "x,u\n1,2\n3,4\n5,-Infinity\n", "error: {path}: row 4, column 'u': -inf is not a finite number"),
-    ("data.csv", "x,u\n1,2\n3\n", "error: {path}: row 3 has 1 cells, expected 2"),
-    ("data.csv", "x,u\n1,2\n1e3x,3\n", "error: {path}: row 3, column 'x': could not parse '1e3x' as a number"),
-    ("data.csv", "x,y\n1,2\n3,4\n", "error: input column 'u' not in {path}; available: x, y"),
+    pytest.param("data.csv", "", "error: {path}: file is empty", id="data.csv-empty"),
+    pytest.param("data.csv", "x,u\n", "error: {path}: dataset needs at least 2 rows, got 0", id="data.csv-no-rows"),
+    pytest.param("data.csv", "x,,u\n1,2,3\n4,5,6\n", "error: {path}: header row 1 has an empty column name",
+                 id="data.csv-empty-column-name"),
+    pytest.param("data.csv", "x,x,u\n1,2,3\n4,5,6\n", "error: {path}: header row 1 has duplicate column names",
+                 id="data.csv-repeated-column-name"),
+    pytest.param("data.csv", "x,u\n1,2\nnan,3\n4,5\n", "error: {path}: row 3, column 'x': nan is not a finite number",
+                 id="data.csv-nan-cell"),
+    pytest.param("data.csv", "x,u\n1,2\n3,4\n5,-Infinity\n",
+                 "error: {path}: row 4, column 'u': -inf is not a finite number", id="data.csv-minus-infinity-cell"),
+    pytest.param("data.csv", "x,u\n1,2\n3\n", "error: {path}: row 3 has 1 cells, expected 2", id="data.csv-short-row"),
+    pytest.param("data.csv", "x,u\n1,2\n1e3x,3\n",
+                 "error: {path}: row 3, column 'x': could not parse '1e3x' as a number",
+                 id="data.csv-unparseable-cell"),
+    pytest.param("data.csv", "x,y\n1,2\n3,4\n", "error: input column 'u' not in {path}; available: x, y",
+                 id="data.csv-no-input-column"),
+    pytest.param("data.csv", "u\n1\n2\n3\n", "error: {path}: no operating-condition columns besides the input column",
+                 id="data.csv-input-column-only"),
     # finite cells whose squares overflow: the standard deviation is not a number to divide by
-    (
+    pytest.param(
         "data.csv",
         "x,u\n0,2\n1e300,3\n-1e300,5\n",
         "error: {path}: column 'x': values are too large to normalize: mean 0.0, standard deviation inf",
+        id="data.csv-overflowing-squares",
     ),
     # a cell over the CSV reader's field size limit, and a byte that is not UTF-8
     pytest.param("data.csv", 'x,u\n1,2\n3,4\n"' + "1" * 200_000 + '",5\n',
                  "error: {path}: row 4: field larger than field limit (131072)", id="data.csv-over-long-cell"),
-    ("data.csv", b"x,u\n1,2\n\xff,3\n", "error: {path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"),
+    pytest.param("data.csv", b"x,u\n1,2\n\xff,3\n",
+                 "error: {path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte",
+                 id="data.csv-not-utf8"),
 ]
 
 
 @pytest.mark.parametrize(
     "bad_file, content, message",
     [
-        ("model.json", "{}", "error: model parameters: missing field 'n'"),
-        ("space.json", "[1, 2]", "error: pattern space: expected a JSON object, got list"),
-        ("spec.json", '{"length": 864}', "error: synthetic spec: missing field 'true_params'"),
-        ("spec.json", "{}", "error: synthetic spec: missing field 'length'"),
+        pytest.param("model.json", "{}", "error: model parameters: missing field 'n'", id="model.json-empty-object"),
+        pytest.param("space.json", "[1, 2]", "error: pattern space: expected a JSON object, got list",
+                     id="space.json-array"),
+        pytest.param("spec.json", '{"length": 864}', "error: synthetic spec: missing field 'true_params'",
+                     id="spec.json-length-only"),
+        pytest.param("spec.json", "{}", "error: synthetic spec: missing field 'length'", id="spec.json-empty-object"),
         # an int field takes a JSON integer only; a float field any number but a bool
-        (
+        pytest.param(
             "model.json",
             '{"n": 3.0, "m": 1, "A": [], "C": []}',
             "error: model parameters: field 'n' is invalid: expected an integer, got 3.0",
+            id="model.json-n-float",
         ),
-        (
+        pytest.param(
             "model.json",
             '{"n": 1, "m": true, "A": [], "C": []}',
             "error: model parameters: field 'm' is invalid: expected an integer, got True",
+            id="model.json-m-bool",
         ),
-        (
+        pytest.param(
             "model.json",
             '{"n": 1, "m": 0, "A": [0.5, "0.5"], "C": [0, 1]}',
             "error: model parameters: field 'A' is invalid: expected a number, got '0.5'",
+            id="model.json-A-string-entry",
         ),
-        (
+        pytest.param(
             "space.json",
             '{"cpms": 1, "classes": [{"id": 1, "lower": "0", "upper": 1, "center": 0.5}]}',
             "error: pattern space class 1: field 'lower' is invalid: expected a number, got '0'",
+            id="space.json-lower-string",
         ),
-        (
+        pytest.param(
             "space.json",
             '{"cpms": 1, "classes": [{"id": 1, "lower": 0, "upper": 1, "center": false}]}',
             "error: pattern space class 1: field 'center' is invalid: expected a number, got False",
+            id="space.json-center-bool",
         ),
-        (
+        pytest.param(
             "space.json",
             '{"cpms": 1.0, "classes": [{"id": 1, "lower": 0, "upper": 1, "center": 0.5}]}',
             "error: pattern space: field 'cpms' is invalid: expected an integer, got 1.0",
+            id="space.json-cpms-float",
         ),
-        (
+        pytest.param(
             "spec.json",
             '{"length": 2.7}',
             "error: synthetic spec: field 'length' is invalid: expected an integer, got 2.7",
+            id="spec.json-length-float",
         ),
-        (
+        pytest.param(
             "spec.json",
             json.dumps({**default_synthetic_spec().to_json(), "seed": 1e20}),
             "error: synthetic spec: field 'seed' is invalid: expected an integer, got 1e+20",
+            id="spec.json-seed-1e20",
         ),
-        (
+        pytest.param(
             "spec.json",
             json.dumps({**default_synthetic_spec().to_json(), "noise_center": "0.01"}),
             "error: synthetic spec: field 'noise_center' is invalid: expected a number, got '0.01'",
+            id="spec.json-noise_center-string",
         ),
-        (
+        pytest.param(
             "spec.json",
             json.dumps(
                 {
@@ -475,6 +560,7 @@ _BAD_CSV_FILES = [
                 }
             ),
             "error: input process: field 'levels' is invalid: expected a number, got '2'",
+            id="spec.json-levels-string-entry",
         ),
         *_MISSING_AND_MISTYPED_FIELDS,
         *_NON_FINITE_FIELDS,

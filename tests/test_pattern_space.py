@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from iarx.errors import ClusteringError, ConvergenceWarning, DataError
-from iarx.intervals import Interval, hausdorff_distance
+from iarx.intervals import Interval
 from iarx import pattern_space
 from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.pipeline import fit_model, forecast_series
@@ -359,7 +360,7 @@ def test_classify_is_hausdorff_argmin(default_model, default_result):
     probes = [Interval(c - r, c + r) for c, r in zip(rng.uniform(lo, hi, 200), rng.uniform(0.0, 5.0, 200))]
     got = space.classify_bounds([x.lower for x in probes], [x.upper for x in probes])
     for x, class_id in zip(probes, got):
-        dists = [hausdorff_distance(x, cls.interval) for cls in space.classes]
+        dists = [oracles.hausdorff_distance(x, cls.interval) for cls in space.classes]
         assert class_id == int(np.argmin(dists)) + 1
 
 
@@ -367,8 +368,8 @@ def test_classify_tie_goes_to_lowest_id():
     space = PatternSpace([0.0, 2.0], [1.0, 3.0], [0.5, 2.5])
     # equidistant from both classes
     probe = Interval(1.0, 2.0)
-    d1 = hausdorff_distance(probe, space.classes[0].interval)
-    d2 = hausdorff_distance(probe, space.classes[1].interval)
+    d1 = oracles.hausdorff_distance(probe, space.classes[0].interval)
+    d2 = oracles.hausdorff_distance(probe, space.classes[1].interval)
     assert d1 == d2
     assert space.classify_bounds(probe.lower, probe.upper).tolist() == [1]
 
@@ -714,6 +715,14 @@ def test_json_round_trip_is_bit_exact(default_model, tmp_path):
     loaded = PatternSpace.load(path)
     assert loaded.to_json() == space.to_json()
     assert loaded == space
+
+
+@pytest.mark.parametrize("text", ["{\n", "[" * 100_000], ids=["unclosed-object", "deep-nesting"])
+def test_load_reports_a_file_that_does_not_parse(tmp_path, text):
+    path = tmp_path / "space.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+        PatternSpace.load(path)
 
 
 def test_spaces_are_equal_only_when_every_bound_is(default_model):

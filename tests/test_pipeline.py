@@ -17,7 +17,7 @@ import iarx
 from iarx import intervals, pipeline
 from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.errors import ConvergenceWarning, DataError, SimulationError
-from iarx.intervals import Interval, hausdorff_distance
+from iarx.intervals import Interval
 from iarx.model import IarxParams, lag_columns, predict_bounds, predict_compositional
 from iarx.pipeline import (
     ForecastRecord,
@@ -34,6 +34,7 @@ from iarx.pipeline import (
     write_sweep_csv,
     write_trace_csv,
 )
+from oracles import hausdorff_distance
 
 
 def _trace(records):
