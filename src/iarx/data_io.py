@@ -60,6 +60,8 @@ def load_csv(path) -> RawDataset:
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: file is empty")
+            if not header:
+                raise DataError(f"{path}: header row 1 is empty")
             names = [name.strip() for name in header]
             if any(not name for name in names):
                 raise DataError(f"{path}: header row 1 has an empty column name")
@@ -205,7 +207,7 @@ def _input_from_json(doc):
         return WhiteNoiseInput(*json_fields(doc, {"kind": str, "amplitude": float}, what)[1:])
     if kind == "steps":
         return StepScheduleInput(*json_fields(doc, {"kind": str, "levels": json_floats, "period": int}, what)[1:])
-    raise DataError(f"unknown input process kind {kind!r}")
+    raise DataError(f"{what}: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)

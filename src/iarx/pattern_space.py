@@ -252,10 +252,10 @@ class PatternSpace:
     The space is three read-only arrays of equal length: the lower and upper
     bounds of the class intervals and the cluster centers, class ``j`` at
     index ``j - 1``. Construction copies them and checks, whether the
-    classes come from clustering or from a serialized file, that there is at
-    least one class, that every bound is finite with lower <= upper, that
-    the centers are finite and strictly ascend, that the lower bounds do not
-    decrease, and that the class extent does not overflow a float.
+    classes come from clustering or from a serialized file, that there are
+    at least two classes, that every bound is finite with lower <= upper,
+    that the centers are finite and strictly ascend, that the lower bounds
+    do not decrease, and that the class extent does not overflow a float.
 
     Grid. The space keeps one uniform grid over its class extent, with an
     encoding code and a snap pair per cell. The grid spans ``[_origin,
@@ -302,8 +302,8 @@ class PatternSpace:
         arrays = lowers, uppers, centers = [np.array(a, dtype=float) for a in (lowers, uppers, centers)]
         if not lowers.shape == uppers.shape == centers.shape == (centers.size,):
             raise ClusteringError(f"bounds and centers must be 1-D and of one length, got {[a.shape for a in arrays]}")
-        if not centers.size:
-            raise ClusteringError("a pattern space needs at least one class")
+        if centers.size < 2:
+            raise ClusteringError(f"a pattern space needs at least two classes, got {centers.size}")
         bad = np.flatnonzero(~(np.isfinite(lowers) & np.isfinite(uppers) & (lowers <= uppers)))
         if bad.size:
             j = bad[0]
@@ -338,7 +338,6 @@ class PatternSpace:
         self._origin, self._top, self._scale = origin, top, scale
         size = int((top - origin) * scale) + 1  # the map of top, as _cells computes it
         midpoints = origin + (np.arange(size) + 0.5) * (span / cells)
-        # a one-class space has no pair and reads none of these
         self._first = np.clip(np.searchsorted(lowers, midpoints, side="right"), 1, k - 1) - 1
         rounding = 2.0 * _EPS * (abs(origin) + abs(top)) + _TINY
         steps = np.minimum(lowers[1:] - lowers[:-1], uppers[1:] - uppers[:-1])
@@ -423,15 +422,12 @@ class PatternSpace:
         ``best``, nor right of it nearer when ``L_{j+2} - lower`` is at least
         ``best``. The intervals this leaves (overlapping or nested classes,
         wide intervals, non-finite bounds) are measured against every class,
-        so the ids are always those of a full scan. A one-class space has no
-        pair and answers 1 for every interval.
+        so the ids are always those of a full scan.
         """
         lower = np.asarray(lower, dtype=float).ravel()
         upper = np.asarray(upper, dtype=float).ravel()
         if lower.size != upper.size:
             raise ValueError(f"{lower.size} lower bounds but {upper.size} upper bounds")
-        if self.cpms == 1:
-            return np.ones(lower.size, dtype=np.intp)
         ids, certified = self._nearest_pair(lower, upper)
         stray = np.flatnonzero(~certified)
         if stray.size:

@@ -59,10 +59,6 @@ class MovingPatternModel:
     space: PatternSpace
     params: IarxParams
 
-    def __post_init__(self):
-        if self.space.cpms < 2:
-            raise ValueError(f"model needs cpms >= 2, got {self.space.cpms}")
-
     @property
     def n(self) -> int:
         return self.params.n

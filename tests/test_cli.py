@@ -276,6 +276,7 @@ def test_overflowing_noise_exits_1(tmp_path, field, message):
 
 _MODEL = {"n": 1, "m": 0, "A": [0.5, 0.5], "C": [0, 1]}
 _CLASS = {"id": 1, "lower": 0, "upper": 1, "center": 0.5}
+_CLASS_2 = {"id": 2, "lower": 1, "upper": 2, "center": 1.5}
 _SPEC = default_synthetic_spec().to_json()
 # a value of the wrong JSON type for each field of the three files, and the error's account of it
 _MISTYPED = {
@@ -290,7 +291,8 @@ def _without(doc: dict, key: str) -> dict:
 
 
 def _space(**cls) -> str:
-    return json.dumps({"cpms": 1, "classes": [{**_CLASS, **cls}]})
+    """A two-class space.json whose first class takes the fields ``cls``."""
+    return json.dumps({"cpms": 2, "classes": [{**_CLASS, **cls}, _CLASS_2]})
 
 
 def _spec(**fields) -> str:
@@ -345,10 +347,10 @@ _NON_FINITE_FIELDS = [
         id="space.json-upper-inf",
     ),
     pytest.param("space.json", _space(center=float("nan")),
-                 "error: pattern space: class centers must be finite, got [nan]", id="space.json-center-nan"),
+                 "error: pattern space: class centers must be finite, got [nan, 1.5]", id="space.json-center-nan"),
     pytest.param(
         "space.json",
-        json.dumps({"cpms": 2, "classes": [_CLASS, {"id": 2, "lower": 1, "upper": 2, "center": float("inf")}]}),
+        json.dumps({"cpms": 2, "classes": [_CLASS, {**_CLASS_2, "center": float("inf")}]}),
         "error: pattern space: class centers must be finite, got [0.5, inf]",
         id="space.json-center-inf",
     ),
@@ -392,12 +394,15 @@ _INVALID_VALUES = [
     pytest.param("space.json", _space(lower=2),
                  "error: pattern space: class 1 bounds must be finite with lower <= upper, got [2.0, 1.0]",
                  id="space.json-lower-above-upper"),
-    pytest.param("space.json", _space(id=0), "error: pattern space: class ids must run 1..1 in order, got [0]",
+    pytest.param("space.json", _space(id=0), "error: pattern space: class ids must run 1..2 in order, got [0, 2]",
                  id="space.json-id-0"),
-    # a valid space with one class: a model needs two
-    pytest.param("space.json", _space(), "error: model needs cpms >= 2, got 1", id="space.json-one-class"),
+    # a space with one class, valid in every field: a space needs two
+    pytest.param("space.json", json.dumps({"cpms": 1, "classes": [_CLASS]}),
+                 "error: pattern space: a pattern space needs at least two classes, got 1", id="space.json-one-class"),
     pytest.param("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1",
                  id="spec.json-seed-negative"),
+    pytest.param("spec.json", _spec(input_process={"kind": "bogus"}), "error: input process: unknown kind 'bogus'",
+                 id="spec.json-input_process-unknown-kind"),
     pytest.param("spec.json", _spec(length=10),
                  "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50",
                  id="spec.json-length-too-short"),
@@ -455,6 +460,9 @@ _BAD_JSON_FILES = [
 _BAD_CSV_FILES = [
     pytest.param("data.csv", "", "error: {path}: file is empty", id="data.csv-empty"),
     pytest.param("data.csv", "x,u\n", "error: {path}: dataset needs at least 2 rows, got 0", id="data.csv-no-rows"),
+    # a blank first line, before rows and alone
+    pytest.param("data.csv", "\nx,u\n1,2\n", "error: {path}: header row 1 is empty", id="data.csv-blank-header"),
+    pytest.param("data.csv", "\n", "error: {path}: header row 1 is empty", id="data.csv-blank-line"),
     pytest.param("data.csv", "x,,u\n1,2,3\n4,5,6\n", "error: {path}: header row 1 has an empty column name",
                  id="data.csv-empty-column-name"),
     pytest.param("data.csv", "x,x,u\n1,2,3\n4,5,6\n", "error: {path}: header row 1 has duplicate column names",
@@ -803,6 +811,17 @@ def test_truth_file_without_class_count_round_trips(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+def test_white_noise_truth_file_round_trips(tmp_path):
+    # a white-noise spec writes its input process to truth.json, which synthesizes the same bytes
+    spec = tmp_path / "spec.json"
+    spec.write_text(_spec(input_process={"kind": "white", "amplitude": 0.5}), encoding="utf-8")
+    assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "a")]) == 0
+    truth = tmp_path / "a" / "truth.json"
+    assert json.loads(truth.read_text(encoding="utf-8"))["input_process"] == {"kind": "white", "amplitude": 0.5}
+    assert main(["synth", "--config", str(truth), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "synthetic.csv").read_bytes() == (tmp_path / "b" / "synthetic.csv").read_bytes()
+
+
 def test_library_has_no_assert_statements():
     # assert vanishes under python -O, and an AssertionError escapes the
     # exit-code mapping; invariants must raise package errors instead
@@ -950,8 +969,14 @@ def test_config_file_defaults_and_flag_precedence(workspace, tmp_path):
     assert json.loads((out_flag / "report.json").read_text(encoding="utf-8"))["cpms"] == 12
 
 
-def test_config_must_be_json_object(tmp_path):
+def test_config_must_be_json_object(tmp_path, capsys):
+    # synth --config reads a spec; the other commands read their settings
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]", encoding="utf-8")
     rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+    assert capsys.readouterr().err == "error: synthetic spec: expected a JSON object, got list\n"
+    rc = main(["fit", "--data", str(tmp_path / "d.csv"), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+    assert not (tmp_path / "out").exists()

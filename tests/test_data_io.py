@@ -76,6 +76,12 @@ def test_raw_dataset_rejects_unequal_columns():
         RawDataset(columns={"a": np.zeros(3), "b": np.zeros(4)})
 
 
+def test_raw_dataset_needs_a_column():
+    # load_csv rejects a file without one first; a direct construction reaches this check
+    with pytest.raises(DataError, match="^dataset has no columns$"):
+        RawDataset(columns={})
+
+
 def test_normalize_known_values():
     z, mean, std = zero_mean_normalize([1.0, 2.0, 3.0])
     assert mean == 2.0
@@ -120,6 +126,19 @@ def test_pca_rejects_tied_leading_eigenvalues():
     tie = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     with pytest.raises(DataError):
         pca_project(tie)
+
+
+def test_pca_rejects_malformed_stacks():
+    rng = np.random.default_rng(6)
+    cases = [
+        (rng.normal(size=5), "expected a 2-D column stack, got ndim=1"),
+        (rng.normal(size=(5, 1)), "need at least 2 columns for a projection, got 1"),
+        (rng.normal(size=(2, 2)), "need more rows than columns, got 2 rows x 2 columns"),
+        ([[1.0, 2.0], [3.0, np.inf], [5.0, 6.0]], "data contains non-finite values"),
+    ]
+    for columns, message in cases:
+        with pytest.raises(DataError, match=f"^{message}$"):
+            pca_project(columns)
 
 
 def test_input_process_validation():

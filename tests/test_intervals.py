@@ -76,6 +76,8 @@ def test_scale_sign_cases():
     assert scale(-2.0, iv) == Interval(-6.0, -2.0)  # bounds swap
     assert scale(0.0, iv) == Interval(0.0, 0.0)
     assert scale(-1.0, iv) == Interval(-3.0, -1.0)
+    with pytest.raises(ValueError, match="^scale factor must not be NaN$"):
+        scale(float("nan"), iv)
 
 
 def test_hausdorff_closed_form_and_axioms():
@@ -115,6 +117,10 @@ def test_pair_matrix_validation():
         PairMatrix([[1.0], [0.0], [2.0]])  # odd row count
     with pytest.raises(ValueError):
         PairMatrix([[1.0], [float("nan")]])
+    with pytest.raises(ValueError, match="^expected a 2-D coefficient matrix, got ndim=1$"):
+        PairMatrix([1.0, 0.0])
+    with pytest.raises(ValueError, match="^coefficient matrix needs at least one column$"):
+        PairMatrix(np.empty((2, 0)))
 
 
 def test_pair_matrix_rows_are_read_only():

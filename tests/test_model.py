@@ -144,6 +144,13 @@ def test_prediction_routes_agree():
         assert abs(upper - b.upper) <= 1e-12 * max(1.0, abs(upper))
 
 
+def test_compositional_prediction_needs_a_full_lag_window():
+    params = IarxParams(n=3, m=1, A=[0.0] * 5, C=[0.0] * 5)
+    dx = [Interval(0.0, 1.0)] * 4
+    with pytest.raises(ValueError, match=r"^step 2 has an incomplete lag window \(need k >= 3\)$"):
+        predict_compositional(params, dx, [0.0] * 4, 2)
+
+
 def test_predict_bounds_rows_match_single_step_predictions():
     # each row gets exactly what a one-row call gives it: no dependence on the row count
     rng = np.random.default_rng(3)
@@ -222,6 +229,17 @@ def test_center_and_radius_arrays_must_match():
         assemble_qp(centers[:-1], radii, u, 2, 1)
 
 
+def test_fit_checks_the_input_length_and_the_usable_steps():
+    rng = np.random.default_rng(20)
+    centers, radii = _series(rng, 50)
+    u = rng.normal(size=50)
+    with pytest.raises(ValueError, match="^input series length 49 does not match output length 50$"):
+        fit(centers, radii, u[:-1], 2, 1)
+    # n = 2, m = 1: 4 coefficients per channel, and a 5-step series leaves 3 rows
+    with pytest.raises(IdentificationError, match="^need at least 4 usable steps to identify 4 coefficients, have 3$"):
+        fit(centers[:5], radii[:5], u[:5], 2, 1)
+
+
 def test_center_fit_requires_full_rank():
     rng = np.random.default_rng(7)
     centers, radii = _series(rng, 50)
@@ -298,6 +316,13 @@ def test_nnls_matches_lstsq_when_unconstrained_optimum_is_feasible():
     free = np.linalg.lstsq(design, target, rcond=None)[0]
     assert np.all(free > 0)
     np.testing.assert_allclose(nnls(design, target), free, atol=1e-10)
+
+
+def test_nnls_rejects_malformed_shapes():
+    with pytest.raises(ValueError, match="^design must be 2-D, got ndim=1$"):
+        nnls(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="^target length 2 does not match 3 design rows$"):
+        nnls(np.ones((3, 2)), np.ones(2))
 
 
 def test_nnls_clamps_when_optimum_is_infeasible():

@@ -131,7 +131,7 @@ def test_classes_tile_an_evenly_spread_series():
     assert ivs[-1].upper == data.max()
 
 
-@pytest.mark.parametrize("k", [1, 16, 26, 36])
+@pytest.mark.parametrize("k", [2, 16, 26, 36])
 def test_class_spans_are_the_extremes_of_their_members(default_result, k):
     # each class spans min..max of the hard members of its cluster, the
     # clusters taken in ascending center order
@@ -317,9 +317,11 @@ def test_overflowing_objective_is_a_clustering_error():
 
 
 def test_single_class_space():
-    space = build_space([1.0, 2.0, 5.0], 1)
-    assert space.cpms == 1
-    assert space.classes[0].interval == Interval(1.0, 5.0)
+    # one cluster is a clustering but not a pattern space
+    _, counts = fcm_cluster([1.0, 2.0, 5.0], 1)
+    assert counts.tolist() == [3]
+    with pytest.raises(ClusteringError, match="^a pattern space needs at least two classes, got 1$"):
+        build_space([1.0, 2.0, 5.0], 1)
 
 
 def test_not_enough_distinct_values():
@@ -476,13 +478,6 @@ def test_classify_bounds_matches_the_full_scan_on_random_spaces(layout):
             np.testing.assert_array_equal(
                 space.classify_bounds(lower, upper), full_scan_ids(space, lower, upper), err_msg=f"cpms {cpms}"
             )
-    # a one-class space has no pair to search; drawn last, so that no space above changes
-    space = random_space(rng, 1, layout)
-    lower = np.concatenate((rng.uniform(-5.0, 5.0, 50), [-inf, inf, nan, 0.0]))
-    upper = np.concatenate((lower[:50] + rng.uniform(0.0, 5.0, 50), [inf, inf, 0.0, nan]))
-    got = space.classify_bounds(lower, upper)
-    np.testing.assert_array_equal(got, full_scan_ids(space, lower, upper))
-    assert got.tolist() == [1] * lower.size
 
 
 def test_classify_bounds_falls_back_to_the_full_scan_outside_the_window(monkeypatch):
@@ -666,8 +661,10 @@ def test_constructor_copies_its_arrays():
 
 
 def test_constructor_rejects_malformed_spaces():
-    with pytest.raises(ClusteringError, match="^a pattern space needs at least one class$"):
+    with pytest.raises(ClusteringError, match="^a pattern space needs at least two classes, got 0$"):
         PatternSpace([], [], [])
+    with pytest.raises(ClusteringError, match="^a pattern space needs at least two classes, got 1$"):
+        PatternSpace([0.0], [1.0], [0.5])
     with pytest.raises(ClusteringError, match=r"^bounds and centers must be 1-D and of one length, got "):
         PatternSpace([0.0, 2.0], [1.0], [0.5, 2.5])
     with pytest.raises(ClusteringError, match=r"^bounds and centers must be 1-D and of one length, got "):

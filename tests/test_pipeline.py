@@ -309,6 +309,11 @@ def test_trace_columns_are_validated_and_read_only():
             k=[3], actual_lower=[0.0], actual_upper=[1.0], prelim_lower=[0.0],
             prelim_upper=[1.0], final_lower=[0.0], final_upper=[1.0], class_id=[1, 2],
         )
+    with pytest.raises(ValueError, match="^trace column prelim_upper must be one-dimensional$"):
+        ForecastTrace(
+            k=[3], actual_lower=[0.0], actual_upper=[1.0], prelim_lower=[0.0],
+            prelim_upper=[[1.0]], final_lower=[0.0], final_upper=[1.0], class_id=[1],
+        )
 
 
 def test_trace_indexes_and_replaces_steps_like_a_record_list():
