@@ -35,7 +35,6 @@ from .data_io import (
 )
 from .errors import (
     ClusteringError,
-    ConfigError,
     DataError,
     IdentificationError,
     SimulationError,
@@ -70,7 +69,7 @@ SYNTH_DATA_FILE = "synthetic.csv"
 SYNTH_TRUTH_FILE = "truth.json"
 
 _NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError)
-_CONFIG_ERRORS = (ConfigError, DataError, OSError, ValueError)  # ValueError: a range check or bad JSON
+_INPUT_ERRORS = (DataError, OSError, ValueError)  # ValueError: a range check or bad JSON
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """``--config`` read against ``parser``'s flags: each key a flag's dest, each value of its type."""
@@ -82,10 +81,10 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     p = _require_file(path, "config file")
     doc = read_json(p)
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {p} must hold a JSON object")
+        raise DataError(f"config file {p} must hold a JSON object")
     unknown = [key for key in doc if key not in kinds]
     if unknown:
-        raise ConfigError(
+        raise DataError(
             f"config file {p}: unknown key(s) {', '.join(map(repr, unknown))}; "
             f"this command reads {', '.join(kinds)}"
         )
@@ -95,7 +94,7 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"{what} not found: {p}")
+        raise DataError(f"{what} not found: {p}")
     return p
 
 
@@ -108,13 +107,13 @@ def _out_dir(path: str) -> Path:
 def _parse_cpms_range(text: str) -> range:
     parts = text.split("..")
     if len(parts) != 2:
-        raise ConfigError(f"--cpms-range must look like A..B, got {text!r}")
+        raise DataError(f"--cpms-range must look like A..B, got {text!r}")
     try:
         lo, hi = (int(part) for part in parts)
     except ValueError:
-        raise ConfigError(f"--cpms-range bounds must be integers, got {text!r}") from None
+        raise DataError(f"--cpms-range bounds must be integers, got {text!r}") from None
     if hi < lo:
-        raise ConfigError(f"cpms range end {hi} is below start {lo}")
+        raise DataError(f"cpms range end {hi} is below start {lo}")
     return range(lo, hi + 1)
 
 
@@ -128,18 +127,18 @@ def _prepare_series(args) -> tuple[np.ndarray, np.ndarray]:
     normalized as well.
     """
     if args.data is None:
-        raise ConfigError("--data is required")
+        raise DataError("--data is required")
     if args.input_col is None:
-        raise ConfigError("--input-col is required")
+        raise DataError("--input-col is required")
     dataset = load_csv(_require_file(args.data, "data file"))
     if args.input_col not in dataset.columns:
-        raise ConfigError(
+        raise DataError(
             f"input column {args.input_col!r} not in {args.data}; "
             f"available: {', '.join(dataset.columns)}"
         )
     condition_names = [name for name in dataset.columns if name != args.input_col]
     if not condition_names:
-        raise ConfigError(f"{args.data}: no operating-condition columns besides the input column")
+        raise DataError(f"{args.data}: no operating-condition columns besides the input column")
 
     def normalize(name):
         try:
@@ -177,7 +176,7 @@ def _load_model_dir(model_dir: str) -> MovingPatternModel:
         if isinstance(report, dict) and "cpms" in report:
             cpms = json_field(report, "cpms", int, f"fit report {report_path}")
             if cpms != space.cpms:
-                raise ConfigError(
+                raise DataError(
                     f"model dir {base} is inconsistent: fit report says cpms={cpms} "
                     f"but the pattern space has {space.cpms} classes"
                 )
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _CONFIG_ERRORS as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size the input asks for; numpy's message names it, Python's is empty

@@ -3,9 +3,9 @@
 Two broad families matter to callers: numerical failures raised while
 clustering, identifying, simulating or forecasting (``ClusteringError``,
 ``IdentificationError``, ``SimulationError``), and input problems raised
-while reading data or resolving configuration (``DataError``,
-``ConfigError``). The command line maps the first family to exit code 1
-and the second to exit code 2.
+while reading data or resolving configuration (``DataError``). The
+command line maps the first family to exit code 1 and the second to exit
+code 2.
 
 ``ConvergenceWarning`` is a warning, not an error: an iterative solver that
 stops at its iteration cap still returns its last iterate.
@@ -17,7 +17,6 @@ import operator
 __all__ = [
     "IarxError",
     "DataError",
-    "ConfigError",
     "ClusteringError",
     "IdentificationError",
     "SimulationError",
@@ -36,11 +35,7 @@ class IarxError(Exception):
 
 
 class DataError(IarxError):
-    """Malformed, degenerate or inconsistent input data."""
-
-
-class ConfigError(IarxError):
-    """Invalid run configuration (flags, config files, missing paths)."""
+    """Malformed, degenerate or inconsistent input: data, files or command-line flags."""
 
 
 class ClusteringError(IarxError):

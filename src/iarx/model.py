@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, integer, json_fields, json_floats
+from .errors import DataError, IdentificationError, integer, json_fields, json_floats
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = ["IarxParams", "lag_columns", "predict_bounds", "predict_compositional", "fit", "nnls"]
@@ -186,7 +186,7 @@ def _design_matrices(centers, radii, inputs, n: int, m: int):
     rows = total - kmin
     width = 1 + n + m
     if rows < width:
-        raise IdentificationError(
+        raise DataError(
             f"need at least {width} usable steps to identify {width} coefficients, have {rows}"
         )
     u = np.asarray(inputs, dtype=float) if m > 0 else np.empty(0)
@@ -246,12 +246,11 @@ def nnls(design, target) -> np.ndarray:
     # on active-set changes signals numerical breakdown.
     max_changes = 30 * nvar + 30
 
-    # Anti-stall tolerance on the dual vector w = X'(y - Xc).
-    tol = 1e-11 * max(1.0, float(np.max(np.abs(x_mat.T @ y), initial=0.0)))
-
     coef = np.zeros(nvar)
     free = np.zeros(nvar, dtype=bool)
-    w = x_mat.T @ y
+    w = x_mat.T @ y  # the dual vector X'(y - Xc) at c = 0
+    # Anti-stall tolerance on the dual vector.
+    tol = 1e-11 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     changes = 0
     while not free.all():
         clamped = np.flatnonzero(~free)
@@ -305,13 +304,14 @@ def fit(centers, radii, inputs, n: int, m: int) -> IarxParams:
     """Identify both channels from one build of the design matrices.
 
     ``centers`` and ``radii`` are the center and radius arrays of the
-    interval series, ``inputs`` the crisp input series. ``A`` is the least
-    squares fit of the centers and reads no radius; a rank-deficient design
-    raises ``IdentificationError``, because any returned ``A`` would be one
-    of infinitely many. ``C`` is the nonnegative least squares fit of the
-    radii on the absolute inputs and reads no center; it is checked against
-    the KKT conditions of the equivalent quadratic program, and a violation
-    is an ``IdentificationError`` too.
+    interval series, ``inputs`` the crisp input series; fewer usable steps
+    than coefficients is a ``DataError``. ``A`` is the least squares fit of
+    the centers and reads no radius; a rank-deficient design raises
+    ``IdentificationError``, because any returned ``A`` would be one of
+    infinitely many. ``C`` is the nonnegative least squares fit of the radii
+    on the absolute inputs and reads no center; it is checked against the
+    KKT conditions of the equivalent quadratic program, and a violation is
+    an ``IdentificationError`` too.
     """
     x, y_c, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
     return IarxParams(n=n, m=m, A=_ols_center(x, y_c), C=_nnls_radius(x_abs, y_r))

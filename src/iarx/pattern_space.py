@@ -134,16 +134,15 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     upper run); in exact arithmetic a run holds the points nearest its
     center, the cluster of maximal membership for every fuzziness. Raises
     ``DataError`` naming the first non-finite point, or for more clusters
-    than points; ``ClusteringError`` when a cluster ends up with no hard
-    members or no membership mass, so callers may retry with a new seed, or
-    when R rises on any accepted center set, the last included. Warns with
-    ``ConvergenceWarning`` when ``config.max_iterations`` passes over the k x
-    N distances, one per center set measured (a rejected ``Vp`` included),
-    run out before convergence; the last centers are still returned.
+    than points (an empty series included); ``ClusteringError`` when a
+    cluster ends up with no hard members or no membership mass, so callers
+    may retry with a new seed, or when R rises on any accepted center set,
+    the last included. Warns with ``ConvergenceWarning`` when
+    ``config.max_iterations`` passes over the k x N distances, one per
+    center set measured (a rejected ``Vp`` included), run out before
+    convergence; the last centers are still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
-    if values.size == 0:
-        raise ClusteringError("cannot cluster an empty series")
     if not np.isfinite(values).all():
         raise DataError(f"data sample {np.flatnonzero(~np.isfinite(values))[0]} is not finite")
     k = integer(k, "cluster count", 1)

@@ -199,13 +199,6 @@ class RobustnessResult:
     perturbed_params: IarxParams
 
 
-def _check_shape(cpms: int, n: int, m: int) -> None:
-    integer(cpms, "cpms", 2)
-    n, m = integer(n, "n"), integer(m, "m")
-    if n < 1 or m < 0:
-        raise ValueError(f"orders must be n >= 1 and m >= 0, got n={n}, m={m}")
-
-
 def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode each sample as the class nearest its degenerate interval ``[x, x]``.
 
@@ -219,6 +212,15 @@ def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx, (0.5 * (lowers + uppers)).take(idx), (0.5 * (uppers - lowers)).take(idx)
 
 
+def _series(data, u) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` and ``u`` as float vectors; a length mismatch raises ``DataError``."""
+    data = np.asarray(data, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
+    if data.size != u.size:
+        raise DataError(f"data length {data.size} does not match input length {u.size}")
+    return data, u
+
+
 def _require_finite(data: np.ndarray, u: np.ndarray, start: int, end: int) -> None:
     """Raise ``DataError`` naming the first non-finite sample of ``data`` or ``u`` in ``[start, end)``."""
     for name, values in (("data", data), ("u", u)):
@@ -227,25 +229,31 @@ def _require_finite(data: np.ndarray, u: np.ndarray, start: int, end: int) -> No
             raise DataError(f"{name} sample {start + int(np.argmin(finite))} is not finite")
 
 
+def _check_series(data, u, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``data`` and ``u`` as float vectors to fit at the orders ``n`` and ``m``, checked before any clustering:
+    an order below ``n = 1`` or ``m = 0`` is a ``ValueError``; two lengths, too few samples or a
+    non-finite sample a ``DataError``."""
+    n, m = integer(n, "n"), integer(m, "m")
+    if n < 1 or m < 0:
+        raise ValueError(f"orders must be n >= 1 and m >= 0, got n={n}, m={m}")
+    data, u = _series(data, u)
+    if data.size < 1 + n + m + max(n, m):
+        raise DataError(f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}")
+    _require_finite(data, u, 0, data.size)
+    return data, u
+
+
 def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) -> MovingPatternModel:
     """Fit the full pipeline on a scalar series and its input series.
 
     Builds a ``cpms``-class pattern space, encodes the series, and
     identifies both parameter channels on the encoded centers and radii. ``fcm``
-    supplies the other clustering settings. The first non-finite sample of
-    ``data`` or ``u`` raises ``DataError``; clustering and identification
-    errors propagate, and no retries are made.
+    supplies the other clustering settings. A series that ``_check_series``
+    rejects raises ``DataError`` before any clustering; clustering and
+    identification errors propagate, and no retries are made.
     """
-    data = np.asarray(data, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    _check_shape(cpms, n, m)
-    if data.size != u.size:
-        raise DataError(f"data length {data.size} does not match input length {u.size}")
-    if data.size < 1 + n + m + max(n, m):
-        raise DataError(
-            f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}"
-        )
-    _require_finite(data, u, 0, data.size)
+    integer(cpms, "cpms", 2)
+    data, u = _check_series(data, u, n, m)
     space = build_space(data, cpms, fcm)
     _, centers, radii = _encode(space, data)
     return MovingPatternModel(space=space, params=fit(centers, radii, u, n, m))
@@ -269,10 +277,7 @@ def forecast_series(
     or ``u`` in ``[start - max(n, m), end)`` raises ``DataError``, the
     first non-finite preliminary ``SimulationError``.
     """
-    data = np.asarray(data, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if data.size != u.size:
-        raise DataError(f"data length {data.size} does not match input length {u.size}")
+    data, u = _series(data, u)
     kmin = max(model.n, model.m)
     start = kmin if start is None else integer(start, "start")
     end = data.size if end is None else integer(end, "end")
@@ -352,22 +357,22 @@ def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig = FcmConfig(
     """Fit and score one model per class count; failures stay in the table.
 
     The orders and every class count are checked before the first cell, so
-    a bad argument raises ``ValueError``. A cell that fails with a package
-    error (for example, more classes than distinct data values) records its
-    error message and the sweep moves on.
+    a bad argument raises ``ValueError``, and then the series, so one that no
+    class count can fit raises ``DataError`` (see ``fit_model``). A cell that
+    fails with a package error (for example, more classes than distinct data
+    values) records its error message and the sweep moves on.
     """
     cpms_values = list(cpms_values)
     for cpms in cpms_values:
-        _check_shape(cpms, n, m)
+        integer(cpms, "cpms", 2)
+    data, u = _check_series(data, u, n, m)
     cells = []
     for cpms in cpms_values:
         try:
-            model = fit_model(data, u, cpms, n, m, fcm=fcm)
-            report = evaluate(model, data, u)
+            report, error = evaluate(fit_model(data, u, cpms, n, m, fcm=fcm), data, u), None
         except IarxError as exc:
-            cells.append(SweepCell(cpms=cpms, report=None, error=str(exc)))
-        else:
-            cells.append(SweepCell(cpms=cpms, report=report, error=None))
+            report, error = None, str(exc)
+        cells.append(SweepCell(cpms=cpms, report=report, error=error))
     return cells
 
 

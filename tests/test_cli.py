@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from iarx import cli
 from iarx.cli import build_parser, main
 from iarx.data_io import default_synthetic_spec, load_csv, pca_project, zero_mean_normalize
 from iarx.errors import ConvergenceWarning
-from iarx.model import IarxParams
+from iarx.model import IarxParams, _qp_terms, nnls
 from iarx.pattern_space import PatternSpace
 
 
@@ -225,6 +226,76 @@ def test_sweep_keeps_the_row_of_a_failed_cell(workspace, tmp_path, capsys):
     rows = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["19", "20"]
     assert "" not in rows[0].split(",") and rows[1] == "20,,,,"
+
+
+def test_a_series_too_short_for_the_orders_exits_2(tmp_path, capsys):
+    # no class count can fit 5 samples at n = 3, m = 1, so the sweep rejects
+    # the series before its first cell, as fit does: exit 2, one line, no --out
+    short = tmp_path / "short.csv"
+    short.write_text("x,u\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n4.5,0\n", encoding="utf-8")
+    for command in ("fit", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--data", str(short), "--input-col", "u", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need at least 8 samples to fit orders n=3, m=1\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("guard", ["change-cap", "optimality"])
+def test_radius_fit_guards_exit_1(workspace, tmp_path, capsys, monkeypatch, guard):
+    # the guards of the radius fit that no known input trips, reached through a
+    # monkeypatched nnls: exit 1 with one error line and no --out
+    data_dir, _ = workspace
+    linear_terms = []
+
+    def cycling(design, target):  # a subproblem solver whose answer is never positive
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (-np.ones(a.shape[1]), None, None, None))
+            return nnls(design, target)
+
+    def zero(design, target):  # c = 0, whose gradient -B is negative wherever B = 2 X'y is positive
+        linear_terms.append(_qp_terms(design, target)[1])
+        return np.zeros(design.shape[1])
+
+    monkeypatch.setattr("iarx.model.nnls", cycling if guard == "change-cap" else zero)
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--out", str(out)]) == 1
+    if guard == "change-cap":
+        message = "nonnegative least squares did not converge within 180 active-set changes"
+    else:
+        (b,) = linear_terms
+        message = f"radius fit failed its optimality check (min gradient {-b.max():.3e}, max complementarity 0.000e+00)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _seed_between_the_extremes(ordered, k, rng):
+    """Three seeds: the extremes of the sorted series and the point halfway between them."""
+    return np.array([ordered[0], 0.5 * (ordered[0] + ordered[-1]), ordered[-1]])
+
+
+@pytest.mark.parametrize(
+    "levels, flags, message",
+    [
+        ([0, 10], [], "a cluster lost all membership mass; reseed and retry"),
+        ([0, 1, 9, 10], ["--fcm-iterations", "1"], "cluster 1 has no hard-assigned members; reseed and retry"),
+    ],
+    ids=["mass-loss", "empty-cluster"],
+)
+def test_clustering_guards_exit_1(tmp_path, capsys, monkeypatch, levels, flags, message):
+    # three classes seeded at the extremes and halfway, by a monkeypatch, as the
+    # seeding picks data values only: on two levels every sample sits on an
+    # outer center, and on four one pass leaves the middle center in the gap;
+    # exit 1 with one error line and no --out
+    monkeypatch.setattr("iarx.pattern_space._farthest_point_init", _seed_between_the_extremes)
+    data = tmp_path / "levels.csv"
+    data.write_text("x,u\n" + "".join(f"{x},{k % 3}\n" for k, x in enumerate(levels * 4)), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        assert main(["fit", "--data", str(data), "--input-col", "u", "--cpms", "3", *flags, "--out", str(out)]) == 1
+    assert len(caught) == (1 if flags else 0)  # one pass is too few to converge
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_non_finite_forecast_exits_1(workspace, tmp_path):
@@ -833,6 +904,30 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _raises(node, where):
+    """``(function, raise statement)`` for every ``raise`` under ``node``, ``where`` naming the enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield where, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _raises(child, inner)
+
+
+def test_library_raises_only_errors_the_exit_codes_map():
+    # one class per family: every raise names a package error or a
+    # ValueError, each of which main maps to an exit code; json_value's
+    # TypeError is converted by json_field, its one caller
+    mapped = {"DataError", "ClusteringError", "IdentificationError", "SimulationError", "ValueError"}
+    package = Path(iarx.__file__).resolve().parent
+    raised = set()
+    for path in sorted(package.rglob("*.py")):
+        for where, node in _raises(ast.parse(path.read_text(encoding="utf-8")), None):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add((f"{path.stem}.{where}", getattr(exc, "id", ast.dump(exc) if exc else "bare raise")))
+    assert sorted((where, name) for where, name in raised if name not in mapped) == [("errors.json_value", "TypeError")]
+    assert {cls.__name__ for cls in (*cli._NUMERICAL_ERRORS, *cli._INPUT_ERRORS)} >= mapped
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from iarx import model
-from iarx.errors import IdentificationError
+from iarx.errors import DataError, IdentificationError
 from iarx.intervals import Interval
 from iarx.model import (
     IarxParams,
@@ -236,7 +236,7 @@ def test_fit_checks_the_input_length_and_the_usable_steps():
     with pytest.raises(ValueError, match="^input series length 49 does not match output length 50$"):
         fit(centers, radii, u[:-1], 2, 1)
     # n = 2, m = 1: 4 coefficients per channel, and a 5-step series leaves 3 rows
-    with pytest.raises(IdentificationError, match="^need at least 4 usable steps to identify 4 coefficients, have 3$"):
+    with pytest.raises(DataError, match="^need at least 4 usable steps to identify 4 coefficients, have 3$"):
         fit(centers[:5], radii[:5], u[:5], 2, 1)
 
 
@@ -323,6 +323,25 @@ def test_nnls_rejects_malformed_shapes():
         nnls(np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="^target length 2 does not match 3 design rows$"):
         nnls(np.ones((3, 2)), np.ones(2))
+
+
+def test_nnls_stops_at_its_change_cap(monkeypatch):
+    # a subproblem solver whose answer is never positive makes the method free
+    # and clamp the same variable until the cap; a monkeypatch, as no input is
+    # known that makes the method cycle
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (-np.ones(a.shape[1]), None, None, None))
+    message = "^nonnegative least squares did not converge within 90 active-set changes$"
+    with pytest.raises(IdentificationError, match=message):
+        nnls(np.eye(2), [1.0, 2.0])
+
+
+def test_radius_fit_checks_the_answer_of_nnls(monkeypatch):
+    # c = 0 where the gradient -B = -2 X'y is negative everywhere; a
+    # monkeypatched nnls, as no input is known on which nnls stops short
+    monkeypatch.setattr(model, "nnls", lambda design, target: np.zeros(np.shape(design)[1]))
+    message = r"^radius fit failed its optimality check \(min gradient -6\.000e\+00, max complementarity 0\.000e\+00\)$"
+    with pytest.raises(IdentificationError, match=message):
+        model._nnls_radius(np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([1.0, 1.0]))
 
 
 def test_nnls_clamps_when_optimum_is_infeasible():

@@ -316,6 +316,29 @@ def test_overflowing_objective_is_a_clustering_error():
             fcm_cluster([0.0, 1e200, 2e200, 3e200], 2)
 
 
+def _seed_between_the_extremes(ordered, k, rng):
+    """Three seeds: the extremes of the sorted series and the point halfway between them."""
+    return np.array([ordered[0], 0.5 * (ordered[0] + ordered[-1]), ordered[-1]])
+
+
+def test_a_center_that_no_sample_reaches_loses_its_mass(monkeypatch):
+    # every sample sits on an outer center, so the middle one gets no
+    # membership; the seeding is a monkeypatch, as the farthest-point seeding
+    # picks data values only
+    monkeypatch.setattr(pattern_space, "_farthest_point_init", _seed_between_the_extremes)
+    with pytest.raises(ClusteringError, match="^a cluster lost all membership mass; reseed and retry$"):
+        fcm_cluster([0.0, 10.0, 0.0, 10.0], 3)
+
+
+def test_a_center_in_a_data_gap_has_no_hard_members(monkeypatch):
+    # one step leaves the middle center in the gap, farther from every
+    # sample than an outer center is (seeded by a monkeypatch, as above)
+    monkeypatch.setattr(pattern_space, "_farthest_point_init", _seed_between_the_extremes)
+    with pytest.warns(ConvergenceWarning, match="k=3"):
+        with pytest.raises(ClusteringError, match="^cluster 1 has no hard-assigned members; reseed and retry$"):
+            fcm_cluster([0.0, 1.0, 9.0, 10.0], 3, FcmConfig(max_iterations=1))
+
+
 def test_single_class_space():
     # one cluster is a clustering but not a pattern space
     _, counts = fcm_cluster([1.0, 2.0, 5.0], 1)
@@ -333,6 +356,10 @@ def test_more_classes_than_samples_is_a_data_error():
     # the input error fit_model reports for the same data, here from build_space
     with pytest.raises(DataError, match=r"^cluster count 5 exceeds the 4 data point\(s\)$"):
         build_space([1.0, 2.0, 3.0, 4.0], 5)
+    # an empty series is the same point-count error
+    for cluster in (fcm_cluster, build_space):
+        with pytest.raises(DataError, match=r"^cluster count 2 exceeds the 0 data point\(s\)$"):
+            cluster([], 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -343,7 +370,7 @@ def test_non_finite_sample_is_a_data_error(bad):
 
 
 def test_empty_series_rejected():
-    with pytest.raises(ClusteringError):
+    with pytest.raises(DataError):
         fcm_cluster([], 2)
 
 

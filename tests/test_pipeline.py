@@ -148,11 +148,9 @@ def test_fit_rejects_a_non_finite_sample(default_result, column, capfd):
         arrays[column][100] = value
         with pytest.raises(DataError, match=rf"^{column} sample 100 is not finite$"):
             fit_model(arrays["data"], arrays["u"], cpms=16, n=3, m=1)
-        # a sweep records the failed cell and goes on to the next
-        cells = sweep_cpms(arrays["data"], arrays["u"], [16, 17], n=3, m=1)
-        assert [(c.cpms, c.report, c.error) for c in cells] == [
-            (cpms, None, f"{column} sample 100 is not finite") for cpms in (16, 17)
-        ]
+        # no class count can fit the series, so a sweep raises the same error before its first cell
+        with pytest.raises(DataError, match=rf"^{column} sample 100 is not finite$"):
+            sweep_cpms(arrays["data"], arrays["u"], [16, 17], n=3, m=1)
     assert capfd.readouterr().err == ""
 
 
@@ -513,6 +511,16 @@ def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
         sweep_cpms(data, u, [16], n=2.5, m=1)
     with pytest.raises(ValueError, match=r"^m must be an integer, got 0\.5$"):
         sweep_cpms(data, u, [16], n=3, m=0.5)
+    # a series that no class count can fit is the caller's error too
+    bad = data.copy()
+    bad[7] = np.nan
+    for series, inputs, message in (
+        (bad, u, "data sample 7 is not finite"),
+        (data, u[:-1], "data length 200 does not match input length 199"),
+        (data[:7], u[:7], "need at least 8 samples to fit orders n=3, m=1"),
+    ):
+        with pytest.raises(DataError, match=rf"^{message}$"):
+            sweep_cpms(series, inputs, [16, 17], n=3, m=1)
 
 
 def test_sweep_keeps_failed_cells():
