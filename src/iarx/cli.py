@@ -68,7 +68,8 @@ ROBUST_FILE = "robust.csv"
 SYNTH_DATA_FILE = "synthetic.csv"
 SYNTH_TRUTH_FILE = "truth.json"
 
-_NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError)
+# LinAlgError is a ValueError, so main must try this tuple first: a linear-algebra failure is numerical
+_NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError, np.linalg.LinAlgError)
 _INPUT_ERRORS = (DataError, OSError, ValueError)  # ValueError: a range check or bad JSON
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:

@@ -9,10 +9,15 @@ code 2.
 
 ``ConvergenceWarning`` is a warning, not an error: an iterative solver that
 stops at its iteration cap still returns its last iterate.
+
+The checks that several modules share live here too, one function per rule;
+``fit_series`` runs those of a fit and owns its sample count.
 """
 
 import json
 import operator
+
+import numpy as np
 
 __all__ = [
     "IarxError",
@@ -22,6 +27,10 @@ __all__ = [
     "SimulationError",
     "ConvergenceWarning",
     "integer",
+    "orders",
+    "same_length",
+    "all_finite",
+    "fit_series",
     "read_json",
     "json_value",
     "json_floats",
@@ -102,6 +111,41 @@ def integer(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def orders(n, m) -> tuple[int, int]:
+    """The model orders as ints: ``n`` an integer >= 1 and ``m`` one >= 0, each checked by :func:`integer`."""
+    return integer(n, "autoregressive order n", 1), integer(m, "input order m", 0)
+
+
+def same_length(**series) -> list[np.ndarray]:
+    """The named series as float vectors, in order; one whose length differs from the first's is a ``DataError``."""
+    arrays = [np.asarray(values, dtype=float).ravel() for values in series.values()]
+    first, *names = series
+    for name, values in zip(names, arrays[1:]):
+        if values.size != arrays[0].size:
+            raise DataError(f"{first} length {arrays[0].size} does not match {name} length {values.size}")
+    return arrays
+
+
+def all_finite(start: int = 0, **series) -> None:
+    """A ``DataError`` naming the first non-finite sample of the named series, in order, counted from ``start``."""
+    for name, values in series.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise DataError(f"{name} sample {start + int(np.argmin(finite))} is not finite")
+
+
+def fit_series(n, m, **series) -> tuple:
+    """``(n, m, *series)`` checked for a fit: the orders by :func:`orders`, the series by :func:`same_length`
+    and :func:`all_finite`. Fewer than ``1 + n + m + max(n, m)`` samples, which leave fewer steps with a full
+    lag window than coefficients, is a ``DataError``."""
+    n, m = orders(n, m)
+    arrays = same_length(**series)
+    if arrays[0].size < 1 + n + m + max(n, m):
+        raise DataError(f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}")
+    all_finite(**dict(zip(series, arrays)))
+    return (n, m, *arrays)
 
 
 def json_floats(values) -> list[float]:

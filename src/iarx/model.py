@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, IdentificationError, integer, json_fields, json_floats
+from .errors import IdentificationError, fit_series, json_fields, json_floats, orders
 from .intervals import Interval, PairMatrix, add, pair_product, scale
 
 __all__ = ["IarxParams", "lag_columns", "predict_bounds", "predict_compositional", "fit", "nnls"]
@@ -58,8 +58,8 @@ class IarxParams:
     C: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", integer(self.n, "autoregressive order n", 1))
-        object.__setattr__(self, "m", integer(self.m, "input order m", 0))
+        for name, order in zip("nm", orders(self.n, self.m)):
+            object.__setattr__(self, name, order)
         width = 1 + self.n + self.m
         a = _frozen_array(self.A, "A")
         c = _frozen_array(self.C, "C")
@@ -168,31 +168,15 @@ def predict_compositional(params: IarxParams, history, inputs, k: int) -> Interv
 def _design_matrices(centers, radii, inputs, n: int, m: int):
     """Stacked regressors and targets over every step with a full lag window.
 
-    ``centers`` and ``radii`` are the center and radius arrays of the
-    interval series. Returns ``(X, y_center, X_abs, y_radius)`` with one row
-    per scored step ``k = max(n, m) .. len(centers) - 1``.
+    ``centers``, ``radii`` and ``inputs`` are the center, radius and input
+    float vectors of one interval series, as :func:`fit` checks them. Returns
+    ``(X, y_center, X_abs, y_radius)`` with one row per scored step ``k =
+    max(n, m) .. len(centers) - 1``.
     """
-    n, m = integer(n, "autoregressive order n", 1), integer(m, "input order m", 0)
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    total = centers.size
-    if radii.size != total:
-        raise ValueError(f"{total} centers but {radii.size} radii")
-    if m > 0 and len(inputs) != total:
-        raise ValueError(
-            f"input series length {len(inputs)} does not match output length {total}"
-        )
     kmin = max(n, m)
-    rows = total - kmin
-    width = 1 + n + m
-    if rows < width:
-        raise DataError(
-            f"need at least {width} usable steps to identify {width} coefficients, have {rows}"
-        )
-    u = np.asarray(inputs, dtype=float) if m > 0 else np.empty(0)
     # Stacked row-major, as the fit's BLAS products sum in an order set by the memory layout.
-    cols = lag_columns(centers, radii, u, n, m, kmin, total)
-    x, x_abs = (np.column_stack((np.ones(rows), *c)) for c in cols)
+    cols = lag_columns(centers, radii, inputs, n, m, kmin, centers.size)
+    x, x_abs = (np.column_stack((np.ones(centers.size - kmin), *c)) for c in cols)
     return x, centers[kmin:], x_abs, radii[kmin:]
 
 
@@ -292,7 +276,8 @@ def _nnls_radius(x_abs: np.ndarray, y_r: np.ndarray) -> np.ndarray:
     h, b = _qp_terms(x_abs, y_r)
     grad = 2.0 * (h @ coeffs) - b
     eps = KKT_RTOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    if float(grad.min(initial=0.0)) < -eps or float(np.max(np.abs(coeffs * grad), initial=0.0)) > eps:
+    # written so that a NaN, for which every comparison is false, fails it
+    if not (float(grad.min(initial=0.0)) >= -eps and float(np.max(np.abs(coeffs * grad), initial=0.0)) <= eps):
         raise IdentificationError(
             "radius fit failed its optimality check "
             f"(min gradient {grad.min():.3e}, max complementarity {np.max(np.abs(coeffs * grad)):.3e})"
@@ -304,14 +289,19 @@ def fit(centers, radii, inputs, n: int, m: int) -> IarxParams:
     """Identify both channels from one build of the design matrices.
 
     ``centers`` and ``radii`` are the center and radius arrays of the
-    interval series, ``inputs`` the crisp input series; fewer usable steps
-    than coefficients is a ``DataError``. ``A`` is the least squares fit of
-    the centers and reads no radius; a rank-deficient design raises
+    interval series, ``inputs`` the crisp input series, all checked by
+    :func:`~iarx.errors.fit_series`. ``A`` is the least squares fit of the
+    centers and reads no radius; a rank-deficient design raises
     ``IdentificationError``, because any returned ``A`` would be one of
     infinitely many. ``C`` is the nonnegative least squares fit of the radii
     on the absolute inputs and reads no center; it is checked against the
     KKT conditions of the equivalent quadratic program, and a violation is
-    an ``IdentificationError`` too.
+    an ``IdentificationError`` too, as is numpy's ``LinAlgError`` from either fit.
     """
+    n, m, centers, radii, inputs = fit_series(n, m, centers=centers, radii=radii, inputs=inputs)
     x, y_c, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
-    return IarxParams(n=n, m=m, A=_ols_center(x, y_c), C=_nnls_radius(x_abs, y_r))
+    try:
+        a, c = _ols_center(x, y_c), _nnls_radius(x_abs, y_r)
+    except np.linalg.LinAlgError as exc:  # a ValueError to Python, a numerical failure here
+        raise IdentificationError(f"least squares failed: {exc}") from None
+    return IarxParams(n=n, m=m, A=a, C=c)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, ConvergenceWarning, DataError, integer, json_fields, read_json
+from .errors import ClusteringError, ConvergenceWarning, DataError, all_finite, integer, json_fields, read_json
 from .intervals import Interval
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
@@ -143,8 +143,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     convergence; the last centers are still returned.
     """
     values = np.asarray(data, dtype=float).ravel()
-    if not np.isfinite(values).all():
-        raise DataError(f"data sample {np.flatnonzero(~np.isfinite(values))[0]} is not finite")
+    all_finite(data=values)
     k = integer(k, "cluster count", 1)
     if k > values.size:
         raise DataError(f"cluster count {k} exceeds the {values.size} data point(s)")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DataError, IarxError, SimulationError, integer
+from .errors import DataError, IarxError, SimulationError, all_finite, fit_series, integer, same_length
 from .intervals import Interval
 from .model import IarxParams, fit, lag_columns, predict_bounds
 from .pattern_space import FcmConfig, PatternSpace, build_space
@@ -212,48 +212,17 @@ def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx, (0.5 * (lowers + uppers)).take(idx), (0.5 * (uppers - lowers)).take(idx)
 
 
-def _series(data, u) -> tuple[np.ndarray, np.ndarray]:
-    """``data`` and ``u`` as float vectors; a length mismatch raises ``DataError``."""
-    data = np.asarray(data, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if data.size != u.size:
-        raise DataError(f"data length {data.size} does not match input length {u.size}")
-    return data, u
-
-
-def _require_finite(data: np.ndarray, u: np.ndarray, start: int, end: int) -> None:
-    """Raise ``DataError`` naming the first non-finite sample of ``data`` or ``u`` in ``[start, end)``."""
-    for name, values in (("data", data), ("u", u)):
-        finite = np.isfinite(values[start:end])
-        if not finite.all():
-            raise DataError(f"{name} sample {start + int(np.argmin(finite))} is not finite")
-
-
-def _check_series(data, u, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``data`` and ``u`` as float vectors to fit at the orders ``n`` and ``m``, checked before any clustering:
-    an order below ``n = 1`` or ``m = 0`` is a ``ValueError``; two lengths, too few samples or a
-    non-finite sample a ``DataError``."""
-    n, m = integer(n, "n"), integer(m, "m")
-    if n < 1 or m < 0:
-        raise ValueError(f"orders must be n >= 1 and m >= 0, got n={n}, m={m}")
-    data, u = _series(data, u)
-    if data.size < 1 + n + m + max(n, m):
-        raise DataError(f"need at least {1 + n + m + max(n, m)} samples to fit orders n={n}, m={m}")
-    _require_finite(data, u, 0, data.size)
-    return data, u
-
-
 def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) -> MovingPatternModel:
     """Fit the full pipeline on a scalar series and its input series.
 
     Builds a ``cpms``-class pattern space, encodes the series, and
     identifies both parameter channels on the encoded centers and radii. ``fcm``
-    supplies the other clustering settings. A series that ``_check_series``
-    rejects raises ``DataError`` before any clustering; clustering and
-    identification errors propagate, and no retries are made.
+    supplies the other clustering settings. The orders and the series are
+    checked by :func:`~iarx.errors.fit_series` before any clustering;
+    clustering and identification errors propagate, and no retries are made.
     """
     integer(cpms, "cpms", 2)
-    data, u = _check_series(data, u, n, m)
+    n, m, data, u = fit_series(n, m, data=data, u=u)
     space = build_space(data, cpms, fcm)
     _, centers, radii = _encode(space, data)
     return MovingPatternModel(space=space, params=fit(centers, radii, u, n, m))
@@ -277,7 +246,7 @@ def forecast_series(
     or ``u`` in ``[start - max(n, m), end)`` raises ``DataError``, the
     first non-finite preliminary ``SimulationError``.
     """
-    data, u = _series(data, u)
+    data, u = same_length(data=data, u=u)
     kmin = max(model.n, model.m)
     start = kmin if start is None else integer(start, "start")
     end = data.size if end is None else integer(end, "end")
@@ -290,7 +259,7 @@ def forecast_series(
 
     # Only the scored steps and their lags are read; row 0 is step start - kmin.
     offset = start - kmin
-    _require_finite(data, u, offset, end)
+    all_finite(offset, data=data[offset:end], u=u[offset:end])
     space = model.space
     lowers, uppers = space.lowers, space.uppers
     idx, centers, radii = _encode(space, data[offset:end])
@@ -358,14 +327,14 @@ def sweep_cpms(data, u, cpms_values, n: int, m: int, fcm: FcmConfig = FcmConfig(
 
     The orders and every class count are checked before the first cell, so
     a bad argument raises ``ValueError``, and then the series, so one that no
-    class count can fit raises ``DataError`` (see ``fit_model``). A cell that
+    class count can fit raises ``DataError`` (see :func:`~iarx.errors.fit_series`). A cell that
     fails with a package error (for example, more classes than distinct data
     values) records its error message and the sweep moves on.
     """
     cpms_values = list(cpms_values)
     for cpms in cpms_values:
         integer(cpms, "cpms", 2)
-    data, u = _check_series(data, u, n, m)
+    n, m, data, u = fit_series(n, m, data=data, u=u)
     cells = []
     for cpms in cpms_values:
         try:

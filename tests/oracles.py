@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iarx.errors import ClusteringError, ConvergenceWarning, DataError, IdentificationError
+from iarx.errors import ClusteringError, ConvergenceWarning, DataError, IdentificationError, fit_series
 from iarx.intervals import Interval
 from iarx.model import _design_matrices, _frozen_array, _qp_terms
 from iarx.pattern_space import FcmConfig
@@ -255,7 +255,8 @@ def assemble_qp(centers, radii, inputs, n: int, m: int) -> QpProblem:
     ``H`` is assembled so that it is exactly symmetric, and it is positive
     semidefinite by construction.
     """
-    _, _, x_abs, y_r = _design_matrices(centers, radii, inputs, n, m)
+    n, m, *series = fit_series(n, m, centers=centers, radii=radii, inputs=inputs)  # the checks of iarx.model.fit
+    _, _, x_abs, y_r = _design_matrices(*series, n, m)
     h, b = _qp_terms(x_abs, y_r)
     return QpProblem(H=h, B=b)
 

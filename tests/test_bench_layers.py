@@ -1,15 +1,23 @@
-"""The per-layer benchmark script: its quick mode writes every key and the chain's true fingerprints."""
+"""The per-layer benchmark script: its quick mode writes every key and the chain's true fingerprints,
+and those fingerprints are the ones recorded in ``fingerprints.json``."""
 
 import hashlib
 import json
+import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from iarx.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+# The SHA-256 of each seed-3 chain file, and the Python and numpy versions they were taken on.
+# A change that moves an output on purpose updates this file and names each moved file in CHANGES.md.
+FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
 LAYERS = {
     "synthesize", "fcm_cluster", "pipeline._encode", "model._ols_center", "model._nnls_radius", "forecast_series",
     "rmse_from_records", "write_rmse_csv", "write_trace_csv", "write_sweep_csv", "write_robust_csv",
@@ -18,7 +26,28 @@ LAYERS = {
 QUICK_WALL_S = 60.0
 
 
-def test_quick_run_writes_every_key_and_the_fingerprints_of_the_chain(tmp_path):
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The SHA-256 of each file of the seed-3 chain synth, fit, eval, sweep 16..36, robust, run in-process."""
+    chain = tmp_path_factory.mktemp("chain")
+    common = ["--data", str(chain / "data" / "synthetic.csv"), "--input-col", "u"]
+    model = ["--model-dir", str(chain / "model")]
+    for out_dir, args in (
+        ("data", ["synth"]),
+        ("model", ["fit", *common]),
+        ("eval", ["eval", *common, *model]),
+        ("sweep", ["sweep", *common, "--cpms-range", "16..36"]),
+        ("robust", ["robust", *common, *model]),
+    ):
+        assert main([*args, "--out", str(chain / out_dir)]) == 0
+    return {
+        path.relative_to(chain).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(chain.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_quick_run_writes_every_key_and_the_fingerprints_of_the_chain(tmp_path, chain):
     out = tmp_path / "bench.json"
     start = time.perf_counter()
     proc = subprocess.run(
@@ -38,21 +67,16 @@ def test_quick_run_writes_every_key_and_the_fingerprints_of_the_chain(tmp_path):
     assert all(t > 0.0 for t in [*doc["layers_s"]["864"].values(), *doc["cli_chain_s"].values()])
 
     # the same chain, run here in-process, writes the same bytes
-    chain = tmp_path / "chain"
-    common = ["--data", str(chain / "data" / "synthetic.csv"), "--input-col", "u"]
-    model = ["--model-dir", str(chain / "model")]
-    for out_dir, args in (
-        ("data", ["synth"]),
-        ("model", ["fit", *common]),
-        ("eval", ["eval", *common, *model]),
-        ("sweep", ["sweep", *common, "--cpms-range", "16..36"]),
-        ("robust", ["robust", *common, *model]),
-    ):
-        assert main([*args, "--out", str(chain / out_dir)]) == 0
-    expected = {
-        path.relative_to(chain).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(chain.rglob("*"))
-        if path.is_file()
-    }
-    assert len(expected) == 9
-    assert doc["fingerprints"] == {"seed-3 chain": expected}
+    assert len(chain) == 9
+    assert doc["fingerprints"] == {"seed-3 chain": chain}
+
+
+def test_the_chain_writes_the_recorded_bytes(chain):
+    recorded = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    if versions != recorded["versions"]:
+        # another numpy or BLAS may round a float differently; the bytes are compared exactly or not at all
+        pytest.skip(f"fingerprints were taken on {recorded['versions']}, this run is on {versions}")
+    expected = recorded["seed-3 chain"]
+    moved = [name for name in sorted(expected.keys() | chain.keys()) if expected.get(name) != chain.get(name)]
+    assert moved == [], f"chain files whose bytes moved: {', '.join(moved)}"

@@ -298,6 +298,74 @@ def test_clustering_guards_exit_1(tmp_path, capsys, monkeypatch, levels, flags, 
     assert not out.exists()
 
 
+def _fail_once_in(monkeypatch, owner, name, caller):
+    """Make ``owner.name`` raise numpy's ``LinAlgError``, naming ``caller``, the first time ``caller`` calls it."""
+    original, raised = getattr(owner, name), []
+
+    def faulty(*args, **kwargs):
+        if not raised and sys._getframe(1).f_code.co_name == caller:
+            raised.append(caller)
+            raise np.linalg.LinAlgError(f"{name} failed in {caller}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, faulty)
+
+
+def _nan_nnls(design, target):
+    return np.full(design.shape[1], np.nan)
+
+
+def _nan_reformulate(d2, fuzziness):
+    return np.full(d2.shape[1], np.nan), float("nan")
+
+
+_SEAM_MESSAGES = {
+    "lstsq-in-ols": "least squares failed: lstsq failed in _ols_center",
+    "lstsq-in-nnls": "least squares failed: lstsq failed in nnls",
+    "nnls-nan": "radius fit failed its optimality check (min gradient nan, max complementarity nan)",
+    "eigh-in-pca": "eigh failed in pca_project",
+    "fcm-nan": "fcm objective failed to decrease at iteration 0: inf -> nan",
+}
+
+
+@pytest.mark.parametrize("seam", _SEAM_MESSAGES)
+def test_numerical_failures_at_numpy_seams_exit_1(workspace, tmp_path, capsys, monkeypatch, seam):
+    # a fault injected where the package calls numpy is a numerical failure:
+    # exit 1 with one error line and no --out, though LinAlgError is a ValueError;
+    # the message names the function that met the fault
+    data_dir, _ = workspace
+    data = data_dir / "synthetic.csv"
+    if seam == "lstsq-in-ols":
+        _fail_once_in(monkeypatch, np.linalg, "lstsq", "_ols_center")
+    elif seam == "lstsq-in-nnls":
+        _fail_once_in(monkeypatch, np.linalg, "lstsq", "nnls")
+    elif seam == "nnls-nan":
+        monkeypatch.setattr("iarx.model.nnls", _nan_nnls)
+    elif seam == "eigh-in-pca":  # a second condition column, so the series is their principal component
+        rows = data.read_text(encoding="utf-8").splitlines()
+        data = tmp_path / "sensors.csv"
+        data.write_text("x,u,y\n" + "".join(f"{row},{row.split(',')[0]}\n" for row in rows[1:]), encoding="utf-8")
+        _fail_once_in(monkeypatch, np.linalg, "eigh", "pca_project")
+    else:
+        monkeypatch.setattr("iarx.pattern_space._reformulate", _nan_reformulate)
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(data), "--input-col", "u", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {_SEAM_MESSAGES[seam]}\n"
+    assert not out.exists()
+
+
+def test_a_numerical_failure_at_a_numpy_seam_keeps_its_sweep_row(workspace, tmp_path, capsys, monkeypatch):
+    # the first cell's center fit fails inside numpy; the sweep records it and goes on
+    data_dir, _ = workspace
+    _fail_once_in(monkeypatch, np.linalg, "lstsq", "_ols_center")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--cpms-range", "24..25"]
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "cpms=24 failed: least squares failed: lstsq failed in _ols_center\n"
+    rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows[0] == "24,,,," and rows[1].startswith("25,") and "" not in rows[1].split(",")
+
+
 def test_non_finite_forecast_exits_1(workspace, tmp_path):
     # a loaded model whose forecasts overflow is a numerical failure: exit 1
     # with one error line, no numpy warning and no traceback; so is one whose
@@ -794,8 +862,8 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
         ("robust", "--magnitude", float("inf"), "magnitude must be finite and >= 0, got inf"),
         ("robust", "--magnitude", -1, "magnitude must be finite and >= 0, got -1.0"),
         ("fit", "--fuzziness", float("inf"), "fuzziness must exceed 1 and be finite, got inf"),
-        ("fit", "--n", 0, "orders must be n >= 1 and m >= 0, got n=0, m=1"),
-        ("sweep", "--m", -1, "orders must be n >= 1 and m >= 0, got n=3, m=-1"),
+        ("fit", "--n", 0, "autoregressive order n must be >= 1, got 0"),
+        ("sweep", "--m", -1, "input order m must be >= 0, got -1"),
         ("fit", "--cpms", 1, "cpms must be >= 2, got 1"),
         ("sweep", "--fuzziness", 1, "fuzziness must exceed 1 and be finite, got 1.0"),
         ("fit", "--fcm-tolerance", 0, "tolerance must be positive, got 0.0"),

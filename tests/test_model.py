@@ -62,7 +62,7 @@ def test_params_validation():
     p = IarxParams(n=np.int64(1), m=np.int64(0), A=[1.0, 2.0], C=[0.0, 0.0])
     assert (type(p.n), type(p.m)) == (int, int)
     with pytest.raises(ValueError, match=r"^autoregressive order n must be an integer, got 1\.5$"):
-        model.fit(np.zeros(20), np.zeros(20), np.zeros(20), 1.5, 0)  # the design matrices check too
+        model.fit(np.zeros(20), np.zeros(20), np.zeros(20), 1.5, 0)  # fit checks the orders too
 
 
 def test_params_equality_and_json_round_trip():
@@ -223,9 +223,9 @@ def test_center_and_radius_arrays_must_match():
     rng = np.random.default_rng(19)
     centers, radii = _series(rng, 50)
     u = rng.normal(size=50)
-    with pytest.raises(ValueError, match="50 centers but 49 radii"):
+    with pytest.raises(DataError, match="^centers length 50 does not match radii length 49$"):
         fit(centers, radii[:-1], u, 2, 1)
-    with pytest.raises(ValueError, match="49 centers but 50 radii"):
+    with pytest.raises(DataError, match="^centers length 49 does not match radii length 50$"):
         assemble_qp(centers[:-1], radii, u, 2, 1)
 
 
@@ -233,10 +233,10 @@ def test_fit_checks_the_input_length_and_the_usable_steps():
     rng = np.random.default_rng(20)
     centers, radii = _series(rng, 50)
     u = rng.normal(size=50)
-    with pytest.raises(ValueError, match="^input series length 49 does not match output length 50$"):
+    with pytest.raises(DataError, match="^centers length 50 does not match inputs length 49$"):
         fit(centers, radii, u[:-1], 2, 1)
     # n = 2, m = 1: 4 coefficients per channel, and a 5-step series leaves 3 rows
-    with pytest.raises(DataError, match="^need at least 4 usable steps to identify 4 coefficients, have 3$"):
+    with pytest.raises(DataError, match="^need at least 6 samples to fit orders n=2, m=1$"):
         fit(centers[:5], radii[:5], u[:5], 2, 1)
 
 

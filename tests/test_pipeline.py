@@ -79,9 +79,9 @@ def test_fit_model_validation():
         fit_model(data, u, cpms=1, n=3, m=1)
     with pytest.raises(ValueError, match=r"^cpms must be an integer, got 16\.9$"):
         fit_model(data, u, cpms=16.9, n=3, m=1)
-    with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.5$"):
+    with pytest.raises(ValueError, match=r"^autoregressive order n must be an integer, got 3\.5$"):
         fit_model(data, u, cpms=8, n=3.5, m=1)
-    with pytest.raises(ValueError, match=r"^m must be an integer, got 1\.5$"):
+    with pytest.raises(ValueError, match=r"^input order m must be an integer, got 1\.5$"):
         fit_model(data, u, cpms=8, n=3, m=1.5)
     with pytest.raises(DataError):
         fit_model(data, u[:-1], cpms=8, n=3, m=1)
@@ -118,7 +118,7 @@ def test_forecast_range_must_be_integers(default_model, default_result, start, e
 
 
 def test_forecast_data_and_input_lengths_must_agree(default_model, default_result):
-    with pytest.raises(DataError, match=r"^data length 864 does not match input length 863$"):
+    with pytest.raises(DataError, match=r"^data length 864 does not match u length 863$"):
         forecast_series(default_model, default_result.data, default_result.u[:-1])
 
 
@@ -499,7 +499,7 @@ def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
     data = np.sin(np.linspace(0.0, 20.0, 200)) * 3.0
     u = np.cos(np.linspace(0.0, 20.0, 200))
     monkeypatch.setattr(pipeline, "fit_model", lambda *args, **kwargs: pytest.fail("a cell ran"))
-    with pytest.raises(ValueError, match="n=0"):
+    with pytest.raises(ValueError, match=r"^autoregressive order n must be >= 1, got 0$"):
         sweep_cpms(data, u, [16, 18], n=0, m=1)
     with pytest.raises(ValueError, match="cpms must be >= 2, got 1"):
         sweep_cpms(data, u, [16, 1], n=3, m=1)
@@ -507,16 +507,16 @@ def test_sweep_rejects_bad_arguments_before_the_first_cell(monkeypatch):
         sweep_cpms(data, u, [16.9], n=3, m=1)
     with pytest.raises(ValueError, match=r"^cpms must be an integer, got '17'$"):
         sweep_cpms(data, u, ["17"], n=3, m=1)
-    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+    with pytest.raises(ValueError, match=r"^autoregressive order n must be an integer, got 2\.5$"):
         sweep_cpms(data, u, [16], n=2.5, m=1)
-    with pytest.raises(ValueError, match=r"^m must be an integer, got 0\.5$"):
+    with pytest.raises(ValueError, match=r"^input order m must be an integer, got 0\.5$"):
         sweep_cpms(data, u, [16], n=3, m=0.5)
     # a series that no class count can fit is the caller's error too
     bad = data.copy()
     bad[7] = np.nan
     for series, inputs, message in (
         (bad, u, "data sample 7 is not finite"),
-        (data, u[:-1], "data length 200 does not match input length 199"),
+        (data, u[:-1], "data length 200 does not match u length 199"),
         (data[:7], u[:7], "need at least 8 samples to fit orders n=3, m=1"),
     ):
         with pytest.raises(DataError, match=rf"^{message}$"):
