@@ -5,19 +5,16 @@ are derived on demand, so the two views cannot drift apart. Intervals are
 immutable and every operation is a pure function, safe to share freely.
 
 Beyond sums and scalar products, the module provides ``pair_product``:
-the product of one interval with a matrix of (center, radius) coefficient
-row pairs, the elementary step of the interval ARX predictor.
+the product of one interval with one (center, radius) coefficient pair,
+the elementary step of the interval ARX predictor.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "Interval",
-    "PairMatrix",
     "add",
     "scale",
     "pair_product",
@@ -105,76 +102,18 @@ def scale(factor: float, d: Interval) -> Interval:
     return Interval(factor * d.upper, factor * d.lower)
 
 
-class PairMatrix:
-    """A ``2n x m`` real matrix of stacked (center, radius) coefficient rows.
+def pair_product(d: Interval, center_coeff: float, radius_coeff: float) -> Interval:
+    """Product of an interval with one (center, radius) coefficient pair.
 
-    Row ``2i`` holds center coefficients and row ``2i + 1`` the matching
-    radius coefficients of pair ``i``. Radius rows must be nonnegative so
-    that products with an interval keep a nonnegative radius; offending
-    matrices are rejected outright rather than clamped.
+    The result has center ``d.center * center_coeff`` and radius
+    ``d.radius * radius_coeff``: the center never leaks into the radius and
+    vice versa. This is the paper's interval-by-real-matrix operator in the
+    ``2 x 1`` shape the model applies per lag; a matrix of pairs is this
+    product entry by entry. The radius coefficient must be finite and
+    nonnegative, so that the radius stays nonnegative for every interval,
+    a degenerate one included.
     """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=float, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D coefficient matrix, got ndim={arr.ndim}")
-        rows, cols = arr.shape
-        if rows == 0 or rows % 2 != 0:
-            raise ValueError(f"row count must be even and positive (center/radius pairs), got {rows}")
-        if cols == 0:
-            raise ValueError("coefficient matrix needs at least one column")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficient matrix entries must be finite")
-        if np.any(arr[1::2, :] < 0.0):
-            raise ValueError("radius coefficient rows (odd rows) must be nonnegative")
-        arr.setflags(write=False)
-        self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        """The full ``2n x m`` array (read-only)."""
-        return self._values
-
-    @property
-    def n_pairs(self) -> int:
-        return self._values.shape[0] // 2
-
-    @property
-    def n_cols(self) -> int:
-        return self._values.shape[1]
-
-    @property
-    def center_coeffs(self) -> np.ndarray:
-        """The ``n x m`` center coefficients (even rows)."""
-        return self._values[0::2, :]
-
-    @property
-    def radius_coeffs(self) -> np.ndarray:
-        """The ``n x m`` radius coefficients (odd rows); entrywise >= 0."""
-        return self._values[1::2, :]
-
-    def __repr__(self) -> str:
-        return f"PairMatrix(n_pairs={self.n_pairs}, n_cols={self.n_cols})"
-
-
-def pair_product(d: Interval, pairs: PairMatrix) -> list[list[Interval]]:
-    """Product of an interval with a pair matrix, entry by entry.
-
-    Entry ``(i, j)`` of the result is the interval whose center is
-    ``d.center * center_coeffs[i, j]`` and whose radius is
-    ``d.radius * radius_coeffs[i, j]``. The center never leaks into the
-    radius and vice versa, and radii stay nonnegative because both factors
-    are.
-
-    Returns an ``n_pairs x n_cols`` nested list of intervals.
-    """
-    a = d.center
-    c = d.radius
-    p1 = pairs.center_coeffs
-    p2 = pairs.radius_coeffs
-    return [
-        [Interval.from_center_radius(a * p1[i, j], c * p2[i, j]) for j in range(pairs.n_cols)]
-        for i in range(pairs.n_pairs)
-    ]
+    radius_coeff = float(radius_coeff)
+    if not (math.isfinite(radius_coeff) and radius_coeff >= 0.0):
+        raise ValueError(f"radius coefficient must be finite and nonnegative, got {radius_coeff!r}")
+    return Interval.from_center_radius(d.center * center_coeff, d.radius * radius_coeff)

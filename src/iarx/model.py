@@ -6,8 +6,9 @@ and inputs; its radius channel is linear in the lagged radii and absolute
 inputs with nonnegative coefficients, which keeps every prediction a valid
 interval by construction. Every prediction, one step or a whole series,
 goes through one elementwise kernel, ``predict_bounds``;
-``predict_compositional`` expands the same model in interval operations
-and is kept as an independent cross-check.
+``predict_compositional`` expands the same model in interval operations,
+applying the paper's operator ``intervals.pair_product`` lag by lag, and
+is kept as an independent cross-check.
 
 Identification splits along the same seam: ordinary least squares for the
 center coefficients ``A`` and nonnegative least squares for the radius
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentificationError, fit_series, json_fields, json_floats, orders
-from .intervals import Interval, PairMatrix, add, pair_product, scale
+from .intervals import Interval, add, pair_product, scale
 
 __all__ = ["IarxParams", "lag_columns", "predict_bounds", "predict_compositional", "fit", "nnls"]
 
@@ -147,18 +148,17 @@ def predict_compositional(params: IarxParams, history, inputs, k: int) -> Interv
     """One-step prediction built term by term from interval operations.
 
     Evaluates the model as written: an intercept interval, plus each lagged
-    output passed through its coefficient pair, plus each lagged input
-    scaling its coefficient interval. Agrees with ``predict_bounds`` up to
-    floating-point roundoff; kept as an independent expansion of the same
-    model for cross-checking.
+    output times its pair ``(A[j], C[j])`` through ``pair_product``, plus
+    each lagged input scaling its coefficient interval. Agrees with
+    ``predict_bounds`` up to floating-point roundoff; kept as an independent
+    expansion of the same model for cross-checking.
     """
     n, m = params.n, params.m
     if k < max(n, m):
         raise ValueError(f"step {k} has an incomplete lag window (need k >= {max(n, m)})")
     out = Interval.from_center_radius(params.A[0], params.C[0])
     for j in range(1, n + 1):
-        lag_pair = PairMatrix([[params.A[j]], [params.C[j]]])
-        out = add(out, pair_product(history[k - j], lag_pair)[0][0])
+        out = add(out, pair_product(history[k - j], params.A[j], params.C[j]))
     for ell in range(1, m + 1):
         coeff = Interval.from_center_radius(params.A[n + ell], params.C[n + ell])
         out = add(out, scale(float(inputs[k - ell]), coeff))

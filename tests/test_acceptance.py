@@ -12,7 +12,7 @@ import numpy as np
 
 from iarx.cli import main
 from iarx.data_io import SyntheticSpec, WhiteNoiseInput, default_synthetic_spec, synthesize
-from iarx.intervals import Interval, PairMatrix, add, pair_product, scale
+from iarx.intervals import Interval, add, pair_product, scale
 from iarx.model import (
     IarxParams,
     _design_matrices,
@@ -353,9 +353,7 @@ def test_interval_invariants_randomized():
     lo = rng.normal(0.0, 10.0, size=(cases, 3))
     w = rng.uniform(0.0, 5.0, size=(cases, 3))
     lam = rng.normal(0.0, 3.0, size=cases)
-    pairs = [
-        PairMatrix([[rng.normal(0.0, 2.0)], [rng.uniform(0.0, 2.0)]]) for _ in range(128)
-    ]
+    pairs = [(rng.normal(0.0, 2.0), rng.uniform(0.0, 2.0)) for _ in range(128)]
     start = time.perf_counter()
     for i in range(cases):
         d1 = Interval(lo[i, 0], lo[i, 0] + w[i, 0])
@@ -387,11 +385,9 @@ def test_interval_invariants_randomized():
         assert hausdorff_distance(d1, d3) <= h12 + hausdorff_distance(d2, d3) + 1e-12
 
         # the pairing keeps center and radius channels separate
-        pm = pairs[i & 127]
-        got = pair_product(d1, pm)[0][0]
-        want = Interval.from_center_radius(
-            d1.center * pm.values[0, 0], d1.radius * pm.values[1, 0]
-        )
+        a, c = pairs[i & 127]
+        got = pair_product(d1, a, c)
+        want = Interval.from_center_radius(d1.center * a, d1.radius * c)
         assert got.lower == want.lower and got.upper == want.upper
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

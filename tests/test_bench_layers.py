@@ -7,15 +7,17 @@ import platform
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iarx.cli import main
+from iarx.data_io import default_synthetic_spec
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
-# The SHA-256 of each seed-3 chain file, and the Python and numpy versions they were taken on.
+# The SHA-256 of each file of the seed-3 and 17 280-sample chains, and the Python and numpy versions they were taken on.
 # A change that moves an output on purpose updates this file and names each moved file in CHANGES.md.
 FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
 LAYERS = {
@@ -26,25 +28,38 @@ LAYERS = {
 QUICK_WALL_S = 60.0
 
 
-@pytest.fixture(scope="module")
-def chain(tmp_path_factory):
-    """The SHA-256 of each file of the seed-3 chain synth, fit, eval, sweep 16..36, robust, run in-process."""
-    chain = tmp_path_factory.mktemp("chain")
+def _run_chain(chain: Path, synth_args: list[str], sweep: bool) -> dict[str, str]:
+    """Run synth, fit, eval, sweep 16..36 if asked, and robust in-process; returns the SHA-256 of each file written."""
     common = ["--data", str(chain / "data" / "synthetic.csv"), "--input-col", "u"]
     model = ["--model-dir", str(chain / "model")]
-    for out_dir, args in (
-        ("data", ["synth"]),
-        ("model", ["fit", *common]),
-        ("eval", ["eval", *common, *model]),
-        ("sweep", ["sweep", *common, "--cpms-range", "16..36"]),
-        ("robust", ["robust", *common, *model]),
-    ):
+    commands = [("data", ["synth", *synth_args]), ("model", ["fit", *common]), ("eval", ["eval", *common, *model])]
+    if sweep:
+        commands.append(("sweep", ["sweep", *common, "--cpms-range", "16..36"]))
+    commands.append(("robust", ["robust", *common, *model]))
+    for out_dir, args in commands:
         assert main([*args, "--out", str(chain / out_dir)]) == 0
     return {
         path.relative_to(chain).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(chain.rglob("*"))
         if path.is_file()
     }
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The SHA-256 of each file of the seed-3 chain synth, fit, eval, sweep 16..36, robust, run in-process."""
+    return _run_chain(tmp_path_factory.mktemp("chain"), [], sweep=True)
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    """The same for the chain synth, fit, eval, robust on the default spec lengthened to 17 280 samples.
+
+    Unlike the seed-3 chain, its z-scored series sends intervals to ``PatternSpace._scan`` in eval and robust.
+    """
+    spec = tmp_path_factory.mktemp("spec") / "long.json"
+    spec.write_text(json.dumps(replace(default_synthetic_spec(), length=17_280).to_json()), encoding="utf-8")
+    return _run_chain(tmp_path_factory.mktemp("long-chain"), ["--config", str(spec)], sweep=False)
 
 
 def test_quick_run_writes_every_key_and_the_fingerprints_of_the_chain(tmp_path, chain):
@@ -71,12 +86,20 @@ def test_quick_run_writes_every_key_and_the_fingerprints_of_the_chain(tmp_path, 
     assert doc["fingerprints"] == {"seed-3 chain": chain}
 
 
-def test_the_chain_writes_the_recorded_bytes(chain):
+def _assert_recorded(name: str, prints: dict[str, str]):
     recorded = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
     versions = {"python": platform.python_version(), "numpy": np.__version__}
     if versions != recorded["versions"]:
         # another numpy or BLAS may round a float differently; the bytes are compared exactly or not at all
         pytest.skip(f"fingerprints were taken on {recorded['versions']}, this run is on {versions}")
-    expected = recorded["seed-3 chain"]
-    moved = [name for name in sorted(expected.keys() | chain.keys()) if expected.get(name) != chain.get(name)]
-    assert moved == [], f"chain files whose bytes moved: {', '.join(moved)}"
+    expected = recorded[name]
+    moved = [path for path in sorted(expected.keys() | prints.keys()) if expected.get(path) != prints.get(path)]
+    assert moved == [], f"{name} files whose bytes moved: {', '.join(moved)}"
+
+
+def test_the_chain_writes_the_recorded_bytes(chain):
+    _assert_recorded("seed-3 chain", chain)
+
+
+def test_the_long_chain_writes_the_recorded_bytes(long_chain):
+    _assert_recorded("17280-sample chain", long_chain)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iarx.intervals import Interval, PairMatrix, add, pair_product, scale
+from iarx.intervals import Interval, add, pair_product, scale
 from oracles import hausdorff_distance, sub
 
 
@@ -109,45 +109,24 @@ def test_equality_and_hashing():
     assert a != (1.0, 2.0)
 
 
-def test_pair_matrix_validation():
-    PairMatrix([[1.0], [0.0], [-2.0], [3.0]])  # odd rows are radius rows
-    with pytest.raises(ValueError):
-        PairMatrix([[1.0], [-0.5]])  # negative radius coefficient
-    with pytest.raises(ValueError):
-        PairMatrix([[1.0], [0.0], [2.0]])  # odd row count
-    with pytest.raises(ValueError):
-        PairMatrix([[1.0], [float("nan")]])
-    with pytest.raises(ValueError, match="^expected a 2-D coefficient matrix, got ndim=1$"):
-        PairMatrix([1.0, 0.0])
-    with pytest.raises(ValueError, match="^coefficient matrix needs at least one column$"):
-        PairMatrix(np.empty((2, 0)))
-
-
-def test_pair_matrix_rows_are_read_only():
-    pm = PairMatrix([[1.0], [0.0], [-2.0], [3.0]])
-    with pytest.raises((ValueError, RuntimeError)):
-        pm.values[0, 0] = 9.0
-
-
 def test_pair_product_hand_example():
-    pm = PairMatrix([[1.0], [0.0], [-2.0], [3.0]])
-    out = pair_product(Interval.from_center_radius(-1.0, 2.0), pm)
-    assert out == [[Interval(-1.0, -1.0)], [Interval(-4.0, 8.0)]]
+    d = Interval.from_center_radius(-1.0, 2.0)
+    assert pair_product(d, -2.0, 3.0) == Interval(-4.0, 8.0)
+    assert pair_product(d, 1.0, 0.0) == Interval(-1.0, -1.0)
 
 
 def test_pair_product_wiring_randomized():
+    # the center channel reads only the center, the radius channel only the radius
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        raw = rng.normal(size=(2 * n, m))
-        raw[1::2] = np.abs(raw[1::2])
-        pm = PairMatrix(raw)
+    for _ in range(200):
         d = Interval.from_center_radius(rng.normal(), abs(rng.normal()))
-        out = pair_product(d, pm)
-        assert len(out) == n and all(len(row) == m for row in out)
-        for i in range(n):
-            for j in range(m):
-                want = Interval.from_center_radius(
-                    d.center * raw[2 * i, j], d.radius * raw[2 * i + 1, j]
-                )
-                assert out[i][j] == want
+        a, c = rng.normal(), abs(rng.normal())
+        assert pair_product(d, a, c) == Interval.from_center_radius(d.center * a, d.radius * c)
+
+
+@pytest.mark.parametrize("radius_coeff", [-0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("d", [Interval(-1.0, 3.0), Interval(2.0, 2.0)], ids=["wide", "degenerate"])
+def test_pair_product_rejects_a_negative_or_non_finite_radius_coefficient(d, radius_coeff):
+    # on the degenerate interval 0.0 * -0.5 is -0.0, which a nonnegative-radius check passes
+    with pytest.raises(ValueError, match="^radius coefficient must be finite and nonnegative, got "):
+        pair_product(d, 1.0, radius_coeff)
