@@ -170,7 +170,7 @@ def _load_model_dir(model_dir: str) -> MovingPatternModel:
     model_path = _require_file(base / MODEL_FILE, "model file")
     space_path = _require_file(base / SPACE_FILE, "pattern space file")
     params = IarxParams.from_json(read_json(model_path))
-    space = PatternSpace.from_json(read_json(space_path))
+    space = PatternSpace.load(space_path)
     report_path = base / REPORT_FILE
     if report_path.is_file():
         report = read_json(report_path)
@@ -185,7 +185,7 @@ def _load_model_dir(model_dir: str) -> MovingPatternModel:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

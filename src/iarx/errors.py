@@ -159,8 +159,8 @@ def json_field(doc, key: str, kind, what: str):
     ``kind`` is a JSON type checked by :func:`json_value` (``int``,
     ``float``, ``str`` or ``list``) or a function that converts the raw
     value. A ``doc`` that is not an object, a missing ``key`` or a value of
-    the wrong type, or that the function rejects with ``TypeError`` or
-    ``ValueError``, raises ``DataError`` naming ``what`` and the field.
+    the wrong type, or that the function rejects with ``TypeError``,
+    ``ValueError`` or ``DataError``, raises ``DataError`` naming ``what`` and the field.
     """
     if not isinstance(doc, dict):
         raise DataError(f"{what}: expected a JSON object, got {type(doc).__name__}")
@@ -170,7 +170,7 @@ def json_field(doc, key: str, kind, what: str):
         if kind in _JSON_KINDS:
             return json_value(doc[key], kind)
         return kind(doc[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise DataError(f"{what}: field {key!r} is invalid: {exc}") from None
 
 

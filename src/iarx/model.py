@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, fit_series, json_fields, json_floats, orders
+from .errors import DataError, IdentificationError, fit_series, json_fields, json_floats, orders
 from .intervals import Interval, add, pair_product, scale
 
 __all__ = ["IarxParams", "lag_columns", "predict_bounds", "predict_compositional", "fit", "nnls"]
@@ -88,14 +88,14 @@ class IarxParams:
 
     @classmethod
     def from_json(cls, doc) -> "IarxParams":
-        """Parameters from :meth:`to_json` output; a missing, mistyped or unknown field is a ``DataError``,
-        and values the constructor rejects are a ``ValueError`` naming the model parameters."""
+        """Parameters from :meth:`to_json` output; a missing, mistyped or unknown field, or values the
+        constructor rejects, is a ``DataError`` naming the model parameters."""
         what = "model parameters"
         fields = json_fields(doc, {"n": int, "m": int, "A": json_floats, "C": json_floats}, what)
         try:
             return cls(*fields)
-        except ValueError as exc:  # still a ValueError, so a spec that nests these names its field too
-            raise ValueError(f"{what}: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"{what}: {exc}") from None
 
 
 def lag_columns(centers, radii, inputs, n: int, m: int, start: int, stop: int):

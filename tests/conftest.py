@@ -1,7 +1,12 @@
-"""Shared fixtures: the default dataset is expensive enough to fit once."""
+"""Shared fixtures: the default dataset is expensive enough to fit once, and the seed-3 chain to run once."""
+
+import importlib.util
+import os
+from pathlib import Path
 
 import pytest
 
+from iarx.cli import main
 from iarx.data_io import default_synthetic_spec, synthesize
 from iarx.pipeline import evaluate, fit_model, forecast_series
 
@@ -24,3 +29,37 @@ def default_records(default_model, default_result):
 @pytest.fixture(scope="session")
 def default_report(default_model, default_result):
     return evaluate(default_model, default_result.data, default_result.u)
+
+
+@pytest.fixture(scope="session")
+def bench_layers():
+    """``tools/bench_layers.py`` as a module: the one definition of the chains, its ``fingerprints`` and ``main``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def run_in_process(bench_layers, tmp_path_factory):
+    """Runs a chain of the script in-process, in a fresh working directory; returns the SHA-256 of each file written."""
+
+    def run(commands) -> dict[str, str]:
+        directory = tmp_path_factory.mktemp("chain")
+        home = os.getcwd()
+        os.chdir(directory)
+        try:
+            for name, args in commands:
+                assert main(args) == 0, f"iarx {name} failed"
+        finally:
+            os.chdir(home)
+        return bench_layers.fingerprints(directory)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def seed3_chain(bench_layers, run_in_process):
+    """The SHA-256 of each file of the script's chain: synth, fit, eval, sweep 16..36, robust at seed 3."""
+    return run_in_process(bench_layers.CHAIN)

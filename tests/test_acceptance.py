@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from iarx.cli import main
 from iarx.data_io import SyntheticSpec, WhiteNoiseInput, default_synthetic_spec, synthesize
 from iarx.intervals import Interval, add, pair_product, scale
 from iarx.model import (
@@ -394,33 +393,9 @@ def test_interval_invariants_randomized():
     print(f"[PASS] interval invariants: {cases} randomized cases ({elapsed:.2f}s)")
 
 
-def test_cli_chain_reruns_byte_identical(tmp_path):
-    """synth -> fit -> eval -> sweep -> robust twice produces identical bytes."""
-
-    def run_chain(base):
-        data_dir = base / "data"
-        model_dir = base / "model"
-        out_dir = base / "out"
-        assert main(["synth", "--out", str(data_dir)]) == 0
-        csv = str(data_dir / "synthetic.csv")
-        common = ["--data", csv, "--input-col", "u"]
-        assert main(["fit", *common, "--out", str(model_dir)]) == 0
-        assert main(["eval", *common, "--model-dir", str(model_dir), "--out", str(out_dir)]) == 0
-        assert main(["sweep", *common, "--cpms-range", "16..24", "--out", str(out_dir)]) == 0
-        assert main(["robust", *common, "--model-dir", str(model_dir), "--out", str(out_dir)]) == 0
-        return {
-            "data/synthetic.csv": (data_dir / "synthetic.csv").read_bytes(),
-            "data/truth.json": (data_dir / "truth.json").read_bytes(),
-            "model/model.json": (model_dir / "model.json").read_bytes(),
-            "model/space.json": (model_dir / "space.json").read_bytes(),
-            "model/report.json": (model_dir / "report.json").read_bytes(),
-            "out/rmse.csv": (out_dir / "rmse.csv").read_bytes(),
-            "out/trace.csv": (out_dir / "trace.csv").read_bytes(),
-            "out/sweep.csv": (out_dir / "sweep.csv").read_bytes(),
-            "out/robust.csv": (out_dir / "robust.csv").read_bytes(),
-        }
-
-    first = run_chain(tmp_path / "run1")
-    second = run_chain(tmp_path / "run2")
-    assert first == second
-    print(f"[PASS] determinism: {len(first)} output files byte-identical across reruns")
+def test_cli_chain_reruns_byte_identical(bench_layers, run_in_process, seed3_chain):
+    """synth -> fit -> eval -> sweep -> robust, run again, writes the same bytes."""
+    again = run_in_process(bench_layers.CHAIN)
+    assert len(again) == 9
+    assert again == seed3_chain
+    print(f"[PASS] determinism: {len(again)} output files byte-identical across reruns")

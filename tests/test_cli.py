@@ -177,25 +177,6 @@ def test_sweep_deterministic(workspace, tmp_path):
 
 
 
-def test_fit_eval_robust_reruns_write_identical_files(workspace, tmp_path):
-    data_dir, _ = workspace
-    data = ["--data", str(data_dir / "synthetic.csv"), "--input-col", "u"]
-    written = {
-        "fit": ("model.json", "space.json", "report.json"),
-        "eval": ("rmse.csv", "trace.csv"),
-        "robust": ("robust.csv",),
-    }
-    for run in ("a", "b"):
-        model_dir = tmp_path / run / "fit"
-        for command in written:
-            model = [] if command == "fit" else ["--model-dir", str(model_dir)]
-            assert main([command, *data, *model, "--out", str(tmp_path / run / command)]) == 0
-    for command, names in written.items():
-        for name in names:
-            first = (tmp_path / "a" / command / name).read_bytes()
-            assert first and first == (tmp_path / "b" / command / name).read_bytes(), f"{command}/{name}"
-
-
 def test_sweep_reports_non_convergence_on_stderr(workspace, tmp_path):
     # with a cap of 5 passes fuzzy c-means at 22 classes stops before it
     # converges; the cell is still scored and the files are unchanged
@@ -438,6 +419,10 @@ def _spec(**fields) -> str:
     return json.dumps({**_SPEC, **fields})
 
 
+# a problem inside a spec's nested object keeps the spec's context
+_IN_PROCESS = "error: synthetic spec: field 'input_process' is invalid: input process: "
+_IN_PARAMS = "error: synthetic spec: field 'true_params' is invalid: model parameters: "
+
 # every field of model.json, space.json and a spec (truth.json) missing, then of the wrong JSON type
 _MISSING_AND_MISTYPED_FIELDS = [
     *[pytest.param("model.json", json.dumps(_without(_MODEL, key)), f"error: model parameters: missing field {key!r}",
@@ -462,10 +447,14 @@ _MISSING_AND_MISTYPED_FIELDS = [
     *[pytest.param("spec.json", _spec(**{key: _MISTYPED[key][0]}),
                    f"error: synthetic spec: field {key!r} is invalid: {_MISTYPED[key][1]}",
                    id=f"spec.json-mistyped-{key}") for key in ("length", "noise_center", "noise_radius", "seed")],
-    pytest.param("spec.json", _spec(true_params=[]), "error: model parameters: expected a JSON object, got list",
+    pytest.param("spec.json", _spec(true_params=[]), _IN_PARAMS + "expected a JSON object, got list",
                  id="spec.json-true_params-array"),
-    pytest.param("spec.json", _spec(input_process="steps"), "error: input process: expected a JSON object, got str",
+    pytest.param("spec.json", _spec(input_process="steps"), _IN_PROCESS + "expected a JSON object, got str",
                  id="spec.json-input_process-string"),
+    pytest.param("spec.json", _spec(input_process={"kind": "white"}), _IN_PROCESS + "missing field 'amplitude'",
+                 id="spec.json-input_process-missing-amplitude"),
+    pytest.param("spec.json", _spec(true_params=_without(_MODEL, "A")), _IN_PARAMS + "missing field 'A'",
+                 id="spec.json-true_params-missing-A"),
 ]
 
 _NON_FINITE_FIELDS = [
@@ -520,7 +509,7 @@ _NON_FINITE_FIELDS = [
     pytest.param(
         "spec.json",
         _spec(true_params={**_SPEC["true_params"], "A": [float("nan")] * 5}),
-        "error: synthetic spec: field 'true_params' is invalid: model parameters: A must be finite",
+        _IN_PARAMS + "A must be finite",
         id="spec.json-true_params-A-nan",
     ),
 ]
@@ -540,7 +529,7 @@ _INVALID_VALUES = [
                  "error: pattern space: a pattern space needs at least two classes, got 1", id="space.json-one-class"),
     pytest.param("spec.json", _spec(seed=-1), "error: synthetic spec: seed must be >= 0, got -1",
                  id="spec.json-seed-negative"),
-    pytest.param("spec.json", _spec(input_process={"kind": "bogus"}), "error: input process: unknown kind 'bogus'",
+    pytest.param("spec.json", _spec(input_process={"kind": "bogus"}), _IN_PROCESS + "unknown kind 'bogus'",
                  id="spec.json-input_process-unknown-kind"),
     pytest.param("spec.json", _spec(length=10),
                  "error: synthetic spec: length 10 is too short; need at least 10 * (1 + n + m) = 50",
@@ -568,12 +557,13 @@ _INVALID_VALUES = [
 _UNKNOWN_FIELDS = [
     pytest.param("spec.json", _spec(note="x"), "error: synthetic spec: unknown field(s) 'note'",
                  id="spec.json-unknown-note"),
-    pytest.param("spec.json", _spec(true_params={**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'",
+    pytest.param("spec.json", _spec(true_params={**_MODEL, "D": [0]}), _IN_PARAMS + "unknown field(s) 'D'",
                  id="spec.json-true_params-unknown-D"),
     pytest.param("spec.json", _spec(input_process={"kind": "white", "amplitude": 1.0, "period": 24}),
-                 "error: input process: unknown field(s) 'period'", id="spec.json-input_process-unknown-period"),
+                 _IN_PROCESS + "unknown field(s) 'period'",
+                 id="spec.json-input_process-unknown-period"),
     pytest.param("spec.json", _spec(input_process={**_SPEC["input_process"], "amplitude": 1.0, "phase": 0}),
-                 "error: input process: unknown field(s) 'amplitude', 'phase'",
+                 _IN_PROCESS + "unknown field(s) 'amplitude', 'phase'",
                  id="spec.json-input_process-unknown-amplitude-phase"),
     pytest.param("model.json", json.dumps({**_MODEL, "D": [0]}), "error: model parameters: unknown field(s) 'D'",
                  id="model.json-unknown-D"),
@@ -706,7 +696,7 @@ _BAD_CSV_FILES = [
                     "input_process": {"kind": "steps", "levels": [1, "2"], "period": 24},
                 }
             ),
-            "error: input process: field 'levels' is invalid: expected a number, got '2'",
+            _IN_PROCESS + "field 'levels' is invalid: expected a number, got '2'",
             id="spec.json-levels-string-entry",
         ),
         *_MISSING_AND_MISTYPED_FIELDS,

@@ -70,6 +70,9 @@ def test_params_equality_and_json_round_trip():
     q = IarxParams.from_json(p.to_json())
     assert p == q
     assert p != IarxParams(n=2, m=1, A=[0.1, 0.5, 0.2, 0.31], C=[0.05, 0.4, 0.1, 0.0])
+    # a value the constructor rejects is the same class of input problem as a missing field
+    with pytest.raises(DataError, match=r"^model parameters: A and C must have length 1 \+ n \+ m = 5, got 2 and 5$"):
+        IarxParams.from_json({"n": 3, "m": 1, "A": [1, 2], "C": [0, 0, 0, 0, 0]})
 
 
 def test_params_arrays_are_frozen():

@@ -624,13 +624,17 @@ def test_encoding_matches_the_full_scan(sweep_spaces):
     # fallback together give the full scan's id for every scalar, and
     # classify_points answers as classify_bounds(x, x), on random spaces of
     # every layout (overlapping and wide ones have no table and fall back
-    # whole), on the spaces of the default sweep, raw and z-scored, and at
-    # the 64 floats either side of a breakpoint on a cell edge
+    # whole), on the spaces of the default sweep, raw and z-scored, at the
+    # 64 floats either side of a breakpoint on a cell edge, and on one-cell grids
     rng = np.random.default_rng(7)
     layouts = ("disjoint", "overlapping", "wide")
     cases = [(random_space(rng, cpms, layout), 2) for layout in layouts for cpms in range(2, 41)]
     cases += [(space, 2) for space in sweep_spaces.values()]
     cases += [(two_class_space(rng), 64) for _ in range(50)]
+    # a zero span, and a subnormal one whose cells / span overflows, leave the grid a single cell
+    one_cell = [PatternSpace([5, 5], [5, 5], [1, 2]), PatternSpace([0, 0], [0, 5e-324], [0, 1])]
+    assert [space._code.size for space in one_cell] == [1, 1]
+    cases += [(space, 2) for space in one_cell]
     for space, neighbours in cases:
         x = point_probes(space, neighbours)
         got = space.classify_points(x)

@@ -3,7 +3,6 @@
 Usage (from any directory)::
 
     python3 tools/bench_layers.py BENCH_<n>.json
-    python3 tools/bench_layers.py --quick bench.json
 
 The script imports ``iarx`` from the ``src`` directory beside it and writes
 one JSON document with these keys:
@@ -20,12 +19,11 @@ one JSON document with these keys:
   ``synth -> fit -> eval -> sweep -> robust`` at the default spec, each
   command its own ``python -m iarx.cli`` process, and the best total;
 - ``fingerprints``: the SHA-256 of every file that chain writes, and of
-  every file of a ``synth -> fit -> eval -> robust`` chain on the default
-  spec lengthened to 17 280 samples.
+  every file of the long chain ``synth -> fit -> eval -> robust`` on the
+  default spec lengthened to the last of ``LENGTHS``.
 
 Every repetition of the chain must write the same bytes, or the script
-fails. ``--quick`` times the default length only, once, and skips the long
-chain; it exists so that a test can run the script in seconds.
+fails. The chains are defined here once; the tests run them in-process.
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ from iarx.pattern_space import fcm_cluster  # noqa: E402
 SEED = 3  # default_synthetic_spec's own seed
 CPMS = 26
 N_ORDER, M_ORDER = 3, 1
-LENGTHS = (864, 17_280)  # the default spec and a 20x longer series
-LONG_LENGTH = LENGTHS[-1]
+LENGTHS = (864, 17_280)  # the default spec and a 20x longer series, the long chain's length
 REPEATS = 7
 SWEEP_RANGE = (16, 36)
 MAGNITUDE, ROBUST_SEED = 0.002, 0  # the CLI defaults of robust
@@ -85,8 +82,8 @@ def best_of(repeats: int, call) -> float:
     return best
 
 
-def layer_times(length: int, repeats: int, workdir: Path) -> dict[str, float]:
-    """Best-of-``repeats`` wall time of every layer on the default spec at ``length`` samples."""
+def layer_times(length: int, workdir: Path) -> dict[str, float]:
+    """Best-of-``REPEATS`` wall time of every layer on the default spec at ``length`` samples."""
     spec = replace(default_synthetic_spec(SEED), length=length)
     result = synthesize(spec)
     series, u = zero_mean_normalize(result.data)[0], zero_mean_normalize(result.u)[0]
@@ -110,7 +107,7 @@ def layer_times(length: int, repeats: int, workdir: Path) -> dict[str, float]:
         "write_sweep_csv": lambda: pipeline.write_sweep_csv(workdir / "sweep.csv", cells),
         "write_robust_csv": lambda: pipeline.write_robust_csv(workdir / "robust.csv", robust),
     }
-    return {name: best_of(repeats, call) for name, call in layers.items()}
+    return {name: best_of(REPEATS, call) for name, call in layers.items()}
 
 
 def run_chain(directory: Path, commands) -> dict[str, float]:
@@ -131,6 +128,13 @@ def run_chain(directory: Path, commands) -> dict[str, float]:
     return times
 
 
+def long_chain(spec_path: Path) -> list:
+    """The long chain; writes its spec to ``spec_path``, a path outside the chain's directory, for ``synth`` to read."""
+    spec = replace(default_synthetic_spec(SEED), length=LENGTHS[-1])
+    spec_path.write_text(json.dumps(spec.to_json()), encoding="utf-8")
+    return [("synth", ["synth", "--config", str(spec_path), "--out", "data"]), *_FIT_EVAL, _ROBUST]
+
+
 def fingerprints(directory: Path) -> dict[str, str]:
     """SHA-256 of every file under ``directory``, keyed by its relative POSIX path."""
     return {
@@ -140,14 +144,13 @@ def fingerprints(directory: Path) -> dict[str, str]:
     }
 
 
-def measure(quick: bool) -> dict:
-    lengths, repeats = ((LENGTHS[0],), 1) if quick else (LENGTHS, REPEATS)
+def measure() -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as tmp:
         tmp = Path(tmp)
-        layers = {str(length): layer_times(length, repeats, tmp) for length in lengths}
+        layers = {str(length): layer_times(length, tmp) for length in LENGTHS}
 
         runs, prints = [], None
-        for rep in range(repeats):
+        for rep in range(REPEATS):
             directory = tmp / f"chain-{rep}"
             directory.mkdir()
             runs.append(run_chain(directory, CHAIN))
@@ -159,15 +162,10 @@ def measure(quick: bool) -> dict:
         chain["total"] = min(sum(run.values()) for run in runs)
         prints = {f"seed-{SEED} chain": prints}
 
-        if not quick:
-            long_spec = tmp / "long.json"
-            spec = replace(default_synthetic_spec(SEED), length=LONG_LENGTH)
-            long_spec.write_text(json.dumps(spec.to_json()), encoding="utf-8")
-            directory = tmp / "long-chain"
-            directory.mkdir()
-            synth = ("synth", ["synth", "--config", str(long_spec), "--out", "data"])
-            run_chain(directory, [synth, *_FIT_EVAL, _ROBUST])
-            prints[f"{LONG_LENGTH}-sample chain"] = fingerprints(directory)
+        directory = tmp / "long-chain"
+        directory.mkdir()
+        run_chain(directory, long_chain(tmp / "long.json"))
+        prints[f"{LENGTHS[-1]}-sample chain"] = fingerprints(directory)
 
     return {
         "environment": {
@@ -181,8 +179,8 @@ def measure(quick: bool) -> dict:
             "cpms": CPMS,
             "n": N_ORDER,
             "m": M_ORDER,
-            "repeats": repeats,
-            "lengths": list(lengths),
+            "repeats": REPEATS,
+            "lengths": list(LENGTHS),
             "sweep_range": list(SWEEP_RANGE),
         },
         "layers_s": layers,
@@ -194,9 +192,8 @@ def measure(quick: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write")
-    parser.add_argument("--quick", action="store_true", help="default length only, one repetition, no long chain")
     args = parser.parse_args(argv)
-    doc = measure(args.quick)
+    doc = measure()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
