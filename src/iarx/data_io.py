@@ -204,10 +204,16 @@ def _input_from_json(doc):
     what = "input process"
     kind = json_field(doc, "kind", str, what)
     if kind == "white":
-        return WhiteNoiseInput(*json_fields(doc, {"kind": str, "amplitude": float}, what)[1:])
-    if kind == "steps":
-        return StepScheduleInput(*json_fields(doc, {"kind": str, "levels": json_floats, "period": int}, what)[1:])
-    raise DataError(f"{what}: unknown kind {kind!r}")
+        cls, kinds = WhiteNoiseInput, {"kind": str, "amplitude": float}
+    elif kind == "steps":
+        cls, kinds = StepScheduleInput, {"kind": str, "levels": json_floats, "period": int}
+    else:
+        raise DataError(f"{what}: unknown kind {kind!r}")
+    fields = json_fields(doc, kinds, what)[1:]
+    try:
+        return cls(*fields)
+    except ValueError as exc:  # the fields parsed, but do not make an input process
+        raise DataError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)

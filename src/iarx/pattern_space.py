@@ -2,8 +2,8 @@
 
 A pattern space partitions a one-dimensional data series into ``k`` fuzzy
 c-means clusters, hardens the memberships, and represents every class by
-the closed interval spanning its members. Classes are kept sorted by
-ascending cluster center and numbered ``1..k``; the class count is the
+the closed interval spanning its members. The space is those ``k`` class
+bounds, numbered ``1..k`` in ascending order; the class count is the
 cardinality of the space.
 
 Classification of an interval is nearest-neighbor under the Hausdorff
@@ -234,26 +234,25 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
 
 @dataclass(frozen=True)
 class PatternClass:
-    """One class of the space: 1-based id, span interval, cluster center.
+    """One class of the space: 1-based id and span interval.
 
     Only :attr:`PatternSpace.classes` builds these, as a view of the arrays.
     """
 
     id: int
     interval: Interval
-    center: float
 
 
 class PatternSpace:
     """An ordered collection of pattern classes over a scalar series.
 
-    The space is three read-only arrays of equal length: the lower and upper
-    bounds of the class intervals and the cluster centers, class ``j`` at
-    index ``j - 1``. Construction copies them and checks, whether the
-    classes come from clustering or from a serialized file, that there are
-    at least two classes, that every bound is finite with lower <= upper,
-    that the centers are finite and strictly ascend, that the lower bounds
-    do not decrease, and that the class extent does not overflow a float.
+    The space is two read-only arrays of equal length: the lower and upper
+    bounds of the class intervals, class ``j`` at index ``j - 1``.
+    Construction copies them and checks, whether the classes come from
+    clustering or from a serialized file, that there are at least two
+    classes, that every bound is finite with lower <= upper, that the lower
+    bounds do not decrease, and that the class extent does not overflow a
+    float.
 
     Grid. The space keeps one uniform grid over its class extent, with an
     encoding code and a snap pair per cell. The grid spans ``[_origin,
@@ -294,24 +293,20 @@ class PatternSpace:
     cell, and every cell of a space with a step of ``2 E`` or less.
     """
 
-    __slots__ = ("_lowers", "_padded", "_uppers", "_centers", "_classes", "_origin", "_top", "_scale", "_code", "_first")
+    __slots__ = ("_lowers", "_padded", "_uppers", "_classes", "_origin", "_top", "_scale", "_code", "_first")
 
-    def __init__(self, lowers, uppers, centers):
-        arrays = lowers, uppers, centers = [np.array(a, dtype=float) for a in (lowers, uppers, centers)]
-        if not lowers.shape == uppers.shape == centers.shape == (centers.size,):
-            raise ClusteringError(f"bounds and centers must be 1-D and of one length, got {[a.shape for a in arrays]}")
-        if centers.size < 2:
-            raise ClusteringError(f"a pattern space needs at least two classes, got {centers.size}")
+    def __init__(self, lowers, uppers):
+        lowers, uppers = np.array(lowers, dtype=float), np.array(uppers, dtype=float)
+        if not lowers.shape == uppers.shape == (lowers.size,):
+            raise ClusteringError(f"bounds must be 1-D and of one length, got {[lowers.shape, uppers.shape]}")
+        if lowers.size < 2:
+            raise ClusteringError(f"a pattern space needs at least two classes, got {lowers.size}")
         bad = np.flatnonzero(~(np.isfinite(lowers) & np.isfinite(uppers) & (lowers <= uppers)))
         if bad.size:
             j = bad[0]
             raise ClusteringError(
                 f"class {j + 1} bounds must be finite with lower <= upper, got [{lowers[j]}, {uppers[j]}]"
             )
-        if not np.isfinite(centers).all():
-            raise ClusteringError(f"class centers must be finite, got {centers.tolist()}")
-        if not (centers[1:] > centers[:-1]).all():
-            raise ClusteringError(f"class centers must strictly ascend, got {centers.tolist()}")
         if not (lowers[1:] >= lowers[:-1]).all():
             raise ClusteringError(
                 f"class interval lower bounds must be non-decreasing, got {lowers.tolist()}"
@@ -321,9 +316,9 @@ class PatternSpace:
             if not (top - bottom < np.inf and np.isfinite(lowers + uppers).all()):
                 raise ClusteringError(f"class bounds from {bottom!r} to {top!r} overflow a float")
         self._padded = np.concatenate(([-np.inf], lowers, [np.inf]))
-        for a in (self._padded, uppers, centers):
+        for a in (self._padded, uppers):
             a.setflags(write=False)
-        self._lowers, self._uppers, self._centers = self._padded[1:-1], uppers, centers
+        self._lowers, self._uppers = self._padded[1:-1], uppers
         self._classes = None
         k = lowers.size
         cells = _GRID_CELLS * k
@@ -357,7 +352,7 @@ class PatternSpace:
         """The classes as objects, built from the arrays on first access."""
         if self._classes is None:
             self._classes = tuple(
-                PatternClass(c["id"], Interval(c["lower"], c["upper"]), c["center"]) for c in self.to_json()["classes"]
+                PatternClass(c["id"], Interval(c["lower"], c["upper"])) for c in self.to_json()["classes"]
             )
         return self._classes
 
@@ -375,11 +370,6 @@ class PatternSpace:
     def uppers(self) -> np.ndarray:
         """Upper bounds of the class intervals in id order (read-only)."""
         return self._uppers
-
-    @property
-    def centers(self) -> np.ndarray:
-        """Cluster centers of the classes in id order (read-only)."""
-        return self._centers
 
     def classify_points(self, x) -> np.ndarray:
         """Ids of the classes Hausdorff-nearest to the degenerate intervals ``[x[i], x[i]]``.
@@ -495,10 +485,8 @@ class PatternSpace:
         return {
             "cpms": self.cpms,
             "classes": [
-                {"id": j, "lower": lower, "upper": upper, "center": center}
-                for j, (lower, upper, center) in enumerate(
-                    zip(self._lowers.tolist(), self._uppers.tolist(), self._centers.tolist()), start=1
-                )
+                {"id": j, "lower": lower, "upper": upper}
+                for j, (lower, upper) in enumerate(zip(self._lowers.tolist(), self._uppers.tolist()), start=1)
             ],
         }
 
@@ -510,7 +498,7 @@ class PatternSpace:
         ids, bounds = [], []
         for position, entry in enumerate(classes, start=1):
             class_id, *row = json_fields(
-                entry, {"id": int, "lower": float, "upper": float, "center": float}, f"pattern space class {position}"
+                entry, {"id": int, "lower": float, "upper": float}, f"pattern space class {position}"
             )
             ids.append(class_id)
             bounds.append(row)
@@ -521,7 +509,7 @@ class PatternSpace:
         if ids != list(range(1, len(ids) + 1)):
             raise DataError(f"pattern space: class ids must run 1..{len(ids)} in order, got {ids}")
         try:
-            return cls(*np.array(bounds, dtype=float).reshape(-1, 3).T)
+            return cls(*np.array(bounds, dtype=float).reshape(-1, 2).T)
         except ClusteringError as exc:
             raise DataError(f"pattern space: {exc}") from None
 
@@ -536,6 +524,6 @@ def build_space(data, k: int, config: FcmConfig = FcmConfig()) -> PatternSpace:
     Class ``j`` spans the ``j``-th run of the sorted series, as ``fcm_cluster`` cuts it.
     """
     values = np.asarray(data, dtype=float).ravel()
-    centers, counts = fcm_cluster(values, k, config)
+    _, counts = fcm_cluster(values, k, config)
     ordered, ends = np.sort(values), np.cumsum(counts)
-    return PatternSpace(ordered[ends - counts], ordered[ends - 1], centers)
+    return PatternSpace(ordered[ends - counts], ordered[ends - 1])

@@ -395,13 +395,13 @@ def test_overflowing_noise_exits_1(tmp_path, field, message):
 
 
 _MODEL = {"n": 1, "m": 0, "A": [0.5, 0.5], "C": [0, 1]}
-_CLASS = {"id": 1, "lower": 0, "upper": 1, "center": 0.5}
-_CLASS_2 = {"id": 2, "lower": 1, "upper": 2, "center": 1.5}
+_CLASS = {"id": 1, "lower": 0, "upper": 1}
+_CLASS_2 = {"id": 2, "lower": 1, "upper": 2}
 _SPEC = default_synthetic_spec().to_json()
 # a value of the wrong JSON type for each field of the three files, and the error's account of it
 _MISTYPED = {
     **{key: ("1", "expected an integer, got '1'") for key in ("n", "m", "cpms", "id", "length", "seed")},
-    **{key: ("0.5", "expected a number, got '0.5'") for key in ("lower", "upper", "center", "noise_center", "noise_radius")},
+    **{key: ("0.5", "expected a number, got '0.5'") for key in ("lower", "upper", "noise_center", "noise_radius")},
     **{key: ("x", "expected an array, got 'x'") for key in ("A", "C", "classes")},
 }
 
@@ -474,14 +474,6 @@ _NON_FINITE_FIELDS = [
         "error: pattern space: class 1 bounds must be finite with lower <= upper, got [0.0, inf]",
         id="space.json-upper-inf",
     ),
-    pytest.param("space.json", _space(center=float("nan")),
-                 "error: pattern space: class centers must be finite, got [nan, 1.5]", id="space.json-center-nan"),
-    pytest.param(
-        "space.json",
-        json.dumps({"cpms": 2, "classes": [_CLASS, {**_CLASS_2, "center": float("inf")}]}),
-        "error: pattern space: class centers must be finite, got [0.5, inf]",
-        id="space.json-center-inf",
-    ),
     pytest.param(
         "spec.json",
         _spec(noise_center=float("nan")),
@@ -497,13 +489,13 @@ _NON_FINITE_FIELDS = [
     pytest.param(
         "spec.json",
         _spec(input_process={"kind": "steps", "levels": [1, float("nan")], "period": 24}),
-        "error: synthetic spec: field 'input_process' is invalid: step levels must be finite, got [1.0, nan]",
+        _IN_PROCESS + "step levels must be finite, got [1.0, nan]",
         id="spec.json-levels-nan",
     ),
     pytest.param(
         "spec.json",
         _spec(input_process={"kind": "white", "amplitude": float("inf")}),
-        "error: synthetic spec: field 'input_process' is invalid: amplitude must be finite and >= 0, got inf",
+        _IN_PROCESS + "amplitude must be finite and >= 0, got inf",
         id="spec.json-amplitude-inf",
     ),
     pytest.param(
@@ -539,9 +531,12 @@ _INVALID_VALUES = [
                  f"error: synthetic spec: field 'noise_center' is invalid: {10**400} is out of range for a float",
                  id="spec.json-noise_center-1e400"),
     pytest.param("spec.json", _spec(input_process={"kind": "white", "amplitude": 9e307}),
-                 "error: synthetic spec: field 'input_process' is invalid: "
-                 "amplitude must be at most half the largest float, got 9e+307",
+                 _IN_PROCESS + "amplitude must be at most half the largest float, got 9e+307",
                  id="spec.json-amplitude-9e307"),
+    pytest.param("spec.json", _spec(input_process={"kind": "steps", "levels": [1.0], "period": 0}),
+                 _IN_PROCESS + "step period must be >= 1, got 0", id="spec.json-period-0"),
+    pytest.param("spec.json", _spec(input_process={"kind": "steps", "levels": [], "period": 24}),
+                 _IN_PROCESS + "step schedule needs at least one level", id="spec.json-levels-empty"),
     pytest.param("report.json", '{"cpms": 25}',
                  "error: model dir {dir} is inconsistent: fit report says cpms=25 but the pattern space has 26 classes",
                  id="report.json-cpms-25"),
@@ -571,6 +566,9 @@ _UNKNOWN_FIELDS = [
                  "error: pattern space: unknown field(s) 'note'", id="space.json-unknown-note"),
     pytest.param("space.json", _space(note="x"), "error: pattern space class 1: unknown field(s) 'note'",
                  id="space.json-class-unknown-note"),
+    # a class as fit wrote it before the space was its bounds alone: the model dir must be refit
+    pytest.param("space.json", _space(center=0.5), "error: pattern space class 1: unknown field(s) 'center'",
+                 id="space.json-class-unknown-center"),
 ]
 
 # text that is not JSON, in every JSON file a command reads; config.json is an eval --config file
@@ -654,19 +652,19 @@ _BAD_CSV_FILES = [
         ),
         pytest.param(
             "space.json",
-            '{"cpms": 1, "classes": [{"id": 1, "lower": "0", "upper": 1, "center": 0.5}]}',
+            '{"cpms": 1, "classes": [{"id": 1, "lower": "0", "upper": 1}]}',
             "error: pattern space class 1: field 'lower' is invalid: expected a number, got '0'",
             id="space.json-lower-string",
         ),
         pytest.param(
             "space.json",
-            '{"cpms": 1, "classes": [{"id": 1, "lower": 0, "upper": 1, "center": false}]}',
-            "error: pattern space class 1: field 'center' is invalid: expected a number, got False",
-            id="space.json-center-bool",
+            '{"cpms": 1, "classes": [{"id": 1, "lower": 0, "upper": false}]}',
+            "error: pattern space class 1: field 'upper' is invalid: expected a number, got False",
+            id="space.json-upper-bool",
         ),
         pytest.param(
             "space.json",
-            '{"cpms": 1.0, "classes": [{"id": 1, "lower": 0, "upper": 1, "center": 0.5}]}',
+            '{"cpms": 1.0, "classes": [{"id": 1, "lower": 0, "upper": 1}]}',
             "error: pattern space: field 'cpms' is invalid: expected an integer, got 1.0",
             id="space.json-cpms-float",
         ),
@@ -736,19 +734,18 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, con
         (lambda doc: doc.update(cpms=25), "declared cpms 25 does not match the 26 classes"),
         (lambda doc: doc["classes"][0].update(id=2), "class ids must run 1..26 in order, got [2, 2, 3, "),
         (
-            lambda doc: doc["classes"][0].update(center=doc["classes"][1]["center"]),
-            "class centers must strictly ascend, got ",
+            lambda doc: doc["classes"][1].update(lower=doc["classes"][0]["lower"] - 1.0),
+            "class interval lower bounds must be non-decreasing, got ",
         ),
-        (lambda doc: doc["classes"][0].update(center=float("nan")), "class centers must be finite, got [nan, "),
         (
             lambda doc: doc.update(cpms=2, classes=[
-                {"id": 1, "lower": -1e308, "upper": -1e308, "center": -1e308},
-                {"id": 2, "lower": 1e308, "upper": 1e308, "center": 1e308},
+                {"id": 1, "lower": -1e308, "upper": -1e308},
+                {"id": 2, "lower": 1e308, "upper": 1e308},
             ]),
             "class bounds from -1e+308 to 1e+308 overflow a float",
         ),
     ],
-    ids=["declared-cpms", "class-ids", "unordered-centers", "nan-center", "overflowing-extent"],
+    ids=["declared-cpms", "class-ids", "unordered-lowers", "overflowing-extent"],
 )
 def test_inconsistent_space_file_exits_2(workspace, tmp_path, monkeypatch, edit, message):
     # a space.json whose fields parse but do not form a space is an input

@@ -143,7 +143,6 @@ def test_class_spans_are_the_extremes_of_their_members(default_result, k):
     for idx, cls in enumerate(space.classes):
         members = data[assign == idx]
         assert cls.interval == Interval(members.min(), members.max())
-        assert cls.center == centers[idx]
 
 
 def test_assignments_match_membership_argmax():
@@ -394,7 +393,7 @@ def test_classify_is_hausdorff_argmin(default_model, default_result):
 
 
 def test_classify_tie_goes_to_lowest_id():
-    space = PatternSpace([0.0, 2.0], [1.0, 3.0], [0.5, 2.5])
+    space = PatternSpace([0.0, 2.0], [1.0, 3.0])
     # equidistant from both classes
     probe = Interval(1.0, 2.0)
     d1 = oracles.hausdorff_distance(probe, space.classes[0].interval)
@@ -405,7 +404,7 @@ def test_classify_tie_goes_to_lowest_id():
 
 def test_classify_bounds_flattens_its_input():
     lowers = np.array([0.0, 2.0, 4.0])
-    space = PatternSpace(lowers, lowers + 1.0, lowers + 0.5)
+    space = PatternSpace(lowers, lowers + 1.0)
     lower = np.array([[0.0, 2.0, 4.0], [4.0, 2.0, 0.0]])
     ids = space.classify_bounds(lower, lower + 1.0)
     assert ids.shape == (6,) and ids.tolist() == [1, 2, 3, 3, 2, 1]
@@ -468,8 +467,7 @@ def random_space(rng, cpms, layout):
         uppers = lowers + widths
         if layout == "wide":
             uppers[rng.integers(cpms)] = 2.0 * uppers[-1] + 1.0
-    # classification reads the bounds only; any strictly ascending centers do
-    return PatternSpace(lowers, uppers, np.arange(cpms))
+    return PatternSpace(lowers, uppers)
 
 
 @pytest.mark.parametrize("layout", ["disjoint", "overlapping", "wide"])
@@ -512,7 +510,7 @@ def test_classify_bounds_falls_back_to_the_full_scan_outside_the_window(monkeypa
     # distance max(j, 10 - j) from class j + 1, so its nearest class, id 6,
     # lies further right of its lower bound than the window reaches
     lowers = np.arange(12.0)
-    space = PatternSpace(lowers, lowers + 0.1, lowers + 0.05)
+    space = PatternSpace(lowers, lowers + 0.1)
     scan = PatternSpace._scan
     scanned = []
 
@@ -552,7 +550,7 @@ def test_classification_without_encoding_codes_matches_the_full_scan():
     # encoding code, so every sample goes through the pair search and its
     # fallback, and both still give the full scan's ids
     lowers, uppers = np.array([(0, 1), (0, 2), (3, 4), (5, 6), (7, 8), (9, 10)], dtype=float).T
-    space = PatternSpace(lowers, uppers, 0.5 * (lowers + uppers))
+    space = PatternSpace(lowers, uppers)
     assert (space._code < -space.cpms).all()
     x = np.linspace(-1.0, 11.0, 97)
     expected = full_scan_ids(space, x, x)
@@ -565,8 +563,7 @@ def test_full_scan_settles_what_the_pair_leaves():
     # pair is classes 2 and 3, [1, 1.5] and [2, 2.5] (best 1.4, not below
     # 1.1 = lower - L_1), which cannot certify it, so the full scan settles it
     lowers, uppers = np.array([(0.0, 4.0), (1.0, 1.5), (2.0, 2.5), (5.0, 6.0), (7.0, 8.0)]).T
-    # classification reads the bounds only; any strictly ascending centers do
-    space = PatternSpace(lowers, uppers, np.arange(5))
+    space = PatternSpace(lowers, uppers)
     lower, upper = np.array([1.1, 1.05, 1.3]), np.array([3.9, 3.95, 3.99])
     ids, certified = space._nearest_pair(lower, upper)
     assert not certified.any()
@@ -616,7 +613,7 @@ def two_class_space(rng):
     first = -rng.uniform(30.0, 40.0)
     bounds = np.cumsum([first, rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)])
     upper = -first + rng.uniform(-1.0, 1.0)
-    return PatternSpace([bounds[0], bounds[2]], [bounds[1], upper], [0.0, 1.0])
+    return PatternSpace([bounds[0], bounds[2]], [bounds[1], upper])
 
 
 def test_encoding_matches_the_full_scan(sweep_spaces):
@@ -632,7 +629,7 @@ def test_encoding_matches_the_full_scan(sweep_spaces):
     cases += [(space, 2) for space in sweep_spaces.values()]
     cases += [(two_class_space(rng), 64) for _ in range(50)]
     # a zero span, and a subnormal one whose cells / span overflows, leave the grid a single cell
-    one_cell = [PatternSpace([5, 5], [5, 5], [1, 2]), PatternSpace([0, 0], [0, 5e-324], [0, 1])]
+    one_cell = [PatternSpace([5, 5], [5, 5]), PatternSpace([0, 0], [0, 5e-324])]
     assert [space._code.size for space in one_cell] == [1, 1]
     cases += [(space, 2) for space in one_cell]
     for space, neighbours in cases:
@@ -674,43 +671,39 @@ def test_class_bounds_are_the_stored_intervals():
     space = build_space([0.0, 0.0, 10.0, 10.0], 2)
     assert space.lowers.tolist() == [cls.interval.lower for cls in space.classes]
     assert space.uppers.tolist() == [cls.interval.upper for cls in space.classes]
-    assert space.centers.tolist() == [cls.center for cls in space.classes]
     assert [cls.id for cls in space.classes] == [1, 2]
     assert space.classes is space.classes  # built once, on first access
-    for bounds in (space.lowers, space.uppers, space.centers):
+    # the space is its bounds: space.json holds no FCM center, the one field the BLAS kernel moved
+    assert [sorted(cls) for cls in space.to_json()["classes"]] == [["id", "lower", "upper"]] * 2
+    for bounds in (space.lowers, space.uppers):
         with pytest.raises(ValueError):
             bounds[0] = 5.0
 
 
 def test_constructor_copies_its_arrays():
-    lowers, uppers, centers = np.array([0.0, 2.0]), np.array([1.0, 3.0]), np.array([0.5, 2.5])
-    space = PatternSpace(lowers, uppers, centers)
-    lowers[0] = uppers[0] = centers[0] = -1.0
+    lowers, uppers = np.array([0.0, 2.0]), np.array([1.0, 3.0])
+    space = PatternSpace(lowers, uppers)
+    lowers[0] = uppers[0] = -1.0
     assert space.lowers.tolist() == [0.0, 2.0] and space.uppers.tolist() == [1.0, 3.0]
-    assert space.centers.tolist() == [0.5, 2.5]
     assert lowers.flags.writeable
 
 
 def test_constructor_rejects_malformed_spaces():
     with pytest.raises(ClusteringError, match="^a pattern space needs at least two classes, got 0$"):
-        PatternSpace([], [], [])
+        PatternSpace([], [])
     with pytest.raises(ClusteringError, match="^a pattern space needs at least two classes, got 1$"):
-        PatternSpace([0.0], [1.0], [0.5])
-    with pytest.raises(ClusteringError, match=r"^bounds and centers must be 1-D and of one length, got "):
-        PatternSpace([0.0, 2.0], [1.0], [0.5, 2.5])
-    with pytest.raises(ClusteringError, match=r"^bounds and centers must be 1-D and of one length, got "):
-        PatternSpace([[0.0]], [[1.0]], [[0.5]])
-    with pytest.raises(ClusteringError, match=r"^class centers must strictly ascend, got \[0.5, 0.5\]$"):
-        PatternSpace([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
-    with pytest.raises(ClusteringError, match=r"^class centers must be finite, got \[0.5, nan\]$"):
-        PatternSpace([0.0, 0.0], [1.0, 1.0], [0.5, np.nan])
+        PatternSpace([0.0], [1.0])
+    with pytest.raises(ClusteringError, match=r"^bounds must be 1-D and of one length, got "):
+        PatternSpace([0.0, 2.0], [1.0])
+    with pytest.raises(ClusteringError, match=r"^bounds must be 1-D and of one length, got "):
+        PatternSpace([[0.0]], [[1.0]])
     decreasing = r"^class interval lower bounds must be non-decreasing, got \[0\.0, -1\.0\]$"
     with pytest.raises(ClusteringError, match=decreasing):
-        PatternSpace([0.0, -1.0], [1.0, 2.0], [0.5, 0.6])
+        PatternSpace([0.0, -1.0], [1.0, 2.0])
     # every bound finite, and lower <= upper in every class
     for lower, upper in ((2.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ClusteringError, match=r"^class 2 bounds must be finite with lower <= upper, got \["):
-            PatternSpace([-1.0, lower], [0.0, upper], [0.0, 1.0])
+            PatternSpace([-1.0, lower], [0.0, upper])
 
     # the grid spans the extent, max U - L_1, and the encoding halves each
     # L_j + U_j, so neither may overflow; the check raises no numpy warning
@@ -721,7 +714,7 @@ def test_constructor_rejects_malformed_spaces():
     ):
         lowers, uppers = np.array(bounds).T
         with pytest.raises(ClusteringError, match=r"^class bounds from .* overflow a float$"):
-            PatternSpace(lowers, uppers, np.arange(1.0, len(bounds) + 1))
+            PatternSpace(lowers, uppers)
 
 
 def test_from_json_checks_class_ids(default_model):
