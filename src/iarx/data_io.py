@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,49 +285,47 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
 
     Centers follow the center channel plus Gaussian noise; radii follow the
     radius channel plus folded Gaussian noise, floored at zero. The scalar
-    data stream is the center series. Deterministic for a fixed spec.
+    data stream is the center series. Deterministic for a fixed spec. Each
+    step sums Python floats in ``predict_bounds``' order: the first lag's
+    product plus the intercept, each further term in column order, the noise.
     Raises ``SimulationError`` if the center series diverges (unstable
     generating parameters) or a radius overflows a float.
     """
     params = spec.true_params
     n, m = params.n, params.m
-    length = spec.length
     rng = np.random.default_rng(spec.seed)
-
-    u = spec.input_process.generate(length, rng)
     kmin = max(n, m)
-    centers = np.empty(length)
-    radii = np.empty(length)
-    centers[:kmin] = rng.normal(0.0, 0.5, size=kmin)
-    radii[:kmin] = np.abs(rng.normal(0.0, 0.1, size=kmin))
-
-    width = 1 + n + m
-    x = np.empty(width)
-    x_abs = np.empty(width)
-    x[0] = x_abs[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow surfaces at its step below
-        noise_c = rng.normal(0.0, 1.0, size=length) * spec.noise_center
-        noise_r = np.abs(rng.normal(0.0, 1.0, size=length)) * spec.noise_radius
-        for k in range(kmin, length):
-            for j in range(1, n + 1):
-                x[j] = centers[k - j]
-                x_abs[j] = radii[k - j]
-            for ell in range(1, m + 1):
-                x[n + ell] = u[k - ell]
-                x_abs[n + ell] = abs(u[k - ell])
-            centers[k] = params.A @ x + noise_c[k]
-            radii[k] = max(0.0, params.C @ x_abs + noise_r[k])
-            if not abs(centers[k]) <= DIVERGENCE_LIMIT:  # NaN fails this test too
-                raise SimulationError(
-                    f"simulated center diverged to {float(centers[k])!r} at step {k}; "
-                    "the generating parameters are unstable"
-                )
-            if not radii[k] < np.inf:
-                raise SimulationError(
-                    f"simulated radius overflowed to {float(radii[k])!r} at step {k}; "
-                    "the radius noise or the generating parameters are too large"
-                )
-    return SynthesisResult(data=centers, u=u, truth=params, radii=radii)
+    inputs = array("d", spec.input_process.generate(spec.length, rng).tobytes())
+    centers = array("d", rng.normal(0.0, 0.5, size=kmin).tobytes())
+    radii = array("d", np.abs(rng.normal(0.0, 0.1, size=kmin)).tobytes())
+    noise_c = array("d", rng.normal(0.0, spec.noise_center, size=spec.length).tobytes())
+    noise_r = array("d", np.abs(rng.normal(0.0, spec.noise_radius, size=spec.length)).tobytes())
+    a, c = params.A.tolist(), params.C.tolist()
+    output_lags, input_lags = range(2, n + 1), range(1, m + 1)
+    for k in range(kmin, spec.length):
+        center = a[1] * centers[k - 1] + a[0]
+        radius = c[1] * radii[k - 1] + c[0]
+        for j in output_lags:
+            center += a[j] * centers[k - j]
+            radius += c[j] * radii[k - j]
+        for ell in input_lags:
+            center += a[n + ell] * inputs[k - ell]
+            radius += c[n + ell] * abs(inputs[k - ell])
+        center += noise_c[k]
+        radius = max(0.0, radius + noise_r[k])
+        if not abs(center) <= DIVERGENCE_LIMIT:  # NaN fails this test too
+            raise SimulationError(
+                f"simulated center diverged to {center!r} at step {k}; the generating parameters are unstable"
+            )
+        if not radius < np.inf:
+            raise SimulationError(
+                f"simulated radius overflowed to {radius!r} at step {k}; "
+                "the radius noise or the generating parameters are too large"
+            )
+        centers.append(center)
+        radii.append(radius)
+    data, u, radii = (np.frombuffer(series) for series in (centers, inputs, radii))
+    return SynthesisResult(data=data, u=u, truth=params, radii=radii)
 
 
 # Setpoint program for the default dataset: a shuffled staircase over 18

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from iarx.data_io import (
     zero_mean_normalize,
 )
 from iarx.errors import DataError, SimulationError
-from iarx.model import IarxParams, lag_columns
+from iarx.model import IarxParams, lag_columns, predict_bounds
 
 
 def test_load_csv_round_trip(tmp_path):
@@ -228,15 +229,33 @@ def test_synthesized_stream_is_the_center_series():
     assert res.truth == default_synthetic_spec().true_params
     assert res.radii.shape == res.data.shape
     assert np.all(res.radii >= 0.0)
-    # without noise, data follows the center channel and radii the radius channel
+    # without noise, each step is the one-step prediction from its own history, bit for bit:
+    # with C = 0 the lower bounds are the centers, with A = 0 the upper bounds are the radii
     spec = replace(default_synthetic_spec(), noise_center=0.0, noise_radius=0.0)
     res = synthesize(spec)
     params = spec.true_params
     kmin = max(params.n, params.m)
-    columns = lag_columns(res.data, res.radii, res.u, params.n, params.m, kmin, spec.length)
-    x, x_abs = (np.column_stack((np.ones(spec.length - kmin), *cols)) for cols in columns)
-    np.testing.assert_allclose(res.data[kmin:], x @ params.A, rtol=1e-12)
-    np.testing.assert_allclose(res.radii[kmin:], np.maximum(0.0, x_abs @ params.C), rtol=1e-12)
+    x, x_abs = lag_columns(res.data, res.radii, res.u, params.n, params.m, kmin, spec.length)
+    zeros = np.zeros_like(params.A)
+    centers, _ = predict_bounds(replace(params, C=zeros), x, x_abs)
+    _, radii = predict_bounds(replace(params, A=zeros), x, x_abs)
+    np.testing.assert_array_equal(res.data[kmin:], centers)
+    np.testing.assert_array_equal(res.radii[kmin:], radii)
+
+
+def test_synthesize_peak_memory_holds_no_list_of_floats():
+    # synthesize holds five float64 series of the spec's length (the inputs, the two noise
+    # draws, the centers and the radii) and, while a draw goes into its buffer, the numpy
+    # draw, its absolute value and its bytes; ten vectors leave room for the buffers' growth.
+    # A Python list of floats costs four on its own (a pointer and a 24-byte object each)
+    spec = replace(default_synthetic_spec(), length=17_280)
+    tracemalloc.start()
+    try:
+        synthesize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * spec.length * np.dtype(float).itemsize
 
 
 def test_unstable_parameters_surface_as_simulation_error():

@@ -1,11 +1,14 @@
-"""The pattern space that ``fit`` writes does not depend on the CPU's kernels.
+"""The series ``synth`` writes and the pattern space ``fit`` writes do not depend on the CPU's kernels.
 
 OpenBLAS, when built with DYNAMIC_ARCH, picks its kernels for the running CPU,
 and numpy picks a SIMD level for its loops. Both can change the rounding of a
-sum, so FCM's centers differ between CPUs; the class bounds, which are the
-space, must not. Each case runs ``iarx fit`` in a child process with one
-variable set on the child alone, and compares its ``space.json`` with a child
-that runs with neither.
+sum. ``synthesize`` sums each step over Python floats, so ``synthetic.csv``
+must not move; FCM's centers differ between CPUs, but the class bounds,
+which are the space, must not. ``model.json`` and the files after it still
+move, because the least-squares fits sum through BLAS. Each case runs
+``iarx synth`` and then ``iarx fit`` on that series in child processes with
+one variable set on the children alone, and compares their ``synthetic.csv``
+and ``space.json`` with children that run with neither.
 """
 
 import json
@@ -20,7 +23,6 @@ import numpy as np
 import pytest
 
 import iarx
-from iarx.cli import main
 
 try:  # numpy >= 2
     from numpy._core import _multiarray_umath as _umath
@@ -64,53 +66,59 @@ def _avx512_targets() -> list[str]:
     ]
 
 
-def _fit_space(data: Path, out: Path, **variables) -> bytes:
-    """The ``space.json`` that ``iarx fit`` writes in a child process with ``variables`` set on it alone."""
+def _chain(out: Path, **variables) -> tuple[bytes, bytes]:
+    """The ``synthetic.csv`` that ``iarx synth`` writes and the ``space.json`` that ``iarx fit`` writes on it,
+    each in a child process with ``variables`` set on it alone."""
     src = Path(iarx.__file__).resolve().parents[1]
     env = {key: value for key, value in os.environ.items() if key not in _VARIABLES}
     env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "iarx.cli", "fit", "--data", str(data), "--input-col", "u", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return (out / "space.json").read_bytes()
+    data = out / "data" / "synthetic.csv"
+    for command in (
+        ["synth", "--out", str(data.parent)],
+        ["fit", "--data", str(data), "--input-col", "u", "--out", str(out / "model")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "iarx.cli", *command], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+    return data.read_bytes(), (out / "model" / "space.json").read_bytes()
 
 
-def _assert_same_space(default_space, out: Path, variable: str, value: str):
-    """Fail, naming each class field that moved and in how many classes, unless ``fit`` under ``variable=value``
-    writes the default's ``space.json``."""
-    data, expected = default_space
-    got = _fit_space(data, out, **{variable: value})
-    if got == expected:
+def _assert_same_chain(default_chain, out: Path, variable: str, value: str):
+    """Fail, naming how many rows of ``synthetic.csv`` moved, or each class field of ``space.json`` that moved
+    and in how many classes, unless the children under ``variable=value`` write the default's bytes."""
+    expected_data, expected_space = default_chain
+    data, space = _chain(out, **{variable: value})
+    if data != expected_data:
+        old, new = (text.splitlines() for text in (expected_data, data))
+        moved = sum(a != b for a, b in zip(old, new))
+        pytest.fail(f"synthetic.csv moved under {variable}={value}: {moved} of {len(old) - 1} rows")
+    if space == expected_space:
         return
-    old, new = (json.loads(text)["classes"] for text in (expected, got))
+    old, new = (json.loads(text)["classes"] for text in (expected_space, space))
     moved = Counter(key for a, b in zip(old, new) for key in a if a[key] != b.get(key))
     fields = ", ".join(f"{key!r} in {count} of {len(old)} classes" for key, count in moved.items())
     pytest.fail(f"space.json moved under {variable}={value}: {fields or 'its layout'}")
 
 
 @pytest.fixture(scope="module")
-def default_space(tmp_path_factory):
-    """The seed-3 ``synthetic.csv`` and the space a child fits on it under the default kernels."""
-    base = tmp_path_factory.mktemp("kernels")
-    assert main(["synth", "--out", str(base / "data")]) == 0
-    data = base / "data" / "synthetic.csv"
-    return data, _fit_space(data, base / "default")
+def default_chain(tmp_path_factory):
+    """The seed-3 ``synthetic.csv`` and the space fitted on it, written by children under the default kernels."""
+    return _chain(tmp_path_factory.mktemp("kernels"))
 
 
 @pytest.mark.parametrize("coretype", list(_CORETYPE_FLAGS))
-def test_the_space_does_not_depend_on_the_openblas_kernel(default_space, tmp_path, coretype):
+def test_the_space_does_not_depend_on_the_openblas_kernel(default_chain, tmp_path, coretype):
     if "DYNAMIC_ARCH" not in _openblas_configuration():
         pytest.skip("numpy's OpenBLAS is not a DYNAMIC_ARCH build, so it ignores OPENBLAS_CORETYPE")
     missing = _CORETYPE_FLAGS[coretype] - _cpu_flags()
     if missing:
         pytest.skip(f"this CPU lacks {', '.join(sorted(missing))}, which the {coretype} kernels use")
-    _assert_same_space(default_space, tmp_path, "OPENBLAS_CORETYPE", coretype)
+    _assert_same_chain(default_chain, tmp_path, "OPENBLAS_CORETYPE", coretype)
 
 
-def test_the_space_does_not_depend_on_numpys_simd_level(default_space, tmp_path):
+def test_the_space_does_not_depend_on_numpys_simd_level(default_chain, tmp_path):
     targets = _avx512_targets()
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 loop on this CPU, so there is nothing to disable")
-    _assert_same_space(default_space, tmp_path, "NPY_DISABLE_CPU_FEATURES", ",".join(targets))
+    _assert_same_chain(default_chain, tmp_path, "NPY_DISABLE_CPU_FEATURES", ",".join(targets))
