@@ -267,16 +267,15 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Synthetic series plus everything needed to check an identifier against it.
+    """A synthetic series; its spec's ``true_params`` are the parameters that generated it.
 
     ``data`` is the scalar stream handed to the pattern-space pipeline (the
     interval centers); ``radii`` are the matching interval radii, for direct
-    identification experiments; ``truth`` echoes the generating parameters.
+    identification experiments.
     """
 
     data: np.ndarray
     u: np.ndarray
-    truth: IarxParams
     radii: np.ndarray
 
 
@@ -325,7 +324,7 @@ def synthesize(spec: SyntheticSpec) -> SynthesisResult:
         centers.append(center)
         radii.append(radius)
     data, u, radii = (np.frombuffer(series) for series in (centers, inputs, radii))
-    return SynthesisResult(data=data, u=u, truth=params, radii=radii)
+    return SynthesisResult(data=data, u=u, radii=radii)
 
 
 # Setpoint program for the default dataset: a shuffled staircase over 18

@@ -32,11 +32,6 @@ from .intervals import Interval
 
 __all__ = ["FcmConfig", "PatternClass", "PatternSpace", "fcm_cluster", "build_space"]
 
-# The full scan, which settles the intervals a pair cannot certify, measures
-# this many (interval, class) distances at a time, so its work arrays stay
-# cache-sized however many intervals reach it.
-_BLOCK_PAIRS = 1 << 16
-
 # A space keeps one uniform grid over its class extent with this many cells
 # per class (see PatternSpace), and reads a sample's class and an interval's
 # pair from it. At 64 cells about 3 % of the samples of the default series
@@ -457,21 +452,9 @@ class PatternSpace:
 
     def _scan(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """0-based index of the nearest class of every interval, measured against all classes."""
-        cpms = self._lowers.size
-        rows = max(1, min(lower.size, _BLOCK_PAIRS // cpms))
-        dist = np.empty((rows, cpms))
-        other = np.empty((rows, cpms))
-        index = np.empty(lower.size, dtype=np.intp)
-        for start in range(0, lower.size, rows):
-            stop = min(start + rows, lower.size)
-            d, o = dist[: stop - start], other[: stop - start]
-            np.subtract.outer(lower[start:stop], self._lowers, out=d)
-            np.abs(d, out=d)
-            np.subtract.outer(upper[start:stop], self._uppers, out=o)
-            np.abs(o, out=o)
-            np.maximum(d, o, out=d)
-            np.argmin(d, axis=1, out=index[start:stop])
-        return index
+        dist = np.abs(np.subtract.outer(lower, self._lowers))
+        np.maximum(dist, np.abs(np.subtract.outer(upper, self._uppers)), out=dist)
+        return dist.argmin(axis=1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PatternSpace):

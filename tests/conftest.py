@@ -42,10 +42,10 @@ def bench_layers():
 
 
 @pytest.fixture(scope="session")
-def run_in_process(bench_layers, tmp_path_factory):
-    """Runs a chain of the script in-process, in a fresh working directory; returns the SHA-256 of each file written."""
+def run_in_process(tmp_path_factory):
+    """Runs a chain of the script in-process, in a fresh working directory; returns that directory."""
 
-    def run(commands) -> dict[str, str]:
+    def run(commands) -> Path:
         directory = tmp_path_factory.mktemp("chain")
         home = os.getcwd()
         os.chdir(directory)
@@ -54,12 +54,27 @@ def run_in_process(bench_layers, tmp_path_factory):
                 assert main(args) == 0, f"iarx {name} failed"
         finally:
             os.chdir(home)
-        return bench_layers.fingerprints(directory)
+        return directory
 
     return run
 
 
 @pytest.fixture(scope="session")
-def seed3_chain(bench_layers, run_in_process):
-    """The SHA-256 of each file of the script's chain: synth, fit, eval, sweep 16..36, robust at seed 3."""
-    return run_in_process(bench_layers.CHAIN)
+def seed3_dir(bench_layers, run_in_process):
+    """The directory of the session's one run of the script's chain: synth, fit, eval, sweep 16..36, robust at seed 3.
+
+    Tests read it and write nothing there; at the end of the session a file whose bytes changed fails the run.
+    """
+    directory = run_in_process(bench_layers.CHAIN)
+    before = bench_layers.fingerprints(directory)
+    yield directory
+    after = bench_layers.fingerprints(directory)
+    changed = [path for path in sorted(before.keys() | after.keys()) if before.get(path) != after.get(path)]
+    if changed:
+        pytest.fail(f"a test changed files of the shared seed-3 chain: {', '.join(changed)}")
+
+
+@pytest.fixture(scope="session")
+def seed3_chain(bench_layers, seed3_dir):
+    """The SHA-256 of each file of the seed-3 chain."""
+    return bench_layers.fingerprints(seed3_dir)

@@ -395,7 +395,7 @@ def test_interval_invariants_randomized():
 
 def test_cli_chain_reruns_byte_identical(bench_layers, run_in_process, seed3_chain):
     """synth -> fit -> eval -> sweep -> robust, run again, writes the same bytes."""
-    again = run_in_process(bench_layers.CHAIN)
+    again = bench_layers.fingerprints(run_in_process(bench_layers.CHAIN))
     assert len(again) == 9
     assert again == seed3_chain
     print(f"[PASS] determinism: {len(again)} output files byte-identical across reruns")

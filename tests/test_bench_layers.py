@@ -26,7 +26,8 @@ def long_chain(bench_layers, run_in_process, tmp_path_factory):
 
     Unlike the seed-3 chain, its z-scored series sends intervals to ``PatternSpace._scan`` in eval and robust.
     """
-    return run_in_process(bench_layers.long_chain(tmp_path_factory.mktemp("spec") / "long.json"))
+    commands = bench_layers.long_chain(tmp_path_factory.mktemp("spec") / "long.json")
+    return bench_layers.fingerprints(run_in_process(commands))
 
 
 def test_main_writes_every_key_and_the_fingerprints_of_its_chains(bench_layers, seed3_chain, monkeypatch, tmp_path):

@@ -20,28 +20,10 @@ from iarx.model import IarxParams, _qp_terms, nnls
 from iarx.pattern_space import PatternSpace
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    """A synth run plus a fit on its output, shared by the read-only tests."""
-    base = tmp_path_factory.mktemp("cli")
-    data_dir = base / "data"
-    fit_dir = base / "fit"
-    assert main(["synth", "--out", str(data_dir)]) == 0
-    assert (
-        main(
-            [
-                "fit",
-                "--data",
-                str(data_dir / "synthetic.csv"),
-                "--input-col",
-                "u",
-                "--out",
-                str(fit_dir),
-            ]
-        )
-        == 0
-    )
-    return data_dir, fit_dir
+@pytest.fixture
+def workspace(seed3_dir):
+    """The ``data/`` and ``model/`` directories of the session's seed-3 chain; tests only read them."""
+    return seed3_dir / "data", seed3_dir / "model"
 
 
 def _run_cli(args):
@@ -53,12 +35,10 @@ def _run_cli(args):
     )
 
 
-def test_synth_files_and_determinism(tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
+def test_synth_files_and_determinism(workspace, bench_layers, run_in_process, tmp_path):
+    out_a, _ = workspace
+    out_b = run_in_process(bench_layers.CHAIN[:1]) / "data"
     out_c = tmp_path / "c"
-    assert main(["synth", "--out", str(out_a)]) == 0
-    assert main(["synth", "--out", str(out_b)]) == 0
     assert main(["synth", "--out", str(out_c), "--seed", "9"]) == 0
 
     lines = (out_a / "synthetic.csv").read_text(encoding="utf-8").splitlines()
@@ -919,14 +899,14 @@ def test_removed_eval_flags_exit_2(workspace, tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_truth_file_without_class_count_round_trips(tmp_path):
+def test_truth_file_without_class_count_round_trips(workspace, tmp_path):
     # synth --config reads back the truth.json it writes; one that still
     # carries the removed class_count field is rejected and names it
-    assert main(["synth", "--out", str(tmp_path / "a")]) == 0
-    truth = tmp_path / "a" / "truth.json"
+    data_dir, _ = workspace
+    truth = data_dir / "truth.json"
     assert "class_count" not in json.loads(truth.read_text(encoding="utf-8"))
     assert main(["synth", "--config", str(truth), "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "synthetic.csv").read_bytes() == (tmp_path / "b" / "synthetic.csv").read_bytes()
+    assert (data_dir / "synthetic.csv").read_bytes() == (tmp_path / "b" / "synthetic.csv").read_bytes()
 
     old = tmp_path / "old-truth.json"
     old.write_text(json.dumps({**json.loads(truth.read_text(encoding="utf-8")), "class_count": 26}), encoding="utf-8")

@@ -38,14 +38,10 @@ FIT_CONFIG = {"cpms": 26, "n": 3, "m": 1, "seed": 0, "fuzziness": 2.0, "fcm_tole
 SWEEP_CONFIG = {**{k: v for k, v in FIT_CONFIG.items() if k != "cpms"}, "cpms_range": "16..17"}
 
 
-@pytest.fixture(scope="module")
-def fitted(tmp_path_factory):
-    """The default synthetic CSV and a model directory fitted on it."""
-    base = tmp_path_factory.mktemp("fuzz")
-    assert main(["synth", "--out", str(base / "data")]) == 0
-    data = base / "data" / "synthetic.csv"
-    assert main(["fit", "--data", str(data), "--input-col", "u", "--out", str(base / "model")]) == 0
-    return data, base / "model"
+@pytest.fixture
+def fitted(seed3_dir):
+    """The default synthetic CSV and the model directory fitted on it, from the session's seed-3 chain."""
+    return seed3_dir / "data" / "synthetic.csv", seed3_dir / "model"
 
 
 def _paths(doc, prefix=()):

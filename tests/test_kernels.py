@@ -5,24 +5,20 @@ and numpy picks a SIMD level for its loops. Both can change the rounding of a
 sum. ``synthesize`` sums each step over Python floats, so ``synthetic.csv``
 must not move; FCM's centers differ between CPUs, but the class bounds,
 which are the space, must not. ``model.json`` and the files after it still
-move, because the least-squares fits sum through BLAS. Each case runs
-``iarx synth`` and then ``iarx fit`` on that series in child processes with
-one variable set on the children alone, and compares their ``synthetic.csv``
-and ``space.json`` with children that run with neither.
+move, because the least-squares fits sum through BLAS. Each case runs the
+first two commands of the script's chain, ``iarx synth`` and ``iarx fit``, as
+child processes with one variable set and the other unset, and compares their
+``synthetic.csv`` and ``space.json`` with the session's in-process run of
+that chain.
 """
 
 import json
-import os
 import platform
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-
-import iarx
 
 try:  # numpy >= 2
     from numpy._core import _multiarray_umath as _umath
@@ -66,33 +62,21 @@ def _avx512_targets() -> list[str]:
     ]
 
 
-def _chain(out: Path, **variables) -> tuple[bytes, bytes]:
-    """The ``synthetic.csv`` that ``iarx synth`` writes and the ``space.json`` that ``iarx fit`` writes on it,
-    each in a child process with ``variables`` set on it alone."""
-    src = Path(iarx.__file__).resolve().parents[1]
-    env = {key: value for key, value in os.environ.items() if key not in _VARIABLES}
-    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    data = out / "data" / "synthetic.csv"
-    for command in (
-        ["synth", "--out", str(data.parent)],
-        ["fit", "--data", str(data), "--input-col", "u", "--out", str(out / "model")],
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "iarx.cli", *command], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-    return data.read_bytes(), (out / "model" / "space.json").read_bytes()
-
-
-def _assert_same_chain(default_chain, out: Path, variable: str, value: str):
+def _assert_same_chain(bench_layers, seed3_dir, out: Path, monkeypatch, variable: str, value: str):
     """Fail, naming how many rows of ``synthetic.csv`` moved, or each class field of ``space.json`` that moved
-    and in how many classes, unless the children under ``variable=value`` write the default's bytes."""
-    expected_data, expected_space = default_chain
-    data, space = _chain(out, **{variable: value})
+    and in how many classes, unless the script's ``synth`` and ``fit``, run as children with ``variable=value``,
+    write the bytes of the session's in-process chain."""
+    for name in _VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    # this process's numpy and OpenBLAS read the variable only when they load, so only the children see it
+    monkeypatch.setenv(variable, value)
+    bench_layers.run_chain(out, bench_layers.CHAIN[:2])
+    expected_data, data = ((directory / "data" / "synthetic.csv").read_bytes() for directory in (seed3_dir, out))
     if data != expected_data:
         old, new = (text.splitlines() for text in (expected_data, data))
         moved = sum(a != b for a, b in zip(old, new))
         pytest.fail(f"synthetic.csv moved under {variable}={value}: {moved} of {len(old) - 1} rows")
+    expected_space, space = ((directory / "model" / "space.json").read_bytes() for directory in (seed3_dir, out))
     if space == expected_space:
         return
     old, new = (json.loads(text)["classes"] for text in (expected_space, space))
@@ -101,24 +85,18 @@ def _assert_same_chain(default_chain, out: Path, variable: str, value: str):
     pytest.fail(f"space.json moved under {variable}={value}: {fields or 'its layout'}")
 
 
-@pytest.fixture(scope="module")
-def default_chain(tmp_path_factory):
-    """The seed-3 ``synthetic.csv`` and the space fitted on it, written by children under the default kernels."""
-    return _chain(tmp_path_factory.mktemp("kernels"))
-
-
 @pytest.mark.parametrize("coretype", list(_CORETYPE_FLAGS))
-def test_the_space_does_not_depend_on_the_openblas_kernel(default_chain, tmp_path, coretype):
+def test_the_space_does_not_depend_on_the_openblas_kernel(bench_layers, seed3_dir, tmp_path, monkeypatch, coretype):
     if "DYNAMIC_ARCH" not in _openblas_configuration():
         pytest.skip("numpy's OpenBLAS is not a DYNAMIC_ARCH build, so it ignores OPENBLAS_CORETYPE")
     missing = _CORETYPE_FLAGS[coretype] - _cpu_flags()
     if missing:
         pytest.skip(f"this CPU lacks {', '.join(sorted(missing))}, which the {coretype} kernels use")
-    _assert_same_chain(default_chain, tmp_path, "OPENBLAS_CORETYPE", coretype)
+    _assert_same_chain(bench_layers, seed3_dir, tmp_path, monkeypatch, "OPENBLAS_CORETYPE", coretype)
 
 
-def test_the_space_does_not_depend_on_numpys_simd_level(default_chain, tmp_path):
+def test_the_space_does_not_depend_on_numpys_simd_level(bench_layers, seed3_dir, tmp_path, monkeypatch):
     targets = _avx512_targets()
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 loop on this CPU, so there is nothing to disable")
-    _assert_same_chain(default_chain, tmp_path, "NPY_DISABLE_CPU_FEATURES", ",".join(targets))
+    _assert_same_chain(bench_layers, seed3_dir, tmp_path, monkeypatch, "NPY_DISABLE_CPU_FEATURES", ",".join(targets))

@@ -14,7 +14,8 @@ one JSON document with these keys:
 - ``layers_s``: per series length, the best-of-``repeats`` wall time of
   each pipeline layer, called in-process through its entry point on the
   z-scored default series, as the command line fits it; inputs are built
-  before the timer starts;
+  before the timer starts, and ``write_sweep_csv`` writes at every length
+  the rows of one sweep over ``SWEEP_RANGE`` at the default length;
 - ``cli_chain_s``: the best wall time of each command of the chain
   ``synth -> fit -> eval -> sweep -> robust`` at the default spec, each
   command its own ``python -m iarx.cli`` process, and the best total;
@@ -82,17 +83,24 @@ def best_of(repeats: int, call) -> float:
     return best
 
 
-def layer_times(length: int, workdir: Path) -> dict[str, float]:
-    """Best-of-``REPEATS`` wall time of every layer on the default spec at ``length`` samples."""
-    spec = replace(default_synthetic_spec(SEED), length=length)
+def zscored(spec) -> tuple[np.ndarray, np.ndarray]:
+    """The series and input that ``spec`` synthesizes, z-scored as the command line fits them."""
     result = synthesize(spec)
-    series, u = zero_mean_normalize(result.data)[0], zero_mean_normalize(result.u)[0]
+    return zero_mean_normalize(result.data)[0], zero_mean_normalize(result.u)[0]
+
+
+def layer_times(length: int, workdir: Path, cells) -> dict[str, float]:
+    """Best-of-``REPEATS`` wall time of every layer on the default spec at ``length`` samples.
+
+    ``cells`` are the rows ``write_sweep_csv`` writes: one per class count, the same work at any length.
+    """
+    spec = replace(default_synthetic_spec(SEED), length=length)
+    series, u = zscored(spec)
     fitted = pipeline.fit_model(series, u, CPMS, N_ORDER, M_ORDER)
     _, centers, radii = pipeline._encode(fitted.space, series)
     x, y_center, x_abs, y_radius = model._design_matrices(centers, radii, u, N_ORDER, M_ORDER)
     trace = pipeline.forecast_series(fitted, series, u)
     report = pipeline.rmse_from_records(trace)
-    cells = pipeline.sweep_cpms(series, u, range(SWEEP_RANGE[0], SWEEP_RANGE[1] + 1), N_ORDER, M_ORDER)
     robust = pipeline.robustness_experiment(fitted, series, u, MAGNITUDE, ROBUST_SEED)
     layers = {
         "synthesize": lambda: synthesize(spec),
@@ -147,7 +155,10 @@ def fingerprints(directory: Path) -> dict[str, str]:
 def measure() -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as tmp:
         tmp = Path(tmp)
-        layers = {str(length): layer_times(length, tmp) for length in LENGTHS}
+        cells = pipeline.sweep_cpms(
+            *zscored(default_synthetic_spec(SEED)), range(SWEEP_RANGE[0], SWEEP_RANGE[1] + 1), N_ORDER, M_ORDER
+        )
+        layers = {str(length): layer_times(length, tmp, cells) for length in LENGTHS}
 
         runs, prints = [], None
         for rep in range(REPEATS):
