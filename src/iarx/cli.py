@@ -158,7 +158,6 @@ def _prepare_series(args) -> tuple[np.ndarray, np.ndarray]:
 def _fcm_config(args) -> FcmConfig:
     """The clustering settings that ``fit`` and ``sweep`` share."""
     return FcmConfig(
-        fuzziness=args.fuzziness,
         tolerance=args.fcm_tolerance,
         max_iterations=args.fcm_iterations,
         seed=args.seed,
@@ -287,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model(p):
         p.add_argument("--n", type=int, default=3, help="autoregressive order (default: %(default)s)")
         p.add_argument("--m", type=int, default=1, help="input order (default: %(default)s)")
-        p.add_argument(
-            "--fuzziness", type=float, default=FcmConfig.fuzziness, help="fcm fuzziness (default: %(default)s)"
-        )
         p.add_argument(
             "--fcm-tolerance",
             type=float,

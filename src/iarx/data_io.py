@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SimulationError, integer, json_field, json_fields, json_floats
+from .errors import DataError, SimulationError, all_finite, integer, json_field, json_fields, json_floats
 from .model import IarxParams
 
 __all__ = [
@@ -104,14 +104,14 @@ def zero_mean_normalize(column) -> tuple[np.ndarray, float, float]:
     """Center a column and divide by its population standard deviation.
 
     Returns ``(normalized, mean, std)`` so the transform can be inverted.
-    A constant column (zero standard deviation), or finite values so large
-    that their mean or standard deviation overflows, raises ``DataError``.
+    A non-finite value, a constant column (zero standard deviation), or
+    finite values so large that their mean or standard deviation overflows,
+    raises ``DataError``.
     """
     values = np.asarray(column, dtype=float).ravel()
     if values.size < 2:
         raise DataError(f"need at least 2 values to normalize, got {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise DataError("column contains non-finite values")
+    all_finite(column=values)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean())
         std = float(values.std())  # population form: divide by N

@@ -42,7 +42,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FcmConfig:
     """Fuzzy c-means settings; the cluster count is an argument of its own.
 
@@ -50,14 +50,11 @@ class FcmConfig:
     and ``max_iterations`` caps the passes over the data (see ``fcm_cluster``).
     """
 
-    fuzziness: float = 2.0
     tolerance: float = 1e-6
     max_iterations: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if not 1.0 < self.fuzziness < np.inf:
-            raise ValueError(f"fuzziness must exceed 1 and be finite, got {self.fuzziness!r}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations", 1))
@@ -81,15 +78,15 @@ def _farthest_point_init(ordered: np.ndarray, k: int, rng: np.random.Generator) 
     return centers
 
 
-def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
+def _reformulate(d2: np.ndarray) -> tuple[np.ndarray, float]:
     """Hathaway & Bezdek's reformulated objective R(V) from the squared distances ``d2`` (k x N).
 
-    Overwrites ``d2`` with r = (nearest / d2) ** (1 / (fuzziness - 1)), where
-    ``nearest`` is the column minimum; a point on a center gets r = 1 at the
-    first such center and 0 elsewhere. The optimal memberships for these
-    centers are U = r / s with s = sum_i r >= 1. Returns ``(s ** -fuzziness,
-    R)`` with R = sum_j nearest_j * s_j ** (1 - fuzziness), which equals the
-    objective J(U, V) at that U.
+    Overwrites ``d2`` with r = nearest / d2, where ``nearest`` is the column
+    minimum; a point on a center gets r = 1 at the first such center and 0
+    elsewhere. At fuzziness exponent m = 2 the optimal memberships for these
+    centers are U = r / s with s = sum_i r >= 1. Returns ``(s ** -2, R)``
+    with R = sum_j nearest_j / s_j, which equals the objective J(U, V) at
+    that U.
     """
     nearest = d2.min(axis=0)
     exact = not nearest.all()  # some point sits on a center
@@ -97,14 +94,12 @@ def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
         on_center = np.flatnonzero(nearest == 0.0)
         rows = np.argmax(d2[:, on_center] == 0.0, axis=0)
         d2[:, on_center] = 1.0
-    # Ratios to the nearest center lie in [0, 1], so the powers cannot overflow.
+    # Ratios to the nearest center lie in [0, 1], so their squares cannot overflow.
     r = np.divide(nearest, d2, out=d2)
     if exact:
         r[rows, on_center] = 1.0
-    if fuzziness != 2.0:
-        r **= 1.0 / (fuzziness - 1.0)
     s = r.sum(axis=0)
-    scale = s ** -fuzziness
+    scale = s ** -2.0
     return scale, float(np.dot(nearest * s, scale))
 
 
@@ -112,7 +107,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     """Cluster a scalar series into ``k`` fuzzy c-means clusters, hardened.
 
     Iterates the centers-only form ``V -> T(V)`` of the alternating update of
-    Bezdek, Ehrlich & Full (1984), which never raises the objective R (see
+    Bezdek, Ehrlich & Full (1984) at m = 2, which never raises R (see
     ``_reformulate``), in SQUAREM cycles (Varadhan & Roland 2008): plain steps
     ``V1 = T(V0)``, ``V2 = T(V1)``, then ``Vp = V0 + 2a r + a^2 v`` with ``r =
     V1 - V0``, ``v = V2 - V1 - r``, ``a = clip(|r| / |v|, 1, smax)``; ``smax``
@@ -127,7 +122,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     the sizes of their hard clusters, the runs of the sorted series between
     the midpoints of neighbouring centers (a point on a midpoint joins the
     upper run); in exact arithmetic a run holds the points nearest its
-    center, the cluster of maximal membership for every fuzziness. Raises
+    center, the cluster of maximal membership. Raises
     ``DataError`` naming the first non-finite point, or for more clusters
     than points (an empty series included); ``ClusteringError`` when a
     cluster ends up with no hard members or no membership mass, so callers
@@ -146,7 +141,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     rng = np.random.default_rng(config.seed)
     work = np.empty((k, values.size))  # c - x, squared distances, then r, every pass
     ones_x = np.stack([np.ones_like(values), values])
-    scaled = np.empty_like(ones_x)  # [1, x] * s ** -fuzziness
+    scaled = np.empty_like(ones_x)  # [1, x] * s ** -2
     ordered = np.sort(values)
 
     def below_midpoints(ascending):  # boundary counts: points below the midpoint of two neighbouring centers
@@ -161,7 +156,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         np.copyto(work, centers[:, None])  # then subtracting x row by row beats a column-row broadcast
         np.subtract(work, values, out=work)
         final = shift < config.tolerance or iteration == config.max_iterations
-        scale, objective = _reformulate(np.multiply(work, work, out=work), config.fuzziness)
+        scale, objective = _reformulate(np.multiply(work, work, out=work))
         if len(cycle) == 4 and not objective <= prev_objective:  # R(Vp) > R(V1)
             cycle, iteration, bound, below = cycle[2:3], iteration + 1, 0.5 * bound, below_v2
             continue
@@ -176,11 +171,8 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         if final:
             break
         iteration += 1
-        # U ** fuzziness = r ** fuzziness * scale, so one product gives mass and numerator.
-        if config.fuzziness == 2.0:
-            weights = np.multiply(work, work, out=work)
-        else:
-            weights = np.power(work, config.fuzziness, out=work)
+        # U ** 2 = r ** 2 * scale, so one product gives mass and numerator.
+        weights = np.multiply(work, work, out=work)
         np.multiply(ones_x, scale, out=scaled)
         mass, numer = (weights @ scaled.T).T
         if not mass.all():

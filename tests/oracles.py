@@ -12,7 +12,8 @@ differences for the shift and the SQUAREM step, re-sorted centers in the
 SQUAREM guard and one argmin over the whole k x N array for the hard
 assignments. The rewrite must return the same centers bit for bit, after
 the same objective values, and cut the same partition, which
-``hard_labels`` reads back per point. ``_farthest_point_init`` is the
+``hard_labels`` reads back per point. Like the package, both run at the
+fuzziness exponent 2 alone. ``_farthest_point_init`` is the
 seeding as it stood before it read the distinct values from the sorted
 series that ``fcm_cluster`` keeps, through ``np.unique`` of its own copy.
 
@@ -66,29 +67,27 @@ def _farthest_point_init(values: np.ndarray, k: int, rng: np.random.Generator) -
     return centers
 
 
-def _reformulate(d2: np.ndarray, fuzziness: float) -> tuple[np.ndarray, float]:
+def _reformulate(d2: np.ndarray) -> tuple[np.ndarray, float]:
     """Hathaway & Bezdek's reformulated objective R(V) from the squared distances ``d2`` (k x N).
 
-    Overwrites ``d2`` with r = (nearest / d2) ** (1 / (fuzziness - 1)), where
-    ``nearest`` is the column minimum; a point on a center gets r = 1 at the
-    first such center and 0 elsewhere. The optimal memberships for these
-    centers are U = r / s with s = sum_i r >= 1. Returns ``(s ** -fuzziness,
-    R)`` with R = sum_j nearest_j * s_j ** (1 - fuzziness), which equals the
-    objective J(U, V) at that U.
+    Overwrites ``d2`` with r = nearest / d2, where ``nearest`` is the column
+    minimum; a point on a center gets r = 1 at the first such center and 0
+    elsewhere. At fuzziness exponent m = 2 the optimal memberships for these
+    centers are U = r / s with s = sum_i r >= 1. Returns ``(s ** -2, R)``
+    with R = sum_j nearest_j / s_j, which equals the objective J(U, V) at
+    that U.
     """
     nearest = d2.min(axis=0)
     on_center = np.flatnonzero(nearest == 0.0)
     if on_center.size:
         rows = np.argmax(d2[:, on_center] == 0.0, axis=0)
         d2[:, on_center] = 1.0
-    # Ratios to the nearest center lie in [0, 1], so the powers cannot overflow.
+    # Ratios to the nearest center lie in [0, 1], so their squares cannot overflow.
     r = np.divide(nearest, d2, out=d2)
     if on_center.size:
         r[rows, on_center] = 1.0
-    if fuzziness != 2.0:
-        r **= 1.0 / (fuzziness - 1.0)
     s = r.sum(axis=0)
-    scale = s ** -fuzziness
+    scale = s ** -2.0
     return scale, float(np.dot(nearest * s, scale))
 
 
@@ -96,7 +95,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     """Cluster a scalar series into ``k`` fuzzy c-means clusters, hardened.
 
     Iterates the centers-only form ``V -> T(V)`` of the alternating update of
-    Bezdek, Ehrlich & Full (1984), which never raises the objective R (see
+    Bezdek, Ehrlich & Full (1984) at m = 2, which never raises R (see
     ``_reformulate``), in SQUAREM cycles (Varadhan & Roland 2008): plain steps
     ``V1 = T(V0)``, ``V2 = T(V1)``, then ``Vp = V0 + 2a r + a^2 v`` with ``r =
     V1 - V0``, ``v = V2 - V1 - r``, ``a = clip(|r| / |v|, 1, smax)``; ``smax``
@@ -110,7 +109,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     Returns ``(centers, assignments)`` where ``centers`` has shape ``(k,)``
     and ``assignments`` maps each point to the 0-based cluster of the nearest
     center (ties to the lowest index); in exact arithmetic that is the
-    cluster of maximal membership for every fuzziness. Raises ``DataError``
+    cluster of maximal membership. Raises ``DataError``
     naming the first non-finite point, or for more clusters than points;
     ``ClusteringError`` when a cluster ends up with no hard members or no
     membership mass, so callers may retry with a new seed, or when R rises on
@@ -132,7 +131,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
     rng = np.random.default_rng(config.seed)
     work = np.empty((k, values.size))  # squared distances, then r, every pass
     ones_x = np.stack([np.ones_like(values), values])
-    scaled = np.empty_like(ones_x)  # [1, x] * s ** -fuzziness
+    scaled = np.empty_like(ones_x)  # [1, x] * s ** -2
     ordered = np.sort(values)
 
     prev_objective = shift = np.inf
@@ -144,7 +143,7 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         final = shift < config.tolerance or iteration == config.max_iterations
         if final:
             assignments = np.argmin(np.abs(work, out=work), axis=0)
-        scale, objective = _reformulate(np.multiply(work, work, out=work), config.fuzziness)
+        scale, objective = _reformulate(np.multiply(work, work, out=work))
         if len(cycle) == 4 and not objective <= prev_objective:  # R(Vp) > R(V1)
             cycle, iteration, bound = cycle[2:3], iteration + 1, 0.5 * bound
             continue
@@ -159,11 +158,8 @@ def fcm_cluster(data, k: int, config: FcmConfig = FcmConfig()) -> tuple[np.ndarr
         if final:
             break
         iteration += 1
-        # U ** fuzziness = r ** fuzziness * scale, so one product gives mass and numerator.
-        if config.fuzziness == 2.0:
-            weights = np.multiply(work, work, out=work)
-        else:
-            weights = np.power(work, config.fuzziness, out=work)
+        # U ** 2 = r ** 2 * scale, so one product gives mass and numerator.
+        weights = np.multiply(work, work, out=work)
         np.multiply(ones_x, scale, out=scaled)
         mass, numer = (weights @ scaled.T).T
         if np.any(mass == 0.0):

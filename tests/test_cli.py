@@ -276,7 +276,7 @@ def _nan_nnls(design, target):
     return np.full(design.shape[1], np.nan)
 
 
-def _nan_reformulate(d2, fuzziness):
+def _nan_reformulate(d2):
     return np.full(d2.shape[1], np.nan), float("nan")
 
 
@@ -749,11 +749,11 @@ def test_inconsistent_space_file_exits_2(workspace, tmp_path, monkeypatch, edit,
 
 # the --config keys of each command (its flags in _ spelling) with their JSON types
 _CONFIG_KEYS = {
-    "fit": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fuzziness": float,
-            "fcm_tolerance": float, "fcm_iterations": int, "cpms": int},
+    "fit": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fcm_tolerance": float,
+            "fcm_iterations": int, "cpms": int},
     "eval": {"data": str, "input_col": str, "out": str, "model_dir": str},
-    "sweep": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fuzziness": float,
-              "fcm_tolerance": float, "fcm_iterations": int, "cpms_range": str},
+    "sweep": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fcm_tolerance": float,
+              "fcm_iterations": int, "cpms_range": str},
     "robust": {"data": str, "input_col": str, "out": str, "model_dir": str, "seed": int, "magnitude": float},
 }
 
@@ -766,6 +766,8 @@ _CONFIG_KEYS = {
         ("eval", {"cpms": 26, "magnitud": 0.1}),
         ("sweep", {"cpms": 26, "config": "other.json"}),
         ("eval", {"seed": 1}),
+        ("fit", {"fuzziness": 2.0}),
+        ("sweep", {"fuzziness": 2.0}),
     ],
 )
 def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config):
@@ -789,7 +791,7 @@ def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config
     "command, config",
     [
         ("fit", {"seed": None}),
-        ("sweep", {"fuzziness": [2]}),
+        ("sweep", {"fcm_tolerance": [2]}),
         ("fit", {"data": 5}),
         # an int key takes a JSON integer only; a float key any number but a bool
         ("fit", {"n": 2.7}),
@@ -797,7 +799,7 @@ def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config
         ("fit", {"cpms": 26.9}),
         ("sweep", {"seed": 1e20}),
         ("fit", {"fcm_iterations": 300.0}),
-        ("sweep", {"fuzziness": True}),
+        ("sweep", {"fcm_tolerance": True}),
         ("robust", {"magnitude": "0.5"}),
         ("sweep", {"cpms_range": 26}),
         # every key of every command
@@ -828,11 +830,9 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
         ("robust", "--magnitude", float("nan"), "magnitude must be finite and >= 0, got nan"),
         ("robust", "--magnitude", float("inf"), "magnitude must be finite and >= 0, got inf"),
         ("robust", "--magnitude", -1, "magnitude must be finite and >= 0, got -1.0"),
-        ("fit", "--fuzziness", float("inf"), "fuzziness must exceed 1 and be finite, got inf"),
         ("fit", "--n", 0, "autoregressive order n must be >= 1, got 0"),
         ("sweep", "--m", -1, "input order m must be >= 0, got -1"),
         ("fit", "--cpms", 1, "cpms must be >= 2, got 1"),
-        ("sweep", "--fuzziness", 1, "fuzziness must exceed 1 and be finite, got 1.0"),
         ("fit", "--fcm-tolerance", 0, "tolerance must be positive, got 0.0"),
         ("sweep", "--fcm-iterations", 0, "max_iterations must be >= 1, got 0"),
         ("sweep", "--cpms-range", "1..5", "cpms must be >= 2, got 1"),
@@ -896,6 +896,18 @@ def test_removed_eval_flags_exit_2(workspace, tmp_path, capsys, flag, value):
         main([*args, "--out", str(tmp_path / "out"), flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+def test_removed_fuzziness_flag_exits_2(workspace, tmp_path, capsys, command):
+    # fuzzy c-means runs at the exponent 2 alone, so the flag that set another is gone
+    data_dir, _ = workspace
+    args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--fuzziness", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fuzziness 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -34,7 +34,7 @@ WEIRD = [
     math.nan, math.inf, -math.inf, "", "3", "x", "2..3", "30..29", None, True, False, [], [1.0], {},
 ]
 
-FIT_CONFIG = {"cpms": 26, "n": 3, "m": 1, "seed": 0, "fuzziness": 2.0, "fcm_tolerance": 1e-6, "fcm_iterations": 300}
+FIT_CONFIG = {"cpms": 26, "n": 3, "m": 1, "seed": 0, "fcm_tolerance": 1e-6, "fcm_iterations": 300}
 SWEEP_CONFIG = {**{k: v for k, v in FIT_CONFIG.items() if k != "cpms"}, "cpms_range": "16..17"}
 
 

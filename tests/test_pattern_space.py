@@ -23,12 +23,12 @@ from iarx.pattern_space import (
 )
 
 
-def textbook_memberships(values, centers, m):
-    """Bezdek's memberships U (k x N) written out plainly, as the reference.
+def textbook_memberships(values, centers):
+    """Bezdek's memberships U (k x N) at m = 2 written out plainly, as the reference.
 
-    Absolute distances, memberships 1 / sum_t (d_ij / d_tj) ** (2 / (m - 1))
-    computed as rel ** (-2 / (m - 1)) on the ratios to the nearest center,
-    and full membership in the first center a point sits on.
+    Absolute distances, memberships 1 / sum_t (d_ij / d_tj) ** 2 computed as
+    rel ** -2 on the ratios to the nearest center, and full membership in
+    the first center a point sits on.
     """
     dist = np.abs(centers[:, None] - values[None, :])
     nearest = dist.min(axis=0)
@@ -37,27 +37,26 @@ def textbook_memberships(values, centers, m):
     cols = np.flatnonzero(on_center)
     u[np.argmax(dist[:, cols] == 0.0, axis=0), cols] = 1.0
     rel = dist[:, ~on_center] / nearest[~on_center]
-    w = rel ** (-2.0 / (m - 1.0))
+    w = rel ** -2.0
     u[:, ~on_center] = w / w.sum(axis=0)
     return u
 
 
 def textbook_fcm(values, k, config):
-    """Bezdek's fuzzy c-means written out plainly, as the reference.
+    """Bezdek's fuzzy c-means at m = 2 written out plainly, as the reference.
 
-    Weights u ** m, and hard assignment by maximal membership.
+    Weights u ** 2, and hard assignment by maximal membership.
     """
     values = np.asarray(values, dtype=float)
-    m = config.fuzziness
     centers = _farthest_point_init(np.sort(values), k, np.random.default_rng(config.seed))
     for _ in range(config.max_iterations):
-        weights = textbook_memberships(values, centers, m) ** m
+        weights = textbook_memberships(values, centers) ** 2
         new_centers = (weights @ values) / weights.sum(axis=1)
         shift = np.max(np.abs(new_centers - centers))
         centers = new_centers
         if shift < config.tolerance:
             break
-    return centers, np.argmax(textbook_memberships(values, centers, m), axis=0)
+    return centers, np.argmax(textbook_memberships(values, centers), axis=0)
 
 
 def in_center_order(centers, labels):
@@ -73,12 +72,12 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"cluster count must be an integer, got {k!r}$"):
                 cluster([1.0, 2.0, 3.0, 4.0], k)
     assert build_space([1.0, 2.0, 3.0, 4.0], np.int64(2)).cpms == 2  # a numpy integer is a count
-    with pytest.raises(ValueError):
-        FcmConfig(fuzziness=1.0)
-    with pytest.raises(ValueError, match="finite"):
-        FcmConfig(fuzziness=float("inf"))
-    with pytest.raises(ValueError):
-        FcmConfig(fuzziness=float("nan"))
+    # the settings are keywords only: a call written for the field order that
+    # led with the fuzziness cannot shift 2.0 into the tolerance
+    with pytest.raises(TypeError):
+        FcmConfig(2.0, 1e-6, 300, 0)
+    with pytest.raises(TypeError, match="fuzziness"):
+        FcmConfig(fuzziness=2.0)
     with pytest.raises(ValueError):
         FcmConfig(tolerance=0.0)
     with pytest.raises(ValueError):
@@ -152,78 +151,72 @@ def test_assignments_match_membership_argmax():
     assign = oracles.hard_labels(data, counts)
     d = np.abs(data[:, None] - centers[None, :])
     d = np.where(d == 0.0, 1e-300, d)
-    w = (1.0 / d) ** 2  # fuzziness 2.0 -> exponent 2 / (fuzziness - 1)
+    w = (1.0 / d) ** 2  # u_ij proportional to d_ij ** -2 at m = 2
     u = w / w.sum(axis=1, keepdims=True)
     assert np.array_equal(assign, np.argmax(u, axis=1))
 
 
-def textbook_objective(values, centers, m):
+def textbook_objective(values, centers):
     """The objective J(U, V) at the textbook memberships of the centers."""
     d2 = (centers[:, None] - np.asarray(values)[None, :]) ** 2
-    return float(np.sum(textbook_memberships(values, centers, m) ** m * d2))
+    return float(np.sum(textbook_memberships(values, centers) ** 2 * d2))
+
+
+CONVERGED = FcmConfig(tolerance=1e-12, max_iterations=50_000)
 
 
 @pytest.fixture(scope="module")
 def textbook_runs(default_result):
-    """Textbook FCM on the raw and the z-scored default series, per (fuzziness, k):
-    run to a fixed point (tolerance 1e-12) and at the default tolerance."""
+    """Textbook FCM on the raw and the z-scored default series, per k: run to
+    a fixed point (tolerance 1e-12) and at the default tolerance."""
     series = (default_result.data, zero_mean_normalize(default_result.data)[0])
-    runs = {}
-    for fuzziness in (1.5, 2.0, 3.0):
-        converged = FcmConfig(fuzziness=fuzziness, tolerance=1e-12, max_iterations=50_000)
-        for k in (16, 26, 36):
-            runs[fuzziness, k] = [
-                (data, textbook_fcm(data, k, converged), textbook_fcm(data, k, FcmConfig(fuzziness=fuzziness)))
-                for data in series
-            ]
-    return runs
+    return {
+        k: [(data, textbook_fcm(data, k, CONVERGED), textbook_fcm(data, k, FcmConfig())) for data in series]
+        for k in (16, 26, 36)
+    }
 
 
-@pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("k", [16, 26, 36])
-def test_fcm_matches_textbook_bezdek(textbook_runs, fuzziness, k):
+def test_fcm_matches_textbook_bezdek(textbook_runs, k):
     # the initial centers are data points, so the on-center branch runs too;
     # the CLI clusters the z-scored series, so it is checked as well. The
     # accelerated run leaves the plain trajectory, so both run to the fixed
     # point they share
-    config = FcmConfig(fuzziness=fuzziness, tolerance=1e-12, max_iterations=50_000)
-    for series, (want_centers, want_assign), _ in textbook_runs[fuzziness, k]:
-        centers, counts = fcm_cluster(series, k, config)
+    for series, (want_centers, want_assign), _ in textbook_runs[k]:
+        centers, counts = fcm_cluster(series, k, CONVERGED)
         assert np.array_equal(oracles.hard_labels(series, counts), in_center_order(want_centers, want_assign))
         np.testing.assert_allclose(centers, np.sort(want_centers), rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("k", [16, 26, 36])
-def test_fcm_at_the_default_tolerance_keeps_the_textbook_partition(textbook_runs, fuzziness, k):
+def test_fcm_at_the_default_tolerance_keeps_the_textbook_partition(textbook_runs, k):
     # at the default settings the accelerated run stops elsewhere on its way
     # to that fixed point, but it hardens to the same clusters, and its
     # objective is no higher than where textbook FCM stops
-    for series, (want_centers, want_assign), (plain_centers, _) in textbook_runs[fuzziness, k]:
-        centers, counts = fcm_cluster(series, k, FcmConfig(fuzziness=fuzziness))
+    for series, (want_centers, want_assign), (plain_centers, _) in textbook_runs[k]:
+        centers, counts = fcm_cluster(series, k)
         assert np.array_equal(oracles.hard_labels(series, counts), in_center_order(want_centers, want_assign))
-        plain = textbook_objective(series, plain_centers, fuzziness)
-        assert textbook_objective(series, centers, fuzziness) <= plain * (1.0 + 1e-9)
+        plain = textbook_objective(series, plain_centers)
+        assert textbook_objective(series, centers) <= plain * (1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
-def test_reformulated_objective_is_the_textbook_objective(default_result, fuzziness):
+def test_reformulated_objective_is_the_textbook_objective(default_result):
     # R(V) = J(U*(V), V) with U*(V) the optimal memberships for the centers V,
     # on random centers and on centers that sit on data points
     data = default_result.data
     rng = np.random.default_rng(31)
     on_points = rng.choice(np.unique(data), size=26, replace=False)
     for centers in (rng.uniform(data.min(), data.max(), size=26), on_points, on_points[:1]):
-        _, got = _reformulate((centers[:, None] - data[None, :]) ** 2, fuzziness)
-        assert got == pytest.approx(textbook_objective(data, centers, fuzziness), rel=1e-12, abs=0.0)
+        _, got = _reformulate((centers[:, None] - data[None, :]) ** 2)
+        assert got == pytest.approx(textbook_objective(data, centers), rel=1e-12, abs=0.0)
 
 
 def record_objectives(monkeypatch, module):
     """The list that R of every center set ``module.fcm_cluster`` measures is appended to."""
     seen, reformulate = [], module._reformulate
 
-    def recording(d2, fuzziness):
-        scale, objective = reformulate(d2, fuzziness)
+    def recording(d2):
+        scale, objective = reformulate(d2)
         seen.append(objective)
         return scale, objective
 
