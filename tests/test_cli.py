@@ -802,11 +802,12 @@ def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config
         ("sweep", {"fcm_tolerance": True}),
         ("robust", {"magnitude": "0.5"}),
         ("sweep", {"cpms_range": 26}),
-        # every key of every command
+        # every key of every command; a float key also refuses a bool
         *[
-            (command, {key: {str: 5, int: 2.5, float: "x"}[kind]})
+            (command, {key: value})
             for command, keys in _CONFIG_KEYS.items()
             for key, kind in keys.items()
+            for value in {str: [5], int: [2.5], float: ["x", True]}[kind]
         ],
     ],
 )
