@@ -7,12 +7,8 @@ a setting outside its domain (a library ``ValueError``) and a size too
 large to allocate (a ``MemoryError``) included.
 
 Each setting is declared once, as an argparse flag with its type and
-default (``--help`` prints them). For ``fit``, ``eval``, ``sweep`` and
-``robust``, ``--config`` names a JSON object whose keys are the command's
-flags in ``_`` spelling (``--input-col`` is ``input_col``), each value of
-the flag's type; they become the parser's defaults, so flags > ``--config``
-> built-in defaults. A key that is not one of the command's flags is a
-configuration problem. ``synth --config`` is a synthetic spec instead.
+default (``--help`` prints them); a flag is its one route. ``synth
+--config`` names a synthetic spec, not settings.
 """
 
 from __future__ import annotations
@@ -72,25 +68,6 @@ SYNTH_TRUTH_FILE = "truth.json"
 _NUMERICAL_ERRORS = (ClusteringError, IdentificationError, SimulationError, np.linalg.LinAlgError)
 _INPUT_ERRORS = (DataError, OSError, ValueError)  # ValueError: a range check or bad JSON
 
-def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
-    """``--config`` read against ``parser``'s flags: each key a flag's dest, each value of its type."""
-    kinds = {
-        action.dest: action.type or str
-        for action in parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    p = _require_file(path, "config file")
-    doc = read_json(p)
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {p} must hold a JSON object")
-    unknown = [key for key in doc if key not in kinds]
-    if unknown:
-        raise DataError(
-            f"config file {p}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"this command reads {', '.join(kinds)}"
-        )
-    return {key: json_field(doc, key, kinds[key], f"config file {p}") for key in doc}
-
 
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
@@ -127,10 +104,6 @@ def _prepare_series(args) -> tuple[np.ndarray, np.ndarray]:
     a single condition column is just normalized. The input column is
     normalized as well.
     """
-    if args.data is None:
-        raise DataError("--data is required")
-    if args.input_col is None:
-        raise DataError("--input-col is required")
     dataset = load_csv(_require_file(args.data, "data file"))
     if args.input_col not in dataset.columns:
         raise DataError(
@@ -270,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="output directory, created on success (default: %(default)s)")
         return p
 
     def add_series(p, *, model_dir=False, seed=True):
-        p.add_argument("--config", help="JSON object of defaults for these flags, keys in _ spelling")
-        p.add_argument("--data", help="input CSV (header row, numeric columns)")
-        p.add_argument("--input-col", help="name of the input column")
+        p.add_argument("--data", required=True, help="input CSV (header row, numeric columns)")
+        p.add_argument("--input-col", required=True, help="name of the input column")
         if model_dir:
             p.add_argument("--model-dir", help="directory holding model.json/space.json (default: --out)")
         if seed:
@@ -326,12 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command != "synth" and args.config is not None:
-            args.parser.set_defaults(**_config_defaults(args.config, args.parser))
-            args = parser.parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,8 +55,8 @@ class FcmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations", 1))
         object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 

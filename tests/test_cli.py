@@ -91,9 +91,18 @@ def test_eval_outputs(workspace, tmp_path):
     assert len(trace_lines) == 1 + 864 - 3
 
 
-def test_missing_required_flags(tmp_path):
-    assert main(["fit", "--input-col", "u", "--out", str(tmp_path)]) == 2
-    assert main(["fit", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 2
+def test_missing_required_flags(tmp_path, capsys):
+    # argparse owns --data and --input-col: without either, every series command
+    # exits 2 with its usage error naming the flag, before anything is written
+    given = {"--data": ["--input-col", "u"], "--input-col": ["--data", str(tmp_path / "none.csv")]}
+    for command in ("fit", "eval", "sweep", "robust"):
+        for missing, args in given.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, *args, "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == f"iarx {command}: error: the following arguments are required: {missing}"
+            assert not (tmp_path / "out").exists()
 
 
 def test_nonexistent_data_file(tmp_path):
@@ -551,12 +560,12 @@ _UNKNOWN_FIELDS = [
                  id="space.json-class-unknown-center"),
 ]
 
-# text that is not JSON, in every JSON file a command reads; config.json is an eval --config file
+# text that is not JSON, in every JSON file a command reads
 _BAD_JSON_FILES = [
     pytest.param(name, "{\n",
                  "error: {path}: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)",
                  id=f"{name}-unclosed-object")
-    for name in ("model.json", "space.json", "report.json", "spec.json", "config.json")
+    for name in ("model.json", "space.json", "report.json", "spec.json")
 ] + [
     pytest.param("model.json", "", "error: {path}: Expecting value: line 1 column 1 (char 0)", id="model.json-empty"),
     pytest.param("space.json", "[" * 100_000,
@@ -686,7 +695,7 @@ _BAD_CSV_FILES = [
     ],
 )
 def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, content, message):
-    # a model, pattern-space, report, spec, config or data file that does not
+    # a model, pattern-space, report, spec or data file that does not
     # parse, or has a missing, mistyped, unknown or non-finite field, is an input
     # problem: exit 2 with one error line naming it, no traceback and no --out
     # directory; ``{path}`` is the bad file and ``{dir}`` the model directory
@@ -701,8 +710,6 @@ def test_malformed_input_files_exit_2(workspace, tmp_path, capsys, bad_file, con
     else:
         data = str(model_dir / bad_file if bad_file == "data.csv" else data_dir / "synthetic.csv")
         args = ["eval", "--data", data, "--input-col", "u", "--model-dir", str(model_dir)]
-        if bad_file == "config.json":
-            args += ["--config", str(model_dir / bad_file)]
     assert main([*args, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == message.format(path=model_dir / bad_file, dir=model_dir) + "\n"
     assert not (tmp_path / "out").exists()
@@ -747,84 +754,6 @@ def test_inconsistent_space_file_exits_2(workspace, tmp_path, monkeypatch, edit,
         assert line.startswith("error: pattern space: " + message)
 
 
-# the --config keys of each command (its flags in _ spelling) with their JSON types
-_CONFIG_KEYS = {
-    "fit": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fcm_tolerance": float,
-            "fcm_iterations": int, "cpms": int},
-    "eval": {"data": str, "input_col": str, "out": str, "model_dir": str},
-    "sweep": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fcm_tolerance": float,
-              "fcm_iterations": int, "cpms_range": str},
-    "robust": {"data": str, "input_col": str, "out": str, "model_dir": str, "seed": int, "magnitude": float},
-}
-
-
-@pytest.mark.parametrize(
-    "command, config",
-    [
-        ("robust", {"center_magnitude": 0.5}),
-        ("fit", {"fuzzines": 1.5}),
-        ("eval", {"cpms": 26, "magnitud": 0.1}),
-        ("sweep", {"cpms": 26, "config": "other.json"}),
-        ("eval", {"seed": 1}),
-        ("fit", {"fuzziness": 2.0}),
-        ("sweep", {"fuzziness": 2.0}),
-    ],
-)
-def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command, config):
-    # a key the command does not read, removed or misspelled, is named in the
-    # error instead of being ignored; the error lists the keys it does read
-    data_dir, fit_dir = workspace
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": str(data_dir / "synthetic.csv"), **config}), encoding="utf-8")
-    args = [command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if command in ("eval", "robust"):
-        args += ["--model-dir", str(fit_dir)]
-    assert main(args) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: config file {cfg}: unknown key(s) ")
-    assert all(repr(key) in line for key in config)
-    assert set(line.split("; this command reads ")[1].split(", ")) == set(_CONFIG_KEYS[command])
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "command, config",
-    [
-        ("fit", {"seed": None}),
-        ("sweep", {"fcm_tolerance": [2]}),
-        ("fit", {"data": 5}),
-        # an int key takes a JSON integer only; a float key any number but a bool
-        ("fit", {"n": 2.7}),
-        ("fit", {"n": True}),
-        ("fit", {"cpms": 26.9}),
-        ("sweep", {"seed": 1e20}),
-        ("fit", {"fcm_iterations": 300.0}),
-        ("sweep", {"fcm_tolerance": True}),
-        ("robust", {"magnitude": "0.5"}),
-        ("sweep", {"cpms_range": 26}),
-        # every key of every command; a float key also refuses a bool
-        *[
-            (command, {key: value})
-            for command, keys in _CONFIG_KEYS.items()
-            for key, kind in keys.items()
-            for value in {str: [5], int: [2.5], float: ["x", True]}[kind]
-        ],
-    ],
-)
-def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, config):
-    data_dir, fit_dir = workspace
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": str(data_dir / "synthetic.csv"), **config}), encoding="utf-8")
-    args = [command, "--input-col", "u", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if command == "robust":
-        args += ["--model-dir", str(fit_dir)]
-    assert main(args) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    (key,) = config
-    assert line.startswith(f"error: config file {cfg}: field {key!r} is invalid: expected ")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
@@ -834,28 +763,25 @@ def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, com
         ("fit", "--n", 0, "autoregressive order n must be >= 1, got 0"),
         ("sweep", "--m", -1, "input order m must be >= 0, got -1"),
         ("fit", "--cpms", 1, "cpms must be >= 2, got 1"),
-        ("fit", "--fcm-tolerance", 0, "tolerance must be positive, got 0.0"),
+        ("fit", "--fcm-tolerance", 0, "tolerance must be finite and positive, got 0.0"),
+        ("fit", "--fcm-tolerance", float("inf"), "tolerance must be finite and positive, got inf"),
         ("sweep", "--fcm-iterations", 0, "max_iterations must be >= 1, got 0"),
         ("sweep", "--cpms-range", "1..5", "cpms must be >= 2, got 1"),
         *[(command, "--seed", -1, "seed must be >= 0, got -1") for command in ("fit", "sweep", "robust", "synth")],
     ],
 )
 def test_out_of_range_flag_values_exit_2(workspace, tmp_path, capsys, command, flag, value, message):
-    # a value outside its domain, as a flag or as a --config key, is an input
-    # problem: exit 2 with one error line, before anything is written
+    # a value outside its domain is an input problem: exit 2 with one error
+    # line, before anything is written
     data_dir, fit_dir = workspace
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}), encoding="utf-8")
-    settings = [[flag, str(value)], ["--config", str(cfg)]]
     args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--out", str(tmp_path / "out")]
     if command == "robust":
         args += ["--model-dir", str(fit_dir)]
-    if command == "synth":  # its --config is a spec; test_malformed_input_files_exit_2 covers that
-        args, settings = ["synth", "--out", str(tmp_path / "out")], settings[:1]
-    for setting in settings:
-        assert main([*args, *setting]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
+    if command == "synth":
+        args = ["synth", "--out", str(tmp_path / "out")]
+    assert main([*args, flag, str(value)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "sweep"])
@@ -882,17 +808,32 @@ def test_help_prints_every_default(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    defaults = {key: value for key, value in vars(build_parser().parse_args([command])).items()
-                if key not in ("command", "func", "parser") and value is not None}
+    required = [] if command == "synth" else ["--data", "x.csv", "--input-col", "u"]
+    defaults = {key: value for key, value in vars(build_parser().parse_args([command, *required])).items()
+                if key not in ("command", "func", "data", "input_col") and value is not None}
     assert defaults
     assert all(f"(default: {value})" in text for value in defaults.values()), text
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--cpms", "26")])
-def test_removed_eval_flags_exit_2(workspace, tmp_path, capsys, flag, value):
-    # eval never read --seed, and --cpms only repeated the model directory's own class count
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param("eval", "--seed", "1", id="--seed-1"),
+        pytest.param("eval", "--cpms", "26", id="--cpms-26"),
+        *[pytest.param(command, "--config", "cfg.json", id=f"{command}---config")
+          for command in ("fit", "eval", "sweep", "robust")],
+    ],
+)
+def test_removed_eval_flags_exit_2(workspace, tmp_path, capsys, command, flag, value):
+    # eval never read --seed, and --cpms only repeated the model directory's own
+    # class count; a settings file is no route to any command's flags (synth
+    # --config is a spec), even one that names a flag the command reads
     data_dir, fit_dir = workspace
-    args = ["eval", "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--model-dir", str(fit_dir)]
+    (tmp_path / "cfg.json").write_text(json.dumps({"cpms": 26}), encoding="utf-8")
+    args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u"]
+    if command in ("eval", "robust"):
+        args += ["--model-dir", str(fit_dir)]
+    value = str(tmp_path / value) if flag == "--config" else value
     with pytest.raises(SystemExit) as exc:
         main([*args, "--out", str(tmp_path / "out"), flag, value])
     assert exc.value.code == 2
@@ -1082,44 +1023,10 @@ def test_robust_large_magnitude_reports_flip(workspace, tmp_path, capsys):
     assert lines[1].endswith(",false") and lines[2].endswith(",false")
 
 
-def test_config_file_defaults_and_flag_precedence(workspace, tmp_path):
-    data_dir, _ = workspace
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cpms": 10, "input_col": "u"}), encoding="utf-8")
-
-    out_cfg = tmp_path / "from-config"
-    rc = main(
-        ["fit", "--data", str(data_dir / "synthetic.csv"), "--config", str(cfg), "--out", str(out_cfg)]
-    )
-    assert rc == 0
-    assert json.loads((out_cfg / "report.json").read_text(encoding="utf-8"))["cpms"] == 10
-
-    out_flag = tmp_path / "from-flag"
-    rc = main(
-        [
-            "fit",
-            "--data",
-            str(data_dir / "synthetic.csv"),
-            "--config",
-            str(cfg),
-            "--cpms",
-            "12",
-            "--out",
-            str(out_flag),
-        ]
-    )
-    assert rc == 0
-    assert json.loads((out_flag / "report.json").read_text(encoding="utf-8"))["cpms"] == 12
-
-
 def test_config_must_be_json_object(tmp_path, capsys):
-    # synth --config reads a spec; the other commands read their settings
+    # synth --config reads a spec, which is a JSON object
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]", encoding="utf-8")
     rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: synthetic spec: expected a JSON object, got list\n"
-    rc = main(["fit", "--data", str(tmp_path / "d.csv"), "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
-    assert not (tmp_path / "out").exists()

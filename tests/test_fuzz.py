@@ -4,10 +4,11 @@ Every command returns 0 on success, 1 on a numerical failure and 2 on an
 input problem; it raises nothing, and it writes no ``nan`` or ``inf`` into
 an output file. Each family below mutates valid inputs from a fixed seed and
 runs ``cli.main`` in process with ``RuntimeWarning`` as an error: model
-directories (``model.json``, ``space.json``, ``report.json``), the
-``--config`` files of ``fit`` and ``sweep``, ``synth`` specs, and the cells
-of a data CSV, finite magnitudes of 1e154 and more among them. A failing
-case is named by its family, its number and the command it ran.
+directories (``model.json``, ``space.json``, ``report.json``), the setting
+flags of ``fit`` and ``sweep``, ``synth`` specs, and the cells of a data
+CSV, finite magnitudes of 1e154 and more among them. A flag argparse
+rejects exits 2 through argparse's own usage error. A failing case is named
+by its family, its number and the command it ran.
 """
 
 import copy
@@ -123,7 +124,12 @@ def run_case(args, out, capsys) -> str | None:
             warnings.simplefilter("error", RuntimeWarning)
             warnings.simplefilter("ignore", ConvergenceWarning)  # a mutated iteration cap may stop early
             rc = main([*args, "--out", str(out)])
-    except Exception as exc:  # any exception breaks the contract
+    except SystemExit as exc:  # argparse's rejection of a flag value: exit 2 with its usage error
+        last = (capsys.readouterr().err.splitlines() or [""])[-1]
+        if exc.code != 2 or out.exists() or not last.startswith(f"iarx {args[0]}: error: "):
+            return f"exited {exc.code!r}, last error line {last!r}, output directory: {out.exists()}"
+        return None
+    except Exception as exc:  # any other exception breaks the contract
         return f"raised {exc!r}"
     err = capsys.readouterr().err
     if rc not in (0, 1, 2):
@@ -147,13 +153,14 @@ def _model_dir_case(i, rng, tmp_path, fitted):
     return f"{command} on a mutated {name}", args
 
 
-def _config_case(i, rng, tmp_path, fitted):
+def _flags_case(i, rng, tmp_path, fitted):
     data, _ = fitted
-    command, config = (("fit", FIT_CONFIG), ("sweep", SWEEP_CONFIG))[rng.integers(2)]
-    path = tmp_path / f"config{i}.json"
-    path.write_text(mutate_json(config, rng), encoding="utf-8")
-    args = [command, "--data", str(data), "--input-col", "u", "--config", str(path)]
-    return f"{command} --config {path.read_text()}", args
+    command, settings = (("fit", FIT_CONFIG), ("sweep", SWEEP_CONFIG))[rng.integers(2)]
+    key = list(settings)[rng.integers(len(settings))]
+    settings = {**settings, key: WEIRD[rng.integers(len(WEIRD))]}
+    # --flag=value keeps a value such as -inf from reading as a flag
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in settings.items()]
+    return f"{command} {' '.join(flags)}", [command, "--data", str(data), "--input-col", "u", *flags]
 
 
 def _spec_case(i, rng, tmp_path, fitted):
@@ -174,8 +181,8 @@ def _csv_case(i, rng, tmp_path, fitted):
 
 
 @pytest.mark.parametrize(
-    "seed, family", [(0, _model_dir_case), (1, _config_case), (2, _spec_case), (3, _csv_case)],
-    ids=["model-dir", "config", "spec", "csv"],
+    "seed, family", [(0, _model_dir_case), (1, _flags_case), (2, _spec_case), (3, _csv_case)],
+    ids=["model-dir", "flags", "spec", "csv"],
 )
 def test_mutated_inputs_keep_the_exit_code_contract(seed, family, tmp_path, fitted, capsys):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -78,8 +79,10 @@ def test_config_validation():
         FcmConfig(2.0, 1e-6, 300, 0)
     with pytest.raises(TypeError, match="fuzziness"):
         FcmConfig(fuzziness=2.0)
-    with pytest.raises(ValueError):
-        FcmConfig(tolerance=0.0)
+    # an infinite tolerance would stop the first pass unconverged, and without a warning
+    for tolerance in (0.0, math.inf):
+        with pytest.raises(ValueError, match=rf"^tolerance must be finite and positive, got {tolerance!r}$"):
+            FcmConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         FcmConfig(max_iterations=0)
     with pytest.raises(ValueError, match=r"^max_iterations must be an integer, got 5\.5$"):
