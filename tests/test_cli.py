@@ -754,6 +754,61 @@ def test_inconsistent_space_file_exits_2(workspace, tmp_path, monkeypatch, edit,
         assert line.startswith("error: pattern space: " + message)
 
 
+# each setting flag of each command (in _ spelling) with the type argparse reads its text as
+_SETTING_TYPES = {
+    "fit": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fcm_tolerance": float,
+            "fcm_iterations": int, "cpms": int},
+    "eval": {"data": str, "input_col": str, "out": str, "model_dir": str},
+    "sweep": {"data": str, "input_col": str, "out": str, "seed": int, "n": int, "m": int, "fcm_tolerance": float,
+              "fcm_iterations": int, "cpms_range": str},
+    "robust": {"data": str, "input_col": str, "out": str, "model_dir": str, "seed": int, "magnitude": float},
+}
+
+
+# the ids keep the numbers these cases had when a --config file could also set
+# the settings; a str setting takes any text, so its number has no case left
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        pytest.param("fit", "--seed", "null", id="fit-config0"),
+        pytest.param("sweep", "--fcm-tolerance", "[2]", id="sweep-config1"),
+        # an int setting takes an integer only; a float one any number but a bool
+        pytest.param("fit", "--n", "2.7", id="fit-config3"),
+        pytest.param("fit", "--n", "true", id="fit-config4"),
+        pytest.param("fit", "--cpms", "26.9", id="fit-config5"),
+        pytest.param("sweep", "--seed", "1e+20", id="sweep-config6"),
+        pytest.param("fit", "--fcm-iterations", "300.0", id="fit-config7"),
+        pytest.param("sweep", "--fcm-tolerance", "true", id="sweep-config8"),
+        # every int and float setting of every command; a float one also refuses a bool
+        *[
+            pytest.param(command, "--" + key.replace("_", "-"), text, id=f"{command}-config{i}")
+            for i, (command, key, kind, text) in enumerate(
+                [
+                    (command, key, kind, text)
+                    for command, keys in _SETTING_TYPES.items()
+                    for key, kind in keys.items()
+                    for text in {str: [None], int: ["2.5"], float: ["x", "true"]}[kind]
+                ],
+                start=11,
+            )
+            if kind is not str
+        ],
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2(workspace, tmp_path, capsys, command, flag, text):
+    # a setting given text its flag's type does not read is an input problem:
+    # argparse exits 2 with a usage error naming the flag, before anything is written
+    data_dir, _ = workspace
+    args = [command, "--data", str(data_dir / "synthetic.csv"), "--input-col", "u", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, f"{flag}={text}"])
+    assert exc.value.code == 2
+    kind = _SETTING_TYPES[command][flag[2:].replace("-", "_")]
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"iarx {command}: error: argument {flag}: invalid {kind.__name__} value: {text!r}"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
