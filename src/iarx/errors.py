@@ -103,11 +103,14 @@ def integer(value, name: str, minimum: int | None = None) -> int:
     """The integer setting ``name`` as an ``int``, or a ``ValueError`` naming it.
 
     A Python or numpy integer passes (:func:`operator.index`), unless it is below ``minimum``.
+    A bool does not, as in :func:`json_value`: ``True`` is no count or seed.
     """
     try:
         number = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):  # a bool is an int to Python; numpy's bool has no index
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number

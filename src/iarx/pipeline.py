@@ -125,8 +125,14 @@ class ForecastTrace:
         return [getattr(self, name) for name in _TRACE_COLUMNS]
 
     def _rows(self):
-        """The steps as tuples of Python numbers, in column order."""
-        return zip(*(col.tolist() for col in self._columns()))
+        """The steps as tuples of Python numbers, in column order.
+
+        The columns are converted ``_ROW_BLOCK`` rows at a time, so iterating
+        a long trace holds a block of Python numbers, not whole columns.
+        """
+        columns = self._columns()
+        for begin in range(0, len(self), _ROW_BLOCK):
+            yield from zip(*(col[begin : begin + _ROW_BLOCK].tolist() for col in columns))
 
     def __iter__(self):
         for row in self._rows():
@@ -154,6 +160,7 @@ class ForecastTrace:
 
 
 _TRACE_COLUMNS = tuple(field.name for field in fields(ForecastTrace))
+_ROW_BLOCK = 4096
 
 
 def _record(k, al, au, pl, pu, fl, fu, cid) -> ForecastRecord:
@@ -212,6 +219,85 @@ def _encode(space: PatternSpace, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx, (0.5 * (lowers + uppers)).take(idx), (0.5 * (uppers - lowers)).take(idx)
 
 
+@dataclass(frozen=True, eq=False)
+class _History:
+    """The half of a forecast pass over ``[start, end)`` that reads no model parameter.
+
+    ``centers`` and ``radii`` encode the samples ``start - max(n, m) ..
+    end - 1``, ``x`` and ``x_abs`` are their :func:`~iarx.model.lag_columns`
+    for the scored steps, ``actual_lower`` and ``actual_upper`` the bounds of
+    each scored step's encoded actual and ``k`` its number. Every array is
+    read-only.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    x: tuple
+    x_abs: tuple
+    actual_lower: np.ndarray
+    actual_upper: np.ndarray
+    k: np.ndarray
+
+
+# The last pass's history and its key: (space, n, m, start, end, data window, u window, history).
+# It is published by one assignment, so a racing thread sees a whole entry or misses.
+_last = None
+
+
+def _forget_history() -> None:
+    """Empty the entry, so that the next pass builds its history."""
+    global _last
+    _last = None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float vectors hold the same bits: ``-0.0`` is not ``0.0``."""
+    return a.size == b.size and bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _history(space: PatternSpace, data: np.ndarray, u: np.ndarray, n: int, m: int, start: int, end: int) -> _History:
+    """The history of a pass over ``[start, end)`` of the equal-length float vectors ``data`` and ``u``.
+
+    The previous pass's history is returned when its space is ``space``
+    itself (a space is immutable), its orders and range are these and the
+    windows of ``data`` and ``u`` that the pass reads hold the same bits.
+    Otherwise the windows are checked by :func:`~iarx.errors.all_finite`,
+    copied, encoded and stored, with their history, as the one entry; the
+    lag columns are views of those copies, never of the caller's arrays.
+    """
+    global _last
+    kmin = max(n, m)
+    offset = start - kmin
+    data, u = data[offset:end], u[offset:end]
+    entry = _last
+    if (
+        entry is not None
+        and entry[0] is space
+        and entry[1:5] == (n, m, start, end)
+        and _same_bits(entry[5], data)
+        and _same_bits(entry[6], u)
+    ):
+        return entry[7]  # its windows passed the finite check, and these have their bits
+    all_finite(offset, data=data, u=u)
+    data, u = data.copy(), u.copy()
+    idx, centers, radii = _encode(space, data)
+    x, x_abs = lag_columns(centers, radii, u, n, m, kmin, end - offset)
+    actual = idx[kmin:]
+    history = _History(
+        centers=centers,
+        radii=radii,
+        x=tuple(x),
+        x_abs=tuple(x_abs),
+        actual_lower=space.lowers.take(actual),
+        actual_upper=space.uppers.take(actual),
+        k=np.arange(start, end),
+    )
+    for array in (data, u, centers, radii, *x, *x_abs, history.actual_lower, history.actual_upper, history.k):
+        array.setflags(write=False)
+    _last = (space, n, m, start, end, data, u, history)
+    return history
+
+
 def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) -> MovingPatternModel:
     """Fit the full pipeline on a scalar series and its input series.
 
@@ -220,12 +306,14 @@ def fit_model(data, u, cpms: int, n: int, m: int, fcm: FcmConfig = FcmConfig()) 
     supplies the other clustering settings. The orders and the series are
     checked by :func:`~iarx.errors.fit_series` before any clustering;
     clustering and identification errors propagate, and no retries are made.
+    The encoding is the history of a default-range forecast pass, so a
+    following :func:`evaluate` of the same series does not encode it again.
     """
     integer(cpms, "cpms", 2)
     n, m, data, u = fit_series(n, m, data=data, u=u)
     space = build_space(data, cpms, fcm)
-    _, centers, radii = _encode(space, data)
-    return MovingPatternModel(space=space, params=fit(centers, radii, u, n, m))
+    history = _history(space, data, u, n, m, max(n, m), data.size)
+    return MovingPatternModel(space=space, params=fit(history.centers, history.radii, u, n, m))
 
 
 def forecast_series(
@@ -240,7 +328,10 @@ def forecast_series(
     the lag columns are gathered from the class centers and radii, the
     preliminaries come from :func:`~iarx.model.predict_bounds` and are
     classified together by :meth:`PatternSpace.classify_bounds`, and the
-    finals are the bounds of the winning classes. A ``start`` or ``end``
+    finals are the bounds of the winning classes. The encoding, the lag
+    columns, the encoded actuals and the step numbers read no parameter, so
+    a pass on the same space, orders, range and series bits as the previous
+    pass reuses that pass's. A ``start`` or ``end``
     that is not an integer raises ``ValueError``, a range outside the
     series or empty ``DataError``. The first non-finite sample of ``data``
     or ``u`` in ``[start - max(n, m), end)`` raises ``DataError``, the
@@ -257,14 +348,9 @@ def forecast_series(
     if start >= end:
         raise DataError(f"empty scored range [{start}, {end})")
 
-    # Only the scored steps and their lags are read; row 0 is step start - kmin.
-    offset = start - kmin
-    all_finite(offset, data=data[offset:end], u=u[offset:end])
     space = model.space
-    lowers, uppers = space.lowers, space.uppers
-    idx, centers, radii = _encode(space, data[offset:end])
-    x, x_abs = lag_columns(centers, radii, u[offset:end], model.n, model.m, kmin, end - offset)
-    prelim_lower, prelim_upper = predict_bounds(model.params, x, x_abs)
+    history = _history(space, data, u, model.n, model.m, start, end)
+    prelim_lower, prelim_upper = predict_bounds(model.params, history.x, history.x_abs)
     finite = np.isfinite(prelim_lower) & np.isfinite(prelim_upper)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -273,15 +359,15 @@ def forecast_series(
             f"[{float(prelim_lower[row])!r}, {float(prelim_upper[row])!r}]"
         )
     class_id = space.classify_bounds(prelim_lower, prelim_upper)
-    actual, final = idx[kmin:], class_id - 1
+    final = class_id - 1
     return ForecastTrace(
-        k=np.arange(start, end),
-        actual_lower=lowers.take(actual),
-        actual_upper=uppers.take(actual),
+        k=history.k,
+        actual_lower=history.actual_lower,
+        actual_upper=history.actual_upper,
         prelim_lower=prelim_lower,
         prelim_upper=prelim_upper,
-        final_lower=lowers.take(final),
-        final_upper=uppers.take(final),
+        final_lower=space.lowers.take(final),
+        final_upper=space.uppers.take(final),
         class_id=class_id,
     )
 

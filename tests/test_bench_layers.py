@@ -14,7 +14,8 @@ import pytest
 FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
 LAYERS = {
     "synthesize", "fcm_cluster", "pipeline._encode", "model._ols_center", "model._nnls_radius", "forecast_series",
-    "rmse_from_records", "write_rmse_csv", "write_trace_csv", "write_sweep_csv", "write_robust_csv",
+    "forecast_series.repeat", "robustness_experiment", "rmse_from_records", "write_rmse_csv", "write_trace_csv",
+    "write_sweep_csv", "write_robust_csv",
 }
 # about 4 s (3.6–4.5 s) on a 2-core VM; a gate, not a tolerance to loosen
 SCRIPT_WALL_S = 60.0

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from iarx.errors import ClusteringError, ConvergenceWarning, DataError
 from iarx.intervals import Interval
-from iarx import pattern_space
+from iarx import pattern_space, pipeline
 from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.pipeline import fit_model, forecast_series
 from iarx.pattern_space import (
@@ -69,7 +69,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="cluster count must be >= 1, got 0"):
         fcm_cluster([0.0, 1.0], 0)
     for cluster in (fcm_cluster, build_space):
-        for k in (2.5, "2"):
+        for k in (2.5, "2", True):  # a bool is an int to Python, never a count
             with pytest.raises(ValueError, match=f"cluster count must be an integer, got {k!r}$"):
                 cluster([1.0, 2.0, 3.0, 4.0], k)
     assert build_space([1.0, 2.0, 3.0, 4.0], np.int64(2)).cpms == 2  # a numpy integer is a count
@@ -91,6 +91,9 @@ def test_config_validation():
         FcmConfig(seed=-1)
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
         FcmConfig(seed=1.5)
+    for name in ("seed", "max_iterations"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got True$"):
+            FcmConfig(**{name: True})
     config = FcmConfig(max_iterations=np.int64(5), seed=np.int64(1))
     assert (type(config.max_iterations), type(config.seed)) == (int, int)
 
@@ -526,8 +529,9 @@ def _no_scan(self, lower, upper):
 def test_window_certifies_every_interval_of_the_default_forecast(default_model, default_result, monkeypatch):
     # on clustered classes the encoding table and the window settle the
     # encoding and the snap of every step, so a forecast pass never pays for
-    # the full scan
+    # the full scan; the pass encodes the series, not an earlier test's history
     monkeypatch.setattr(PatternSpace, "_scan", _no_scan)
+    pipeline._forget_history()
     forecast_series(default_model, default_result.data, default_result.u)
 
 

@@ -19,9 +19,11 @@ from iarx.data_io import default_synthetic_spec, synthesize, zero_mean_normalize
 from iarx.errors import ConvergenceWarning, DataError, SimulationError
 from iarx.intervals import Interval
 from iarx.model import IarxParams, lag_columns, predict_bounds, predict_compositional
+from iarx.pattern_space import PatternSpace
 from iarx.pipeline import (
     ForecastRecord,
     ForecastTrace,
+    MovingPatternModel,
     RmseReport,
     evaluate,
     fit_model,
@@ -291,6 +293,161 @@ def test_non_finite_forecast_is_simulation_error(default_model, default_result, 
     monkeypatch.setattr(pipeline, "fit", lambda *args: huge)
     (cell,) = sweep_cpms(data, u, [16], n=3, m=1)
     assert cell.report is None and "not finite" in cell.error
+
+
+def _count_encodings(monkeypatch) -> list:
+    """A list that grows by one with every series ``PatternSpace.classify_points`` encodes from here on."""
+    calls = []
+    classify_points = PatternSpace.classify_points
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return classify_points(self, x)
+
+    monkeypatch.setattr(PatternSpace, "classify_points", counted)
+    return calls
+
+
+def _same_trace(a, b) -> bool:
+    """Whether two traces hold the same bits in all eight columns."""
+    return all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and np.array_equal(getattr(a, name).view(np.int64), getattr(b, name).view(np.int64))
+        for name in pipeline._TRACE_COLUMNS
+    )
+
+
+def _cold(model, data, u, **kwargs):
+    """A pass with the history entry emptied first, so that it encodes the series."""
+    pipeline._forget_history()
+    return forecast_series(model, data, u, **kwargs)
+
+
+def test_a_repeated_pass_reuses_the_history(default_model, default_result, monkeypatch):
+    # equal bits in other arrays: no encoding, and the columns of a pass that encodes
+    data, u = default_result.data, default_result.u
+    forecast_series(default_model, data, u)
+    calls = _count_encodings(monkeypatch)
+    hit = forecast_series(default_model, data.copy(), u.copy())
+    assert calls == []
+    cold = _cold(default_model, data, u)
+    assert calls == [data.size]
+    assert _same_trace(hit, cold)
+
+
+def test_fit_evaluate_and_robustness_encode_the_series_once(default_model, default_result, monkeypatch):
+    data, u = default_result.data, default_result.u
+    pipeline._forget_history()
+    calls = _count_encodings(monkeypatch)
+    evaluate(default_model, data, u)
+    robustness_experiment(default_model, data, u, magnitude=0.01, seed=8)
+    assert calls == [data.size]
+    calls.clear()
+    model = fit_model(data, u, cpms=16, n=3, m=1)
+    report = evaluate(model, data, u)
+    assert calls == [data.size]
+    assert report == rmse_from_records(_cold(model, data, u))
+    calls.clear()
+    sweep_cpms(data, u, [16, 17], n=3, m=1)  # one encoding per cell
+    assert calls == [data.size, data.size]
+
+
+def test_a_series_changed_in_place_is_encoded_again(default_model, default_result, monkeypatch):
+    # the entry owns copies of the windows it was built from, and its lag
+    # columns are views of those copies, never of the caller's arrays
+    data, u = default_result.data, default_result.u
+    original = forecast_series(default_model, data, u)
+    calls = _count_encodings(monkeypatch)
+    for column in ("data", "u"):
+        # a pass on an array changed in place misses
+        arrays = {"data": data.copy(), "u": u.copy()}
+        forecast_series(default_model, arrays["data"], arrays["u"])
+        arrays[column][500] = -arrays[column][500] + 1.0
+        calls.clear()
+        changed = forecast_series(default_model, arrays["data"], arrays["u"])
+        assert len(calls) == 1 and not _same_trace(changed, original)
+        assert _same_trace(changed, _cold(default_model, arrays["data"], arrays["u"]))
+        # a pass on new arrays of the entry's bits hits, whatever became of the arrays it was built from
+        arrays = {"data": data.copy(), "u": u.copy()}
+        forecast_series(default_model, arrays["data"], arrays["u"])
+        arrays[column][500] = -arrays[column][500] + 1.0
+        calls.clear()
+        assert _same_trace(forecast_series(default_model, data.copy(), u.copy()), original)
+        assert calls == []
+
+
+@pytest.mark.parametrize("column", ["data", "u"])
+def test_a_nan_written_in_place_is_still_an_input_error(default_model, default_result, column):
+    arrays = {"data": default_result.data.copy(), "u": default_result.u.copy()}
+    forecast_series(default_model, arrays["data"], arrays["u"])
+    entry = pipeline._last
+    arrays[column][100] = np.nan
+    with pytest.raises(DataError, match=rf"^{column} sample 100 is not finite$"):
+        forecast_series(default_model, arrays["data"], arrays["u"])
+    assert pipeline._last is entry  # a NaN is never stored
+
+
+def test_the_sign_of_a_zero_input_is_part_of_the_key(monkeypatch):
+    # every term but the input's is -0.0, so the sign of a zero input is the
+    # sign of the preliminary lower bound, which trace.csv writes
+    space = PatternSpace([1.0, 3.0], [2.0, 4.0])
+    model = MovingPatternModel(space=space, params=IarxParams(n=1, m=1, A=[-0.0, -0.0, 1.0], C=[0.0, 0.0, 0.0]))
+    data, u = np.linspace(1.0, 4.0, 12), np.zeros(12)
+    signed = u.copy()
+    signed[5] = -0.0
+    positive = forecast_series(model, data, u)
+    calls = _count_encodings(monkeypatch)
+    negative = forecast_series(model, data, signed)
+    assert calls == [data.size]
+    assert np.signbit(negative.prelim_lower).tolist() == [k == 6 for k in range(1, 12)]
+    assert not np.signbit(positive.prelim_lower).any()
+    assert _same_trace(negative, _cold(model, data, signed))
+
+
+def test_an_equal_space_loaded_anew_is_another_key(default_model, default_result, monkeypatch):
+    data, u = default_result.data, default_result.u
+    first = forecast_series(default_model, data, u)
+    loaded = replace(default_model, space=PatternSpace.from_json(default_model.space.to_json()))
+    assert loaded.space == default_model.space and loaded.space is not default_model.space
+    calls = _count_encodings(monkeypatch)
+    assert _same_trace(forecast_series(loaded, data, u), first)
+    assert calls == [data.size]
+
+
+@pytest.mark.parametrize(
+    "n, m, start, end",
+    [(3, 1, 4, None), (3, 1, None, 863), (3, 0, None, None), (3, 2, None, None), (2, 1, None, None)],
+    ids=["start", "end", "m-0", "m-2", "n-2"],
+)
+def test_other_orders_or_range_are_other_keys(default_model, default_result, monkeypatch, n, m, start, end):
+    # m = 0 and m = 2 read the same window as the default model, with other lag columns
+    data, u = default_result.data, default_result.u
+    forecast_series(default_model, data, u)
+    width = 1 + n + m
+    model = replace(default_model, params=IarxParams(n=n, m=m, A=np.full(width, 0.2), C=np.full(width, 0.01)))
+    calls = _count_encodings(monkeypatch)
+    trace = forecast_series(model, data, u, start=start, end=end)
+    assert len(calls) == 1
+    assert _same_trace(trace, _cold(model, data, u, start=start, end=end))
+
+
+def test_the_history_is_read_only_and_kept_from_trace_edits(default_model, default_result):
+    data, u = default_result.data, default_result.u
+    trace = _cold(default_model, data, u)
+    space, n, m, start, end, data_window, u_window, history = pipeline._last
+    arrays = [data_window, u_window, *(getattr(history, name) for name in ("centers", "radii", "actual_lower",
+                                                                          "actual_upper", "k"))]
+    arrays += [*history.x, *history.x_abs]
+    assert len(arrays) == 7 + 2 * (n + m) and not any(array.flags.writeable for array in arrays)
+    with pytest.raises(ValueError):
+        trace.actual_lower[0] = 5.0
+    before = trace[0]
+    trace[0] = replace(before, k=-1, actual=Interval(-1.0, 1.0))
+    assert trace.k[0] == -1 and trace.actual_lower[0] == -1.0
+    hit = forecast_series(default_model, data, u)
+    assert pipeline._last[7] is history
+    assert hit[0] == before
+    assert _same_trace(hit, _cold(default_model, data, u))
 
 
 def test_trace_columns_are_validated_and_read_only():
